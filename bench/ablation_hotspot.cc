@@ -8,13 +8,6 @@
 // carry a strictly larger share of uplinks and residency under the hotspot
 // distribution than under the uniform one (exit 1 otherwise). Run with
 // --heatmap=PATH to export every sweep cell's heat map as JSON.
-//
-// A second machine check exercises online rebalancing (DESIGN.md §15):
-// the same hotspot workload runs sharded twice, static vs --rebalance,
-// and the rebalanced run must (a) shrink the hottest shard's share of
-// routed uplinks below the static run's and (b) return exactly the same
-// per-query result sets (the partition is an implementation detail; the
-// protocol answer may not change). Exit 1 on either failure.
 
 #include <algorithm>
 #include <cstdio>
@@ -24,8 +17,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "mobieyes/core/rebalance.h"
-#include "mobieyes/core/server.h"
 
 using namespace mobieyes;       // NOLINT(build/namespaces)
 using namespace mobieyes::bench;  // NOLINT(build/namespaces)
@@ -76,64 +67,6 @@ Result<std::unique_ptr<sim::Simulation>> RunHeatCell(
   auto simulation = sim::Simulation::Make(config);
   if (simulation.ok()) (*simulation)->Run(job.options.steps);
   return simulation;
-}
-
-// Runs one sharded hotspot cell (nmq=400, 4 shards unless --shards says
-// otherwise) and returns the simulation, so the caller can read per-shard
-// stats and result sets. `rebalance_spec` is "off" for the static run.
-Result<std::unique_ptr<sim::Simulation>> RunShardCell(
-    const std::string& rebalance_spec) {
-  SweepJob job;
-  job.params.num_queries = 400;
-  job.params.object_distribution = sim::ObjectDistribution::kHotspot;
-  job.options.steps = 24;
-  job.mobieyes.sharding.num_shards = 4;
-  job = ApplyFlagOverrides(job);
-  // The spec is this cell's identity, not a harness knob: force it after
-  // the flag overrides so --rebalance on the command line cannot turn the
-  // static control into a second rebalanced run.
-  Status spec_status =
-      core::ParseRebalanceSpec(rebalance_spec, &job.mobieyes.sharding);
-  if (!spec_status.ok()) return spec_status;
-  sim::SimulationConfig config;
-  config.params = job.params;
-  config.mode = job.mode;
-  config.mobieyes = job.mobieyes;
-  config.warmup_steps = job.options.warmup_steps;
-  config.shard_threads = job.options.shard_threads;
-  auto simulation = sim::Simulation::Make(config);
-  if (simulation.ok()) (*simulation)->Run(job.options.steps);
-  return simulation;
-}
-
-// Hottest shard's share of all routed uplinks.
-double TopShardShare(sim::Simulation* simulation) {
-  const core::ShardRouter& router = simulation->server()->router();
-  uint64_t sum = 0;
-  uint64_t top = 0;
-  for (int k = 0; k < router.num_shards(); ++k) {
-    uint64_t routed = router.shard(k).stats().uplinks_routed;
-    sum += routed;
-    top = std::max(top, routed);
-  }
-  return sum > 0 ? static_cast<double>(top) / static_cast<double>(sum) : 0.0;
-}
-
-// Final per-query result sets, sorted, in installed-query order.
-std::vector<std::vector<ObjectId>> ResultSets(sim::Simulation* simulation) {
-  std::vector<std::vector<ObjectId>> results;
-  core::MobiEyesServer* server = simulation->server();
-  for (QueryId qid : simulation->installed_queries()) {
-    std::vector<ObjectId> sorted;
-    const core::MobiEyesServer::SqtEntry* entry =
-        server == nullptr ? nullptr : server->FindQuery(qid);
-    if (entry != nullptr) {
-      sorted.assign(entry->result.begin(), entry->result.end());
-      std::sort(sorted.begin(), sorted.end());
-    }
-    results.push_back(std::move(sorted));
-  }
-  return results;
 }
 
 }  // namespace
@@ -214,43 +147,5 @@ int main(int argc, char** argv) {
                  "[bench] FAIL: hotspot heat-map band does not dominate\n");
     return 1;
   }
-
-  // Rebalance check (DESIGN.md §15): static vs rebalanced partition on the
-  // sharded hotspot workload.
-  auto static_sim = RunShardCell("off");
-  auto rebal_sim = RunShardCell("2:1.05:16");
-  if (!static_sim.ok() || !rebal_sim.ok()) {
-    std::fprintf(stderr, "rebalance cells failed to run\n");
-    return 1;
-  }
-  double static_share = TopShardShare(static_sim->get());
-  double rebal_share = TopShardShare(rebal_sim->get());
-  sim::RunMetrics rebal_metrics = (*rebal_sim)->metrics();
-  std::printf("\n=== Rebalancing: hottest shard's uplink share ===\n");
-  std::printf("static    %.3f\n", static_share);
-  std::printf(
-      "rebalanced %.3f  (epoch %llu, %llu events, %llu cells moved, "
-      "%llu focals + %llu RQI ids migrated)\n",
-      rebal_share,
-      static_cast<unsigned long long>(rebal_metrics.rebalance_epoch),
-      static_cast<unsigned long long>(rebal_metrics.rebalance_events),
-      static_cast<unsigned long long>(rebal_metrics.rebalance_cells_moved),
-      static_cast<unsigned long long>(rebal_metrics.rebalance_focals_moved),
-      static_cast<unsigned long long>(rebal_metrics.rebalance_rqi_ids_moved));
-  if (!(rebal_share < static_share)) {
-    std::fprintf(stderr,
-                 "[bench] FAIL: rebalancing did not shrink the hottest "
-                 "shard's load share (%.3f vs %.3f static)\n",
-                 rebal_share, static_share);
-    return 1;
-  }
-  if (ResultSets(static_sim->get()) != ResultSets(rebal_sim->get())) {
-    std::fprintf(stderr,
-                 "[bench] FAIL: rebalanced result sets differ from the "
-                 "static partition's\n");
-    return 1;
-  }
-  std::printf("result sets identical across partitions: OK\n");
-  int status = FinishBench();
-  return status;
+  return FinishBench();
 }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "mobieyes/common/thread_pool.h"
-#include "mobieyes/core/rebalance.h"
 #include "mobieyes/net/backplane.h"
 
 namespace mobieyes::bench {
@@ -65,9 +64,6 @@ struct BenchState {
   // Sharding flag overrides, same negative-means-unset convention.
   int shards = -1;
   int shard_threads = -1;
-  int shard_partition = -1;  // 0 = rowband, 1 = hash
-  std::string rebalance_spec;  // "off" or STRIDE:THRESHOLD:MAX_MOVES
-  bool rebalance_set = false;
   int shard_transport = -1;  // 0 = inproc, 1 = process
   std::string shardd_path;
   long long shard_kill_step = -1;
@@ -250,27 +246,6 @@ void InitBench(const std::string& name, int argc, char** argv) {
                      "[bench] ignoring bad --shard-threads value '%s'\n",
                      arg + 16);
         state.shard_threads = -1;
-      }
-    } else if (std::strncmp(arg, "--shard-partition=", 18) == 0) {
-      if (std::strcmp(arg + 18, "rowband") == 0) {
-        state.shard_partition = 0;
-      } else if (std::strcmp(arg + 18, "hash") == 0) {
-        state.shard_partition = 1;
-      } else {
-        std::fprintf(stderr,
-                     "[bench] bad --shard-partition value '%s' "
-                     "(want rowband|hash)\n",
-                     arg + 18);
-      }
-    } else if (std::strncmp(arg, "--rebalance=", 12) == 0) {
-      core::ShardingOptions probe;
-      Status st = core::ParseRebalanceSpec(arg + 12, &probe);
-      if (st.ok()) {
-        state.rebalance_spec = arg + 12;
-        state.rebalance_set = true;
-      } else {
-        std::fprintf(stderr, "[bench] bad --rebalance value '%s': %s\n",
-                     arg + 12, st.ToString().c_str());
       }
     } else if (std::strncmp(arg, "--shard-transport=", 18) == 0) {
       if (std::strcmp(arg + 18, "inproc") == 0) {
@@ -461,16 +436,6 @@ SweepJob ApplyOverrides(SweepJob job) {
   if (state.shards > 0) job.mobieyes.sharding.num_shards = state.shards;
   if (state.shard_threads > 0) {
     job.options.shard_threads = state.shard_threads;
-  }
-  if (state.shard_partition >= 0) {
-    job.mobieyes.sharding.partition = state.shard_partition == 0
-                                          ? core::ShardPartition::kRowBand
-                                          : core::ShardPartition::kHash;
-  }
-  if (state.rebalance_set) {
-    // Validated at parse time; re-applied per job so every cell of the
-    // sweep (whatever its own sharding options) gets the override.
-    core::ParseRebalanceSpec(state.rebalance_spec, &job.mobieyes.sharding);
   }
   if (state.shard_transport >= 0) {
     job.options.shard_transport =

@@ -211,10 +211,10 @@ int main(int argc, char** argv) {
                      drop_results);
 
   // Sweep 3: kill -9 of a live shard daemon under the process transport
-  // (DESIGN.md §13). The server stays up; the supervisor detects the dead
-  // daemon, queues its uplinks (degraded mode), respawns it and resyncs
-  // from the checkpoint chunk plus the frame log. Skipped when the daemon
-  // binary is not discoverable (e.g. a stripped install tree).
+  // (DESIGN.md §13). The server stays up and keeps dispatching every
+  // uplink; the supervisor detects the dead daemon, respawns it and
+  // resyncs it from the checkpoint chunk plus the frame log. Skipped when
+  // the daemon binary is not discoverable (e.g. a stripped install tree).
   if (core::ShardSupervisor::FindShardd("").empty()) {
     std::fprintf(stderr,
                  "[crash_sweep] mobieyes_shardd not found; skipping the "
@@ -239,8 +239,9 @@ int main(int argc, char** argv) {
     PrintRecoveryTable("Crash recovery: shard daemon kill -9 (stride sweep)",
                        kill_xs, kill_results);
     std::vector<Series> kill_extra = {
-        {"daemon restarts", {}}, {"syncs replayed", {}},
-        {"uplinks deferred", {}}, {"uplinks dropped", {}},
+        {"daemon restarts", {}},
+        {"syncs replayed", {}},
+        {"uplinks dropped", {}},
     };
     for (const CrashResult& r : kill_results) {
       kill_extra[0].values.push_back(
@@ -248,8 +249,6 @@ int main(int argc, char** argv) {
       kill_extra[1].values.push_back(
           static_cast<double>(r.metrics.backplane_replayed_frames));
       kill_extra[2].values.push_back(
-          static_cast<double>(r.metrics.uplinks_deferred));
-      kill_extra[3].values.push_back(
           static_cast<double>(r.metrics.uplinks_dropped));
     }
     PrintTable("Crash recovery: daemon kill -9 backplane detail", "stride",

@@ -225,68 +225,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Online rebalancing (DESIGN.md §15): the hotspot distribution pins one
-  // shard under the static partition; the rebalanced cells run the same
-  // workload with --rebalance semantics on and report the per-shard step
-  // time spread (max-shard body over the mean body — 1.0 is perfectly
-  // even), the handoff volume including migration-driven handoffs, and the
-  // wall speedup of the rebalanced step phase over the static one. Result
-  // sets must stay identical: the partition is an implementation detail.
-  {
-    std::vector<double> xs;
-    int effective_objects = kObjectCounts[0];
-    std::vector<Series> rebalance = {
-        {"static spread", {}},        {"rebal spread", {}},
-        {"static handoffs/step", {}}, {"rebal handoffs/step", {}},
-        {"rebal step speedup", {}},   {"cells moved", {}},
-        {"results match", {}},
-    };
-    for (int shards : kShardCounts) {
-      if (shards < 2) continue;
-      SweepJob static_job = MakeJob(kObjectCounts[0], shards);
-      static_job.params.object_distribution =
-          sim::ObjectDistribution::kHotspot;
-      effective_objects = static_job.params.num_objects;
-      static_job.label += " hotspot static";
-      SweepJob rebal_job = static_job;
-      rebal_job.mobieyes.sharding.rebalance_stride = 2;
-      rebal_job.mobieyes.sharding.rebalance_threshold = 1.1;
-      rebal_job.mobieyes.sharding.rebalance_max_moves = 16;
-      rebal_job.label = static_job.label + " rebalanced";
-      std::vector<SweepCellResult> pair =
-          RunSweepObserved({static_job, rebal_job}, 1, obs);
-      const sim::RunMetrics& s = pair[0].metrics;
-      const sim::RunMetrics& r = pair[1].metrics;
-      xs.push_back(static_cast<double>(shards));
-
-      auto spread = [shards](const sim::RunMetrics& m) {
-        const double mean =
-            m.server_step_shard_seconds / static_cast<double>(shards);
-        return mean > 1e-12 ? m.server_step_max_shard_seconds / mean : 0.0;
-      };
-      rebalance[0].values.push_back(spread(s));
-      rebalance[1].values.push_back(spread(r));
-      rebalance[2].values.push_back(
-          PerStep(static_cast<double>(s.network.inter_shard_handoffs), s));
-      rebalance[3].values.push_back(
-          PerStep(static_cast<double>(r.network.inter_shard_handoffs), r));
-      rebalance[4].values.push_back(
-          Speedup(s.server_step_seconds, r.server_step_seconds));
-      rebalance[5].values.push_back(
-          static_cast<double>(r.rebalance_cells_moved));
-      bool match = pair[1].query_results == pair[0].query_results;
-      rebalance[6].values.push_back(match ? 1.0 : 0.0);
-      if (!match) {
-        all_match = false;
-        std::fprintf(stderr, "[shard_sweep] MISMATCH vs static: %s\n",
-                     rebal_job.label.c_str());
-      }
-    }
-    PrintTable("Shard sweep: hotspot rebalancing (" +
-                   std::to_string(effective_objects) + " objects)",
-               "shards", xs, rebalance);
-  }
-
   int status = FinishBench();
   if (require_match && !all_match) {
     std::fprintf(stderr,

@@ -15,36 +15,11 @@ enum class PropagationMode {
   kLazy,
 };
 
-// How grid cells map onto server shards (DESIGN.md §10).
-enum class ShardPartition {
-  // Contiguous bands of grid rows: shard k owns rows [k*band, (k+1)*band).
-  // Preserves locality (a monitoring region touches few shards).
-  kRowBand,
-  // CellCoordHash(cell) % num_shards: spreads hot rows at the cost of
-  // scattering every monitoring region across all shards.
-  kHash,
-};
-
 // Server-side sharding (DESIGN.md §10). num_shards == 1 is the monolith:
-// one shard owning the whole grid, no inter-shard traffic.
+// one shard owning the whole grid, no inter-shard traffic. Cells map to
+// shards in contiguous bands of grid rows (ShardMap).
 struct ShardingOptions {
   int num_shards = 1;
-  ShardPartition partition = ShardPartition::kRowBand;
-
-  // Online rebalancing (DESIGN.md §15): every rebalance_stride steps the
-  // router reads the step-synchronous per-cell load window and, when the
-  // hottest shard's load exceeds rebalance_threshold times the mean, moves
-  // up to rebalance_max_moves cells to colder shards, advancing the
-  // partition epoch. 0 (the default) disables rebalancing — the partition
-  // stays frozen at its epoch-0 seed and every code path is byte-identical
-  // to the pre-rebalancing build.
-  int rebalance_stride = 0;
-  double rebalance_threshold = 1.2;
-  int rebalance_max_moves = 8;
-
-  bool rebalance_enabled() const {
-    return rebalance_stride > 0 && num_shards > 1;
-  }
 };
 
 // Toggles for the protocol variant run by both server and clients. Server

@@ -32,17 +32,6 @@ class ReverseQueryIndex {
   }
   void RemoveCell(QueryId qid, const geo::CellCoord& c);
 
-  // Whole-row transfer for shard rebalancing: rows move between slices
-  // verbatim when their cell changes owner, preserving element order.
-  std::vector<QueryId> TakeRow(const geo::CellCoord& c) {
-    std::vector<QueryId> row = std::move(cells_[grid_->FlatIndex(c)]);
-    cells_[grid_->FlatIndex(c)].clear();
-    return row;
-  }
-  void SetRow(const geo::CellCoord& c, std::vector<QueryId> row) {
-    cells_[grid_->FlatIndex(c)] = std::move(row);
-  }
-
   // Queries whose monitoring region covers cell c (unordered).
   const std::vector<QueryId>& QueriesForCell(const geo::CellCoord& c) const {
     return cells_[grid_->FlatIndex(c)];

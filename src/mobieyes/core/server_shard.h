@@ -51,94 +51,31 @@ struct SqtEntry {
   std::unordered_set<ObjectId> result;
 };
 
-// One cell reassignment of a rebalance step: grid cell `flat` (row-major
-// flat index) moves to shard `to_shard`.
-struct CellMove {
-  int32_t flat = 0;
-  int32_t to_shard = 0;
-
-  bool operator==(const CellMove& other) const {
-    return flat == other.flat && to_shard == other.to_shard;
-  }
-};
-
-// Versioned grid-to-shard assignment (DESIGN.md §10, §15). Epoch 0 is the
-// seed partition — a pure function of the grid shape and the sharding
-// options, so every component (router, shards, a restore with a different
-// shard count) derives the same ownership. Rebalancing advances the epoch
-// and installs an explicit per-cell owner table on top of the seed; the
-// epoch number travels with checkpoints, state syncs and scan requests so
-// no component ever answers for a cell under a stale assignment.
+// Grid-to-shard partition (DESIGN.md §10): contiguous bands of grid rows,
+// shard k owning rows [k*band, (k+1)*band). A pure function of the grid
+// shape and the shard count, so every component — router, shards, daemons,
+// a restore with a different shard count — derives the same ownership.
 class ShardMap {
  public:
   ShardMap(const geo::Grid& grid, const ShardingOptions& options);
 
   int num_shards() const { return num_shards_; }
-  ShardPartition partition() const { return partition_; }
-  uint64_t epoch() const { return epoch_; }
 
-  // Owning shard of a grid cell, in [0, num_shards). The epoch-0 fast
-  // paths are byte-for-byte the frozen-partition formulas, so runs without
-  // rebalancing are unchanged.
+  // Owning shard of a grid cell, in [0, num_shards).
   int ShardOf(const geo::CellCoord& cell) const {
     if (num_shards_ == 1) return 0;
-    if (epoch_ > 0) {
-      return owner_[static_cast<size_t>(cell.j) *
-                        static_cast<size_t>(columns_) +
-                    static_cast<size_t>(cell.i)];
-    }
-    if (partition_ == ShardPartition::kRowBand) {
-      return std::min(cell.j / band_rows_, num_shards_ - 1);
-    }
-    return static_cast<int>(geo::CellCoordHash{}(cell) %
-                            static_cast<size_t>(num_shards_));
+    return std::min(cell.j / band_rows_, num_shards_ - 1);
   }
 
-  // Shards owning at least one cell of `range`, ascending. Row-band
-  // partitions answer exactly from the row interval; the hash partition
-  // (and any epoch > 0 assignment) enumerates the range's cells — or
-  // reports every shard for a range too large to be worth walking.
+  // Shards owning at least one cell of `range`, ascending: ownership is
+  // monotone in the row, so the range's row interval maps to a contiguous
+  // shard interval.
   std::vector<int> ShardsIntersecting(const geo::CellRange& range) const;
-
-  // Epoch-0 owner of a flat cell index (the seed assignment).
-  int SeedOwner(int64_t flat) const;
-
-  // Materializes the current assignment (explicit table, or the seed at
-  // epoch 0) into *out, one owner per flat cell index.
-  void AssignmentSnapshot(std::vector<int32_t>* out) const;
-
-  // Installs an explicit assignment at `epoch`. An empty `owners` resets
-  // the table to the seed partition while keeping the epoch counter — the
-  // N→M restore path, where a stored owner table indexes shards the new
-  // deployment does not have. Fails when `owners` is non-empty but does
-  // not cover every cell with a valid shard id.
-  Status SetAssignment(uint64_t epoch, const std::vector<int32_t>& owners);
-
-  // Applies a move set on top of the current assignment and advances to
-  // `new_epoch` (must be greater than the current epoch).
-  Status ApplyMoves(uint64_t new_epoch, const std::vector<CellMove>& moves);
-
-  int64_t cell_count() const { return cell_count_; }
 
  private:
   int num_shards_;
-  ShardPartition partition_;
-  int32_t band_rows_;  // rows per shard band (row-band partitioning)
-  int32_t columns_;
-  int64_t cell_count_;
-  uint64_t epoch_ = 0;
-  // Explicit per-cell owners; sized cell_count_ whenever epoch_ > 0.
-  std::vector<int32_t> owner_;
+  int32_t band_rows_;  // rows per shard band
 };
-
-// Run-length codec for an explicit owner table (partition epochs travel in
-// checkpoint images and shard-config frames). Encode appends to *out;
-// Decode consumes exactly the encoded bytes from a reader-owned buffer and
-// fails on truncation or owner ids outside [0, num_shards).
-void EncodeAssignment(const std::vector<int32_t>& owners,
-                      std::vector<uint8_t>* out);
-Status DecodeAssignment(const uint8_t* data, size_t size, int num_shards,
-                        std::vector<int32_t>* owners, size_t* consumed);
 
 // One grid partition's slice of the server state: the FOT/SQT entries homed
 // on its cells and the RQI rows of the cells it owns. A shard is a passive
@@ -202,17 +139,6 @@ class ServerShard {
     return rqi_.QueriesForCell(c);
   }
   const ReverseQueryIndex& rqi() const { return rqi_; }
-
-  // Whole-row transfer for partition rebalancing (DESIGN.md §15): when a
-  // cell changes owner, its RQI row moves verbatim — order preserved, since
-  // row order drives broadcast order. TakeRqiRow detaches and returns the
-  // row (leaving it empty); SetRqiRow installs a row on the new owner.
-  std::vector<QueryId> TakeRqiRow(const geo::CellCoord& c) {
-    return rqi_.TakeRow(c);
-  }
-  void SetRqiRow(const geo::CellCoord& c, std::vector<QueryId> row) {
-    rqi_.SetRow(c, std::move(row));
-  }
 
   // --- Step-phase scans (read-only; safe to run concurrently per shard) ----
 

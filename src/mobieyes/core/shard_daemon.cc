@@ -16,11 +16,8 @@ constexpr uint8_t kOpRqiAdd = 0;
 constexpr uint8_t kOpRqiRemove = 1;
 constexpr uint8_t kOpAdopt = 2;
 constexpr uint8_t kOpExtract = 3;
-constexpr uint8_t kOpPartitionUpdate = 4;
-constexpr uint8_t kOpRqiRowSet = 5;
-constexpr uint8_t kOpRqiRowClear = 6;
 
-constexpr uint32_t kHelloVersion = 3;  // v3: versioned partition epochs
+constexpr uint32_t kHelloVersion = 4;  // v4: config without partition byte
 constexpr size_t kAckQueueBytes = 1u << 20;
 
 }  // namespace
@@ -51,36 +48,6 @@ void StepBatchBuilder::Extract(ObjectId oid) {
   ++count_;
 }
 
-void StepBatchBuilder::PartitionUpdate(uint64_t epoch,
-                                       const std::vector<CellMove>& moves) {
-  net::ByteWriter w(&ops_);
-  w.U8(kOpPartitionUpdate);
-  w.U64(epoch);
-  w.U32(static_cast<uint32_t>(moves.size()));
-  for (const CellMove& move : moves) {
-    w.I32(move.flat);
-    w.I32(move.to_shard);
-  }
-  ++count_;
-}
-
-void StepBatchBuilder::RqiRowSet(const geo::CellCoord& cell,
-                                 const std::vector<QueryId>& row) {
-  net::ByteWriter w(&ops_);
-  w.U8(kOpRqiRowSet);
-  w.Cell(cell);
-  w.U32(static_cast<uint32_t>(row.size()));
-  for (QueryId qid : row) w.I64(qid);
-  ++count_;
-}
-
-void StepBatchBuilder::RqiRowClear(const geo::CellCoord& cell) {
-  net::ByteWriter w(&ops_);
-  w.U8(kOpRqiRowClear);
-  w.Cell(cell);
-  ++count_;
-}
-
 std::vector<uint8_t> StepBatchBuilder::Finish() {
   std::vector<uint8_t> payload;
   net::ByteWriter w(&payload);
@@ -92,7 +59,7 @@ std::vector<uint8_t> StepBatchBuilder::Finish() {
 }
 
 Status ApplyStepBatch(const uint8_t* data, size_t size, ServerShard* shard,
-                      uint32_t* ops_applied, ShardMap* map) {
+                      uint32_t* ops_applied) {
   net::ByteReader r(data, size);
   uint32_t count = r.U32();
   uint32_t applied = 0;
@@ -141,47 +108,6 @@ Status ApplyStepBatch(const uint8_t* data, size_t size, ServerShard* shard,
         ++applied;
         break;
       }
-      case kOpPartitionUpdate: {
-        uint64_t epoch = r.U64();
-        uint32_t move_count = r.U32();
-        if (!r.ok() || map == nullptr ||
-            static_cast<size_t>(move_count) * 8 > r.remaining()) {
-          r.Fail();
-          break;
-        }
-        std::vector<CellMove> moves(move_count);
-        for (uint32_t m = 0; m < move_count; ++m) {
-          moves[m].flat = r.I32();
-          moves[m].to_shard = r.I32();
-        }
-        if (!r.ok() || !map->ApplyMoves(epoch, moves).ok()) {
-          r.Fail();
-          break;
-        }
-        ++applied;
-        break;
-      }
-      case kOpRqiRowSet: {
-        geo::CellCoord cell = r.Cell();
-        uint32_t id_count = r.U32();
-        if (!r.ok() || static_cast<size_t>(id_count) * 8 > r.remaining()) {
-          r.Fail();
-          break;
-        }
-        std::vector<QueryId> row(id_count);
-        for (uint32_t m = 0; m < id_count; ++m) row[m] = r.I64();
-        if (!r.ok()) break;
-        shard->SetRqiRow(cell, std::move(row));
-        ++applied;
-        break;
-      }
-      case kOpRqiRowClear: {
-        geo::CellCoord cell = r.Cell();
-        if (!r.ok()) break;
-        shard->TakeRqiRow(cell);  // drop the old owner's copy
-        ++applied;
-        break;
-      }
       default:
         r.Fail();
         break;
@@ -202,13 +128,6 @@ void EncodeShardConfig(const ShardConfig& config, std::vector<uint8_t>* out) {
   w.F64(config.universe.h);
   w.F64(config.alpha);
   w.U32(static_cast<uint32_t>(config.sharding.num_shards));
-  w.U8(config.sharding.partition == ShardPartition::kRowBand ? 0 : 1);
-  if (config.epoch > 0) {
-    // Optional epoch tail (DESIGN.md §15); epoch-0 configs stay on the
-    // pre-epoch wire format byte for byte.
-    w.U64(config.epoch);
-    EncodeAssignment(config.owners, out);
-  }
 }
 
 Status DecodeShardConfig(const uint8_t* data, size_t size,
@@ -220,22 +139,6 @@ Status DecodeShardConfig(const uint8_t* data, size_t size,
   config->universe.h = r.F64();
   config->alpha = r.F64();
   config->sharding.num_shards = static_cast<int>(r.U32());
-  config->sharding.partition =
-      r.U8() == 0 ? ShardPartition::kRowBand : ShardPartition::kHash;
-  config->epoch = 0;
-  config->owners.clear();
-  if (r.ok() && r.remaining() > 0) {
-    config->epoch = r.U64();
-    if (!r.ok() || config->epoch == 0) {
-      return Status::InvalidArgument("shard config: malformed epoch tail");
-    }
-    size_t consumed = 0;
-    const uint8_t* tail = data + (size - r.remaining());
-    MOBIEYES_RETURN_NOT_OK(DecodeAssignment(tail, r.remaining(),
-                                            config->sharding.num_shards,
-                                            &config->owners, &consumed));
-    r.Skip(consumed);
-  }
   if (!r.ok() || r.remaining() != 0) {
     return Status::InvalidArgument("shard config: malformed payload");
   }
@@ -264,15 +167,6 @@ bool ShardDaemon::HandleFrame(const net::Frame& frame, net::PeerLink* link) {
       if (!grid.ok()) return true;
       grid_ = std::make_unique<geo::Grid>(*grid);
       map_ = std::make_unique<ShardMap>(*grid_, config.sharding);
-      if (config.epoch > 0 &&
-          !map_->SetAssignment(config.epoch, config.owners).ok()) {
-        // A config we cannot honour leaves the daemon unconfigured; the
-        // supervisor's digest protocol forces a resync.
-        shard_.reset();
-        map_.reset();
-        grid_.reset();
-        return true;
-      }
       shard_ = std::make_unique<ServerShard>(options_.shard_id, *grid_,
                                              *map_);
       return true;
@@ -293,9 +187,6 @@ bool ShardDaemon::HandleFrame(const net::Frame& frame, net::PeerLink* link) {
       net::ByteWriter w(&ack.payload);
       w.U64(digest);
       w.U8(ok);
-      // Epoch tail mirrors the config codec: only emitted past epoch 0, so
-      // epoch-0 runs keep the pre-epoch ack bytes.
-      if (map_ != nullptr && map_->epoch() > 0) w.U64(map_->epoch());
       link->Send(ack, kAckQueueBytes);
       return true;
     }
@@ -310,7 +201,7 @@ bool ShardDaemon::HandleFrame(const net::Frame& frame, net::PeerLink* link) {
       if (shard_ != nullptr) {
         Status st = ApplyStepBatch(frame.payload.data(),
                                    frame.payload.size(), shard_.get(),
-                                   &applied, map_.get());
+                                   &applied);
         ok = st.ok() ? 1 : 0;
         digest = shard_->StateDigest();
       }
@@ -318,7 +209,6 @@ bool ShardDaemon::HandleFrame(const net::Frame& frame, net::PeerLink* link) {
       w.U64(digest);
       w.U32(applied);
       w.U8(ok);
-      if (map_ != nullptr && map_->epoch() > 0) w.U64(map_->epoch());
       link->Send(ack, kAckQueueBytes);
       return true;
     }
@@ -344,17 +234,12 @@ bool ShardDaemon::HandleFrame(const net::Frame& frame, net::PeerLink* link) {
       geo::CellCoord cell;
       cell.i = r.I32();
       cell.j = r.I32();
-      // Optional epoch tail: the supervisor stamps the partition epoch it
-      // expects the answer under (omitted at epoch 0). A daemon whose map
-      // sits at a different epoch — or that no longer owns the cell after a
-      // rebalance — must refuse rather than answer from a stale slice; the
+      // A request for a cell this shard does not own (or for no cell at
+      // all) is refused rather than answered from an empty row; the
       // supervisor falls back to its warm mirror and resyncs.
-      uint64_t scan_epoch = 0;
-      if (r.ok() && r.remaining() > 0) scan_epoch = r.U64();
       net::ByteWriter w(&res.payload);
       if (shard_ == nullptr || !r.ok() || r.remaining() != 0 ||
-          !grid_->IsValid(cell) || scan_epoch != map_->epoch() ||
-          map_->ShardOf(cell) != options_.shard_id) {
+          !grid_->IsValid(cell) || map_->ShardOf(cell) != options_.shard_id) {
         w.U8(0);
         w.U64(0);
         w.U32(0);

@@ -21,20 +21,13 @@ namespace mobieyes::core {
 // simulation step, coalesced: u32 op count, then per op a u8 opcode and its
 // body. Opcodes: 0 rqi_add / 1 rqi_remove (qid i64 + mon_region 4xi32),
 // 2 adopt (u32 length + encoded kShardHandoff message — the migration's
-// destination side), 3 extract (oid i64 — the source side), 4 partition
-// update (epoch u64 + u32 move count + per move flat i32 + to_shard i32 —
-// a rebalance advancing the replica's shard map), 5 rqi_row_set (cell
-// 2xi32 + u32 id count + i64 ids — a rebalanced cell's row landing on its
-// new owner), 6 rqi_row_clear (cell 2xi32 — the old owner dropping it).
+// destination side), 3 extract (oid i64 — the source side).
 
 class StepBatchBuilder {
  public:
   void RqiOp(bool add, QueryId qid, const geo::CellRange& mon_region);
   void Adopt(const net::Message& handoff_message);
   void Extract(ObjectId oid);
-  void PartitionUpdate(uint64_t epoch, const std::vector<CellMove>& moves);
-  void RqiRowSet(const geo::CellCoord& cell, const std::vector<QueryId>& row);
-  void RqiRowClear(const geo::CellCoord& cell);
 
   bool empty() const { return count_ == 0; }
   uint32_t op_count() const { return count_; }
@@ -48,27 +41,18 @@ class StepBatchBuilder {
 };
 
 // Applies a kStepBatch payload to `shard`. Fails atomically per op (a
-// malformed op stops the batch); sets *ops_applied when non-null. `map` is
-// the replica's own shard map, advanced by partition-update ops; a batch
-// carrying one fails when `map` is null (the daemon always passes its map;
-// only epoch-0-frozen tests may omit it).
+// malformed op stops the batch); sets *ops_applied when non-null.
 Status ApplyStepBatch(const uint8_t* data, size_t size, ServerShard* shard,
-                      uint32_t* ops_applied, ShardMap* map = nullptr);
+                      uint32_t* ops_applied);
 
 // --- Config payload ----------------------------------------------------------
 // kConfig carries everything a daemon needs to rebuild its shard's world
-// view: universe rect (4xf64), alpha f64, shard count u32, partition u8.
-// When the supervisor's partition has advanced past epoch 0, the payload
-// grows an optional tail: epoch u64 + the RLE cell→shard assignment
-// (EncodeAssignment). Epoch-0 configs omit the tail, keeping the wire
-// bytes identical to the pre-epoch protocol.
+// view: universe rect (4xf64), alpha f64, shard count u32.
 
 struct ShardConfig {
   geo::Rect universe{0.0, 0.0, 1.0, 1.0};
   double alpha = 1.0;
   ShardingOptions sharding;
-  uint64_t epoch = 0;
-  std::vector<int32_t> owners;  // empty at epoch 0 (seed formulas apply)
 };
 
 void EncodeShardConfig(const ShardConfig& config, std::vector<uint8_t>* out);

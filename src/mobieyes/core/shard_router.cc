@@ -7,7 +7,6 @@
 #include <tuple>
 #include <utility>
 
-#include "mobieyes/core/rebalance.h"
 #include "mobieyes/core/shard_transport.h"
 #include "mobieyes/net/codec.h"
 #include "mobieyes/obs/lifecycle.h"
@@ -22,11 +21,6 @@ namespace {
 // the shard count, so any deployment can restore any checkpoint.
 constexpr uint32_t kImageMagic = 0x4d6f4349;
 constexpr uint16_t kImageVersion = 1;
-// Version 2 = version 1 plus the live partition epoch (epoch counter, shard
-// count and owner table) right after the next_qid field. Written only when
-// the epoch is non-zero, so rebalance-off checkpoints stay byte-identical
-// to version 1 — and shard-count-independent, as before.
-constexpr uint16_t kImageVersionEpoch = 2;
 
 // Hash-map keys in deterministic order, so two checkpoints of identical
 // logical state are byte-identical.
@@ -66,9 +60,6 @@ ShardRouter::ShardRouter(const geo::Grid& grid,
   shards_.reserve(static_cast<size_t>(map_.num_shards()));
   for (int k = 0; k < map_.num_shards(); ++k) {
     shards_.push_back(std::make_unique<ServerShard>(k, grid, map_));
-  }
-  if (options_.sharding.rebalance_enabled()) {
-    load_window_.resize(static_cast<size_t>(grid.CellCount()), 0);
   }
 }
 
@@ -270,75 +261,6 @@ int ShardRouter::MigrateIfNeeded(ObjectId oid) {
   return target;
 }
 
-void ShardRouter::MaybeRebalance(int64_t step) {
-  const ShardingOptions& sharding = options_.sharding;
-  if (!sharding.rebalance_enabled() || replaying_) return;
-  if (step <= 0 || step % sharding.rebalance_stride != 0) return;
-  TimedSection timed(load_timer_);
-  map_.AssignmentSnapshot(&owners_scratch_);
-  std::vector<CellMove> moves =
-      PlanRebalance(owners_scratch_, load_window_, num_shards(),
-                    sharding.rebalance_threshold, sharding.rebalance_max_moves);
-  // The window restarts at every planning point, moved or not — each plan
-  // sees exactly one stride's worth of load.
-  std::fill(load_window_.begin(), load_window_.end(), 0);
-  if (moves.empty()) return;
-  ExecuteRebalance(moves);
-}
-
-void ShardRouter::ExecuteRebalance(const std::vector<CellMove>& moves) {
-  const int32_t columns = grid_->columns();
-  // Pre-move owners, resolved before the epoch advances.
-  std::vector<int> old_owner(moves.size());
-  std::vector<geo::CellCoord> cells(moves.size());
-  for (size_t m = 0; m < moves.size(); ++m) {
-    cells[m] = {moves[m].flat % columns, moves[m].flat / columns};
-    old_owner[m] = map_.ShardOf(cells[m]);
-  }
-  const uint64_t new_epoch = map_.epoch() + 1;
-  if (!map_.ApplyMoves(new_epoch, moves).ok()) return;
-  // Ownership first (mirrors re-home before state migrates), then state.
-  if (transport_ != nullptr) {
-    transport_->OnPartitionUpdate(new_epoch, moves);
-  }
-
-  // RQI rows of the moved cells transfer verbatim — order preserved, since
-  // row order drives broadcast order. Accounted like handoffs: a real
-  // backplane would put each row on the wire once.
-  uint64_t cells_moved = 0;
-  for (size_t m = 0; m < moves.size(); ++m) {
-    const int to = moves[m].to_shard;
-    if (old_owner[m] == to) continue;
-    ++cells_moved;
-    std::vector<QueryId> row = shards_[old_owner[m]]->TakeRqiRow(cells[m]);
-    ++backplane_.messages;
-    backplane_.bytes +=
-        net::kHeaderBytes + net::kCellBytes + row.size() * net::kIdBytes;
-    rebalance_stats_.rqi_ids_moved += row.size();
-    if (transport_ != nullptr) {
-      transport_->OnRqiRowMove(old_owner[m], to, cells[m], row);
-    }
-    shards_[to]->SetRqiRow(cells[m], std::move(row));
-  }
-
-  // Re-home every focal object whose cell changed owner through the
-  // ordinary handoff path (ascending oid, so the handoff sequence — and
-  // everything accounted along it — is hash-map-order-independent).
-  std::vector<ObjectId> oids;
-  oids.reserve(focal_home_.size());
-  for (const auto& [oid, home] : focal_home_) oids.push_back(oid);
-  std::sort(oids.begin(), oids.end());
-  uint64_t focals_moved = 0;
-  for (ObjectId oid : oids) {
-    const int before = focal_home_.at(oid);
-    if (MigrateIfNeeded(oid) != before) ++focals_moved;
-  }
-
-  ++rebalance_stats_.events;
-  rebalance_stats_.cells_moved += cells_moved;
-  rebalance_stats_.focals_moved += focals_moved;
-}
-
 void ShardRouter::RqiAddAll(QueryId qid, const geo::CellRange& mon_region) {
   for (int s : map_.ShardsIntersecting(mon_region)) {
     shards_[s]->RqiAdd(qid, mon_region);
@@ -355,23 +277,6 @@ void ShardRouter::RqiRemoveAll(QueryId qid, const geo::CellRange& mon_region) {
     CountOp(s, kOpRqiUpdate);
     if (transport_ != nullptr && !replaying_) {
       transport_->OnRqiOp(/*add=*/false, s, qid, mon_region);
-    }
-  }
-}
-
-void ShardRouter::DrainDeferredUplinks() {
-  if (deferred_.empty()) return;
-  std::vector<std::pair<ObjectId, net::Message>> pending;
-  pending.swap(deferred_);
-  for (auto& [from, message] : pending) {
-    size_t parked = deferred_.size();
-    OnUplink(from, message);
-    if (deferred_.size() == parked) {
-      ++transport_stats_.uplinks_drained;
-    } else {
-      // Re-deferred (ingress shard still down): keep the original
-      // deferral's count, not two.
-      --transport_stats_.uplinks_deferred;
     }
   }
 }
@@ -614,21 +519,6 @@ int ShardRouter::IngressShard(const Message& message) const {
 
 void ShardRouter::OnUplink(ObjectId from, const Message& message) {
   TimedSection timed(load_timer_);
-  // Degraded mode (DESIGN.md §13): with a process transport attached and
-  // the ingress shard's daemon down, park the uplink instead of mutating
-  // state the replica cannot follow. Deferral precedes the WAL append, so
-  // a deferred uplink is logged exactly once — when it finally dispatches.
-  if (transport_ != nullptr && !replaying_) {
-    if (!transport_->ShardAvailable(IngressShard(message))) {
-      if (deferred_.size() >= max_deferred_uplinks_) {
-        ++transport_stats_.uplinks_dropped;
-      } else {
-        deferred_.emplace_back(from, message);
-        ++transport_stats_.uplinks_deferred;
-      }
-      return;
-    }
-  }
   // Write-ahead: log the uplink before any handler mutates state, so the
   // durable store always covers everything the in-memory state reflects.
   // Duplicates are logged too — replay routes them through the same dedup.
@@ -637,17 +527,12 @@ void ShardRouter::OnUplink(ObjectId from, const Message& message) {
   dispatching_ = true;
   ctx_shard_ = IngressShard(message);
   ++shards_[ctx_shard_]->stats().uplinks_routed;
-  if ((!heatmaps_.empty() || !load_window_.empty()) && !replaying_) {
+  if (!heatmaps_.empty() && !replaying_) {
     // Charged per arrival (duplicates included — a retransmission is radio
-    // and routing work too), at the cell the message itself names. The
-    // rebalance load window shares the heat maps' cell resolution, so the
-    // planner's input is layout-invariant by the same argument.
+    // and routing work too), at the cell the message itself names.
     geo::CellCoord cell;
     if (UplinkHeatCell(message, &cell)) {
       ChargeHeat(obs::HeatMap::kUplinks, cell, 1);
-      if (!load_window_.empty()) {
-        ++load_window_[static_cast<size_t>(grid_->FlatIndex(cell))];
-      }
     }
   }
   // A non-zero envelope seq marks a tracked uplink (reliable-uplink
@@ -1143,19 +1028,11 @@ Status ShardRouter::Restore(const Snapshot& store, size_t* replayed) {
 std::vector<uint8_t> ShardRouter::EncodeImage() const {
   std::vector<uint8_t> out;
   net::ByteWriter w(&out);
-  const uint64_t epoch = map_.epoch();
   w.U32(kImageMagic);
-  w.U16(epoch == 0 ? kImageVersion : kImageVersionEpoch);
+  w.U16(kImageVersion);
   w.U16(0);  // reserved
   w.F64(now_);
   w.I64(next_qid_);
-  if (epoch > 0) {
-    w.U64(epoch);
-    w.U32(static_cast<uint32_t>(num_shards()));
-    std::vector<int32_t> owners;
-    map_.AssignmentSnapshot(&owners);
-    EncodeAssignment(owners, &out);
-  }
 
   // Each shard encodes its slice in parallel (sorted within the shard);
   // shard key sets are disjoint, so a serial k-way merge by key emits the
@@ -1228,8 +1105,7 @@ Status ShardRouter::DecodeImage(const std::vector<uint8_t>& image) {
   if (r.U32() != kImageMagic) {
     return Status::InvalidArgument("checkpoint: bad magic number");
   }
-  const uint16_t version = r.U16();
-  if (version != kImageVersion && version != kImageVersionEpoch) {
+  if (r.U16() != kImageVersion) {
     return Status::InvalidArgument("checkpoint: unsupported version");
   }
   r.U16();  // reserved
@@ -1242,37 +1118,6 @@ Status ShardRouter::DecodeImage(const std::vector<uint8_t>& image) {
 
   now_ = r.F64();
   next_qid_ = r.I64();
-
-  // Partition epoch first: the entries below re-home through map_.ShardOf,
-  // which must already answer under the restored assignment.
-  if (version == kImageVersionEpoch) {
-    const uint64_t epoch = r.U64();
-    const uint32_t stored_shards = r.U32();
-    if (!r.ok() || epoch == 0 || stored_shards == 0) {
-      return Status::InvalidArgument("checkpoint: malformed epoch header");
-    }
-    std::vector<int32_t> owners;
-    size_t consumed = 0;
-    const size_t off = image.size() - r.remaining();
-    MOBIEYES_RETURN_NOT_OK(DecodeAssignment(
-        image.data() + off, r.remaining(), static_cast<int>(stored_shards),
-        &owners, &consumed));
-    r.Skip(consumed);
-    if (static_cast<int>(stored_shards) == num_shards() &&
-        owners.size() == static_cast<size_t>(map_.cell_count())) {
-      MOBIEYES_RETURN_NOT_OK(map_.SetAssignment(epoch, owners));
-    } else {
-      // N→M restore: the stored owner table indexes shards (or a grid)
-      // this deployment does not have. Fall back to this deployment's seed
-      // under the restored epoch counter, so entries re-home consistently
-      // and later rebalances keep advancing the epoch.
-      MOBIEYES_RETURN_NOT_OK(map_.SetAssignment(epoch, {}));
-    }
-  } else {
-    // A version-1 image was written at epoch 0; reset any live assignment
-    // so the restore lands exactly where the writer was.
-    MOBIEYES_RETURN_NOT_OK(map_.SetAssignment(0, {}));
-  }
 
   // Entries are homed by the *current* shard map, so a checkpoint written
   // by an N-shard deployment restores cleanly into an M-shard one.

@@ -54,16 +54,6 @@ class ShardRouter {
     uint64_t handoffs = 0;  // subset of messages
   };
 
-  // Online rebalancing volume (DESIGN.md §15); all zero with rebalancing
-  // off. Deterministic at fixed shard count: every field counts planner
-  // decisions, never wall clock.
-  struct RebalanceStats {
-    uint64_t events = 0;        // rebalances that moved at least one cell
-    uint64_t cells_moved = 0;
-    uint64_t focals_moved = 0;  // handoffs driven by cell reassignment
-    uint64_t rqi_ids_moved = 0;  // query ids carried by moved RQI rows
-  };
-
   ShardRouter(const geo::Grid& grid, const net::BaseStationLayout& layout,
               const net::Bmap& bmap, net::WirelessNetwork& network,
               MobiEyesOptions options);
@@ -94,18 +84,6 @@ class ShardRouter {
   int ShardOfQuery(QueryId qid) const;
   int ShardOfFocal(ObjectId oid) const;
   const BackplaneStats& backplane() const { return backplane_; }
-  const RebalanceStats& rebalance_stats() const { return rebalance_stats_; }
-
-  // --- Online rebalancing (DESIGN.md §15) ----------------------------------
-  //
-  // Called once per simulation step, at the step boundary (after the tick's
-  // uplinks, before the step's checkpoint and transport pump). Every
-  // rebalance_stride steps it plans against the per-cell uplink-load window
-  // accumulated since the last planning point and, when the plan is
-  // non-empty, advances the partition epoch and migrates RQI rows and focal
-  // ownership under the new assignment. No-op unless
-  // options.sharding.rebalance_enabled().
-  void MaybeRebalance(int64_t step);
 
   double load_seconds() const { return load_timer_.total_seconds(); }
   // Wall time of the parallelized step phase (expiry scan, lease scan,
@@ -149,25 +127,12 @@ class ShardRouter {
   // --- Process transport (DESIGN.md §13) -----------------------------------
   //
   // When a transport is attached, every shard-state op is mirrored through
-  // it (so out-of-process replicas track the authoritative shards) and
-  // uplinks whose ingress shard's daemon is down are deferred instead of
-  // dispatched — the degraded mode of a partial outage. Null (the default)
+  // it, so out-of-process replicas track the authoritative shards. Every
+  // uplink dispatches whether or not a daemon is up. Null (the default)
   // keeps the pure in-process behavior, byte for byte.
-
-  struct TransportStats {
-    uint64_t uplinks_deferred = 0;  // queued while the ingress shard was down
-    uint64_t uplinks_dropped = 0;   // refused: deferral queue full
-    uint64_t uplinks_drained = 0;   // re-dispatched after a rejoin
-  };
 
   void set_transport(ShardTransport* transport) { transport_ = transport; }
   ShardTransport* transport() const { return transport_; }
-  void set_max_deferred_uplinks(size_t n) { max_deferred_uplinks_ = n; }
-  size_t deferred_uplinks() const { return deferred_.size(); }
-  const TransportStats& transport_stats() const { return transport_stats_; }
-  // Re-dispatches deferred uplinks, oldest first; an uplink whose ingress
-  // shard is still down goes back on the queue.
-  void DrainDeferredUplinks();
 
   // --- Crash recovery (DESIGN.md §9, §10) ----------------------------------
 
@@ -200,11 +165,6 @@ class ShardRouter {
   // another shard's partition, by delivering a ShardHandoff message.
   // Returns the (possibly new) home shard.
   int MigrateIfNeeded(ObjectId oid);
-
-  // Applies a non-empty rebalance plan: advances the map epoch, moves the
-  // affected RQI rows verbatim, and re-homes every focal object whose cell
-  // changed owner through the ordinary kShardHandoff path.
-  void ExecuteRebalance(const std::vector<CellMove>& moves);
 
   // RQI registration fanned out to every shard intersecting the region.
   void RqiAddAll(QueryId qid, const geo::CellRange& mon_region);
@@ -284,20 +244,7 @@ class ShardRouter {
 
   int ctx_shard_ = 0;  // ingress shard of the uplink being dispatched
   BackplaneStats backplane_;
-  RebalanceStats rebalance_stats_;
-  // Per-cell uplink counts since the last planning point (sized to the grid
-  // only when rebalancing is enabled). Charged at the cell an uplink names
-  // — layout- and thread-invariant, like the heat maps — and zeroed after
-  // every planning point, moved or not.
-  std::vector<uint64_t> load_window_;
-  // Scratch for MaybeRebalance's assignment snapshot.
-  std::vector<int32_t> owners_scratch_;
-
   ShardTransport* transport_ = nullptr;
-  size_t max_deferred_uplinks_ = 4096;
-  // Uplinks awaiting a downed ingress shard, in arrival order.
-  std::vector<std::pair<ObjectId, net::Message>> deferred_;
-  TransportStats transport_stats_;
 
   // Per-step scratch, reused so the hot server phases allocate nothing at
   // steady state: the per-shard scan outputs and their merge vector

@@ -71,7 +71,6 @@ ShardSupervisor::~ShardSupervisor() { Shutdown(); }
 void ShardSupervisor::AttachRouter(ShardRouter* router) {
   router_ = router;
   router_->set_transport(this);
-  router_->set_max_deferred_uplinks(options_.max_deferred_uplinks);
   for (auto& peer : peers_) peer->mirror_digest_valid = false;
 }
 
@@ -164,16 +163,6 @@ Status ShardSupervisor::Start() {
   return Status::OK();
 }
 
-bool ShardSupervisor::ShardAvailable(int shard) const {
-  if (!started_ || peers_.empty()) return true;
-  // Authority mode never defers an uplink: a dead executor's scans are
-  // served by the warm local mirror within the same step, so the shard is
-  // always available to dispatch against.
-  if (options_.authority) return true;
-  if (shard < 0 || shard >= static_cast<int>(peers_.size())) return true;
-  return peers_[shard]->up;
-}
-
 bool ShardSupervisor::AllAvailable() const {
   for (const auto& peer : peers_) {
     if (!peer->up) return false;
@@ -214,29 +203,6 @@ void ShardSupervisor::OnHandoff(int from_shard, int to_shard, ObjectId oid,
   }
 }
 
-void ShardSupervisor::OnPartitionUpdate(uint64_t epoch,
-                                        const std::vector<CellMove>& moves) {
-  for (auto& peer : peers_) {
-    peer->pending.PartitionUpdate(epoch, moves);
-    // StateDigest covers owned cells only, so an epoch advance moves every
-    // shard's digest, not just the two sides of each cell move.
-    peer->mirror_digest_valid = false;
-  }
-}
-
-void ShardSupervisor::OnRqiRowMove(int from_shard, int to_shard,
-                                   const geo::CellCoord& cell,
-                                   const std::vector<QueryId>& row) {
-  if (from_shard >= 0 && from_shard < static_cast<int>(peers_.size())) {
-    peers_[from_shard]->pending.RqiRowClear(cell);
-    peers_[from_shard]->mirror_digest_valid = false;
-  }
-  if (to_shard >= 0 && to_shard < static_cast<int>(peers_.size())) {
-    peers_[to_shard]->pending.RqiRowSet(cell, row);
-    peers_[to_shard]->mirror_digest_valid = false;
-  }
-}
-
 uint64_t ShardSupervisor::MirrorDigest(Peer* peer) {
   if (!peer->mirror_digest_valid) {
     peer->mirror_digest = router_->shard(peer->shard).StateDigest();
@@ -250,11 +216,6 @@ void ShardSupervisor::CaptureSync(Peer* peer) {
   const ServerShard& shard = router_->shard(peer->shard);
   shard.EncodeStateSync(&peer->sync_image);
   peer->sync_digest = MirrorDigest(peer);
-  peer->sync_epoch = router_->shard_map().epoch();
-  peer->sync_assignment.clear();
-  if (peer->sync_epoch > 0) {
-    router_->shard_map().AssignmentSnapshot(&peer->sync_assignment);
-  }
   peer->frame_log.clear();
   peer->log_overflow = false;
 }
@@ -379,7 +340,6 @@ void ShardSupervisor::LogFrame(Peer* peer, const net::Frame& frame) {
   LoggedFrame logged;
   logged.frame = frame;
   logged.digest = MirrorDigest(peer);
-  logged.epoch = router_->shard_map().epoch();
   peer->frame_log.push_back(std::move(logged));
 }
 
@@ -464,11 +424,6 @@ void ShardSupervisor::SendSync(Peer* peer) {
   shard_config.universe = router_->grid().universe();
   shard_config.alpha = router_->grid().alpha();
   shard_config.sharding.num_shards = router_->shard_map().num_shards();
-  shard_config.sharding.partition = router_->shard_map().partition();
-  // Capture-time epoch, not the live one: the frame log replayed below
-  // carries every partition update since the image was taken.
-  shard_config.epoch = peer->sync_epoch;
-  shard_config.owners = peer->sync_assignment;
   EncodeShardConfig(shard_config, &config.payload);
 
   net::Frame sync;
@@ -489,7 +444,6 @@ void ShardSupervisor::SendSync(Peer* peer) {
   PendingRpc rpc;
   rpc.step = step_;
   rpc.expected_digest = peer->sync_digest;
-  rpc.expected_epoch = peer->sync_epoch;
   rpc.is_sync = true;
   rpc.sent_micros = NowMicros();
   if (lifecycle_ != nullptr) {
@@ -513,7 +467,6 @@ void ShardSupervisor::SendSync(Peer* peer) {
     PendingRpc replay_rpc;
     replay_rpc.step = step_;
     replay_rpc.expected_digest = logged.digest;
-    replay_rpc.expected_epoch = logged.epoch;
     replay_rpc.sent_micros = NowMicros();
     peer->rpcs.push_back(replay_rpc);
   }
@@ -536,7 +489,6 @@ bool ShardSupervisor::FlushPendingBatch(Peer* peer) {
   PendingRpc rpc;
   rpc.step = step_;
   rpc.expected_digest = MirrorDigest(peer);
-  rpc.expected_epoch = router_->shard_map().epoch();
   rpc.sent_micros = NowMicros();
   if (!SendFrame(peer, frame)) {
     ++stats_.send_drops;
@@ -619,13 +571,8 @@ void ShardSupervisor::HandlePeerFrame(Peer* peer, const net::Frame& frame) {
   uint64_t digest = r.U64();
   if (frame.kind == net::FrameKind::kStepAck) r.U32();  // ops applied
   uint8_t ok = r.U8();
-  // Optional epoch tail (absent while the replica sits at epoch 0). A
-  // replica at the wrong partition epoch would pass digest checks only by
-  // luck — treat a mismatch exactly like a digest divergence.
-  uint64_t peer_epoch = 0;
-  if (r.ok() && r.remaining() > 0) peer_epoch = r.U64();
   if (!r.ok() || r.remaining() != 0 || ok == 0 ||
-      digest != rpc.expected_digest || peer_epoch != rpc.expected_epoch) {
+      digest != rpc.expected_digest) {
     ++stats_.digest_mismatches;
     peer->need_sync = true;
     // A diverged replica must not keep answering scans.
@@ -634,7 +581,7 @@ void ShardSupervisor::HandlePeerFrame(Peer* peer, const net::Frame& frame) {
   }
   if (rpc.is_sync || (!peer->up && peer->rpcs.empty())) {
     // Handshake complete: the replica proved it holds the authoritative
-    // state (sync digest matched), so the shard leaves degraded mode.
+    // state (sync digest matched), so the shard is up again.
     peer->up = true;
     peer->respawn_attempts = 0;
   }
@@ -666,12 +613,6 @@ bool ShardSupervisor::AuthorityScan(int shard, const geo::CellCoord& cell,
   net::ByteWriter w(&req.payload);
   w.I32(cell.i);
   w.I32(cell.j);
-  // Stamp the partition epoch the answer must come from (tail omitted at
-  // epoch 0, keeping the pre-epoch wire bytes). A daemon at another epoch
-  // — or one that lost this cell to a rebalance — refuses, and the scan
-  // fails over to the local mirror below.
-  const uint64_t live_epoch = router_->shard_map().epoch();
-  if (live_epoch > 0) w.U64(live_epoch);
   PendingRpc scan_rpc;
   scan_rpc.step = step_;
   scan_rpc.is_scan = true;
@@ -839,6 +780,34 @@ void ShardSupervisor::RespawnDue() {
   }
 }
 
+int64_t ShardSupervisor::RpcWallBudgetMicros() const {
+  return int64_t{1000} * std::max(options_.authority_timeout_ms, 250);
+}
+
+bool ShardSupervisor::AwaitOverdueAcks(Peer* peer) {
+  std::vector<net::Frame> frames;
+  std::vector<int> ready;
+  while (!peer->rpcs.empty() &&
+         step_ - peer->rpcs.front().step >= options_.timeout_steps) {
+    const int64_t left =
+        peer->rpcs.front().sent_micros + RpcWallBudgetMicros() - NowMicros();
+    if (left <= 0 || peer->link == nullptr || !peer->link->connected()) {
+      return false;
+    }
+    peer->link->Flush();
+    net::PollReadable({peer->link->fd()},
+                      static_cast<int>((left + 999) / 1000), &ready);
+    frames.clear();
+    bool alive = peer->link->Receive(&frames);
+    for (const net::Frame& frame : frames) HandlePeerFrame(peer, frame);
+    if (!alive) {
+      MarkDown(peer, "socket EOF");
+      return true;
+    }
+  }
+  return true;
+}
+
 void ShardSupervisor::PumpStep(int64_t step) {
   step_ = step;
   // Scheduled chaos SIGKILLs fire at the step boundary.
@@ -872,10 +841,16 @@ void ShardSupervisor::PumpStep(int64_t step) {
   GrantAuthority();
 
   // Deadline enforcement: an unacked frame older than the timeout means
-  // the daemon is dead or wedged — same remedy either way.
+  // the daemon is dead or wedged — same remedy either way. A step can be
+  // far shorter than a scheduler time slice, so the frame must also have
+  // outlived its wall budget: a busy host may leave a live daemon
+  // unscheduled for several steps.
   for (auto& peer : peers_) {
-    if (peer->rpcs.empty()) continue;
-    if (step_ - peer->rpcs.front().step >= options_.timeout_steps) {
+    if (peer->rpcs.empty() ||
+        step_ - peer->rpcs.front().step < options_.timeout_steps) {
+      continue;
+    }
+    if (!AwaitOverdueAcks(peer.get())) {
       ++stats_.rpc_timeouts;
       MarkDown(peer.get(), "RPC deadline exceeded");
     }
@@ -894,11 +869,10 @@ Status ShardSupervisor::Quiesce(int timeout_ms) {
     // never fire — enforce it in wall time instead: a frame a chaos fault
     // swallowed right before the run ended must still get its peer marked
     // down, respawned and resynced.
-    const int64_t rpc_wall_budget =
-        int64_t{1000} * std::max(options_.authority_timeout_ms, 250);
     for (auto& peer : peers_) {
       if (peer->rpcs.empty()) continue;
-      if (NowMicros() - peer->rpcs.front().sent_micros > rpc_wall_budget) {
+      if (NowMicros() - peer->rpcs.front().sent_micros >
+          RpcWallBudgetMicros()) {
         ++stats_.rpc_timeouts;
         MarkDown(peer.get(), "RPC wall deadline during quiesce");
       }

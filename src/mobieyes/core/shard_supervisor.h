@@ -31,7 +31,9 @@ struct SupervisorOptions {
   // Steps between liveness probes on an otherwise idle link.
   int heartbeat_stride = 4;
   // Virtual-step RPC deadline: a frame unacked this many steps after it
-  // was sent marks the daemon dead (killed and rescheduled).
+  // was sent marks the daemon dead (killed and rescheduled) — once it is
+  // also past the wall budget of max(authority_timeout_ms, 250) ms, so a
+  // live daemon that was merely descheduled is not taken for dead.
   int timeout_steps = 4;
   // Respawn backoff for a dead daemon, in steps: base doubles per
   // consecutive failure up to max, plus seeded jitter in [0, base).
@@ -43,9 +45,6 @@ struct SupervisorOptions {
   // Step-batch frames buffered per peer for rejoin replay; past this the
   // log is discarded and a rejoin takes a fresh full sync instead.
   size_t max_replay_frames = 256;
-  // Degraded-mode depth: uplinks queued for a dead ingress shard
-  // (installed on the router via set_max_deferred_uplinks).
-  size_t max_deferred_uplinks = 4096;
   // Wall-clock budget for Start()'s initial spawn-and-handshake.
   int start_timeout_ms = 15000;
   // Authority mode (DESIGN.md §14): daemons execute the RQI row reads and
@@ -103,16 +102,17 @@ struct SupervisorStats {
 // backplane as one coalesced frame per peer per step, verifies replica
 // agreement via digest-carrying acks, detects death by socket EOF, RPC
 // deadline or heartbeat miss, and restarts dead daemons from the stored
-// sync image (checkpoint chunks) plus the buffered frame log. While a
-// daemon is down the router defers that shard's uplinks (degraded mode).
+// sync image (checkpoint chunks) plus the buffered frame log. The router
+// keeps dispatching every uplink while a daemon is down; the rejoining
+// replica catches up from the image and the log.
 //
 // With options.authority set (DESIGN.md §14) the daemons additionally
 // execute the RQI row reads: the router's shard objects become a warm
 // standby mirror, scans go to the daemons as blocking digest-verified
 // RPCs, and a dead or diverged daemon fails over to the mirror within the
-// same virtual step — no step blocks, no uplink is deferred. The seeded
-// fault plan in options.fault layers deterministic chaos (frame drops,
-// delays, truncations, bit flips, scheduled SIGKILLs) over the backplane.
+// same virtual step. The seeded fault plan in options.fault layers
+// deterministic chaos (frame drops, delays, truncations, bit flips,
+// scheduled SIGKILLs) over the backplane.
 class ShardSupervisor : public ShardTransport {
  public:
   explicit ShardSupervisor(const SupervisorOptions& options);
@@ -133,7 +133,7 @@ class ShardSupervisor : public ShardTransport {
   void PumpStep(int64_t step);
 
   // SIGKILLs shard's daemon (crash_sweep's kill -9 fault event). The shard
-  // is immediately degraded; the normal respawn path revives it.
+  // is immediately marked down; the normal respawn path revives it.
   void KillShard(int shard);
 
   // Re-captures the sync image of every shard and forces a full resync of
@@ -153,21 +153,10 @@ class ShardSupervisor : public ShardTransport {
   void Shutdown();
 
   // --- ShardTransport ------------------------------------------------------
-  bool ShardAvailable(int shard) const override;
   void OnRqiOp(bool add, int shard, QueryId qid,
                const geo::CellRange& mon_region) override;
   void OnHandoff(int from_shard, int to_shard, ObjectId oid,
                  const net::Message& message) override;
-  // Rebalance mirroring (DESIGN.md §15): the partition update is coalesced
-  // into EVERY peer's next batch (each replica re-homes its map before the
-  // row moves below land), and each moved RQI row becomes a clear op on the
-  // old owner plus a set op on the new one. Epoch numbers ride the acks, so
-  // a replica that missed an update is caught by the epoch check exactly
-  // like a digest divergence and resynced.
-  void OnPartitionUpdate(uint64_t epoch,
-                         const std::vector<CellMove>& moves) override;
-  void OnRqiRowMove(int from_shard, int to_shard, const geo::CellCoord& cell,
-                    const std::vector<QueryId>& row) override;
   // Authority-mode scan: flushes the shard's coalesced ops (so the daemon
   // observes every mutation this dispatch already applied), then blocks on
   // a kScanRequest. The result is accepted only with the daemon's state
@@ -203,9 +192,6 @@ class ShardSupervisor : public ShardTransport {
   struct PendingRpc {
     int64_t step = 0;
     uint64_t expected_digest = 0;
-    // Partition epoch the replica must sit at after applying the frame; a
-    // mismatching epoch in the ack forces a resync like a digest mismatch.
-    uint64_t expected_epoch = 0;
     bool is_sync = false;
     bool is_heartbeat = false;
     bool is_scan = false;
@@ -224,7 +210,6 @@ class ShardSupervisor : public ShardTransport {
   struct LoggedFrame {
     net::Frame frame;
     uint64_t digest = 0;
-    uint64_t epoch = 0;  // partition epoch after this frame applies
   };
 
   struct Peer {
@@ -243,13 +228,6 @@ class ShardSupervisor : public ShardTransport {
     // Rejoin material: last captured sync image + batches sent since.
     std::vector<uint8_t> sync_image;
     uint64_t sync_digest = 0;
-    // Partition epoch (and, past epoch 0, the explicit assignment) at
-    // capture time. The rejoin config carries THIS epoch, not the live one:
-    // the frame log holds every partition update since capture, so replay
-    // walks a rejoining daemon forward to the live epoch the same way it
-    // walks its RQI state forward.
-    uint64_t sync_epoch = 0;
-    std::vector<int32_t> sync_assignment;
     std::deque<LoggedFrame> frame_log;
     bool log_overflow = false;
     int64_t last_activity_step = 0;  // last frame sent
@@ -290,6 +268,13 @@ class ShardSupervisor : public ShardTransport {
   // Flushes the peer's coalesced ops as a mid-step batch. False when the
   // send failed (peer marked down inside).
   bool FlushPendingBatch(Peer* peer);
+  // Wall time an unacked RPC gets before its daemon counts as dead.
+  int64_t RpcWallBudgetMicros() const;
+  // Blocks on the peer's socket while its oldest RPC is past the step
+  // deadline but inside the wall budget, handling whatever arrives. False
+  // when that RPC is still unacked at the end of its budget; true when it
+  // was acked or the link died (the peer is then already marked down).
+  bool AwaitOverdueAcks(Peer* peer);
   // The local mirror's state digest, cached until the next replicated op.
   uint64_t MirrorDigest(Peer* peer);
   static int64_t NowMicros();

@@ -3,10 +3,7 @@
 
 #include <vector>
 
-#include <cstdint>
-
 #include "mobieyes/common/ids.h"
-#include "mobieyes/core/server_shard.h"
 #include "mobieyes/geo/grid.h"
 #include "mobieyes/net/message.h"
 
@@ -15,18 +12,14 @@ namespace mobieyes::core {
 // Tap the ShardRouter drives when its shards are replicated out of process
 // (DESIGN.md §13). The router stays the single authoritative dispatcher —
 // the transport observes every state-changing shard op so it can mirror it
-// to the shard's daemon, and reports liveness so the router can run
-// degraded (defer uplinks) while a daemon is down.
+// to the shard's daemon. Whether a daemon is up never changes what the
+// router dispatches.
 //
 // All hooks fire on the dispatch thread, outside WAL replay (a replayed op
 // was already mirrored by the pre-crash run).
 class ShardTransport {
  public:
   virtual ~ShardTransport() = default;
-
-  // False while `shard`'s daemon is down (crashed, restarting, resyncing).
-  // Uplinks whose ingress shard is unavailable are deferred by the router.
-  virtual bool ShardAvailable(int shard) const = 0;
 
   // An RQI registration (add = true) or removal on `shard`'s slice.
   virtual void OnRqiOp(bool add, int shard, QueryId qid,
@@ -37,28 +30,6 @@ class ShardTransport {
   // still pre-handoff.
   virtual void OnHandoff(int from_shard, int to_shard, ObjectId oid,
                          const net::Message& message) = 0;
-
-  // A partition epoch advance (DESIGN.md §15): the router applied `moves`
-  // and is now at `epoch`. Fires at a step boundary, before the per-cell
-  // RQI row moves and focal handoffs of the same rebalance, so mirrors
-  // re-home ownership before state migrates under the new assignment.
-  virtual void OnPartitionUpdate(uint64_t epoch,
-                                 const std::vector<CellMove>& moves) {
-    (void)epoch;
-    (void)moves;
-  }
-
-  // A whole RQI row moving between shards during a rebalance: `from_shard`
-  // drops its row for `cell`, `to_shard` installs `row` verbatim (order
-  // preserved — row order drives broadcast order).
-  virtual void OnRqiRowMove(int from_shard, int to_shard,
-                            const geo::CellCoord& cell,
-                            const std::vector<QueryId>& row) {
-    (void)from_shard;
-    (void)to_shard;
-    (void)cell;
-    (void)row;
-  }
 
   // Authority mode (DESIGN.md §14): execute the RQI row read for `cell` on
   // `shard`'s authoritative executor, filling *out with the monitoring

@@ -7,9 +7,9 @@
 
 namespace mobieyes::obs {
 
-// Dense per-grid-cell 2D accumulators for the spatial load channels the
-// rebalancing work needs: where uplinks land, where RQI scans burn rows,
-// where queries install, where handoffs fire, and where objects live.
+// Dense per-grid-cell 2D accumulators for the spatial load channels: where
+// uplinks land, where RQI scans burn rows, where queries install, where
+// handoffs fire, and where objects live.
 //
 // Determinism contract (the reason this class looks the way it does): the
 // sharded server must export byte-identical heat maps for any shard or

@@ -58,8 +58,9 @@ struct RunMetrics {
   int64_t client_restarts = 0;
   int64_t checkpoints_taken = 0;
   uint64_t wal_records_replayed = 0;
-  // Records lost to WAL overflow at restore time: non-zero means the
-  // restored state was stale and leases/reconciliation had to close the gap.
+  // Uplinks the bounded WAL refused over the measured run, summed across
+  // checkpoint windows: non-zero means a restore from the store would be
+  // stale and leases/reconciliation would have to close the gap.
   uint64_t wal_records_dropped = 0;
 
   // Process-transport backplane (DESIGN.md §13). All zero under the
@@ -86,20 +87,9 @@ struct RunMetrics {
   // Chaos layer: injected frame faults and scheduled SIGKILLs.
   uint64_t backplane_chaos_frames = 0;
   uint64_t backplane_chaos_kills = 0;
-  // Online rebalancing (DESIGN.md §15). All zero with --rebalance=off.
-  // Deterministic at a fixed shard count: counts planner decisions and the
-  // migration volume they drove, never wall clock.
-  uint64_t rebalance_events = 0;
-  uint64_t rebalance_cells_moved = 0;
-  uint64_t rebalance_focals_moved = 0;
-  uint64_t rebalance_rqi_ids_moved = 0;
-  uint64_t rebalance_epoch = 0;  // partition epoch at the end of the run
   int64_t shard_restarts = 0;
-  // Degraded-mode accounting while a shard daemon was down: uplinks parked
-  // for the dead ingress shard, re-dispatched on rejoin, or lost to the
-  // bounded queue.
-  uint64_t uplinks_deferred = 0;
-  uint64_t uplinks_drained = 0;
+  // Uplinks the server refused to dispatch. Always 0: the router
+  // dispatches every uplink whether or not a shard daemon is up.
   uint64_t uplinks_dropped = 0;
 
   // --- Derived figures ------------------------------------------------------

@@ -298,6 +298,8 @@ void Simulation::ResetMeasurement() {
   }
   if (lifecycle_) lifecycle_->Reset();
   cursor_ = StepCursor{};
+  // WAL overflow before this point belongs to setup and warmup.
+  wal_dropped_counted_ = snapshot_store_.wal_dropped;
 }
 
 void Simulation::Run(int steps) {
@@ -443,11 +445,11 @@ void Simulation::RecordStepObservations(int64_t step) {
       registry_->GetGauge(prefix + "queries", /*timing=*/true)
           ->Set(static_cast<double>(shard.sqt().size()));
     }
-    // Imbalance gauges: the scheduler-facing scalars a rebalancer would
-    // watch, derived from the same per-shard numbers. step_cost ratios use
-    // the cumulative per-shard step-phase wall time; uplink share is the
-    // hottest shard's fraction of all routed uplinks. Timing-flagged like
-    // the per-shard gauges (values depend on the layout and the clock).
+    // Imbalance gauges: the partition's scheduler-facing scalars, derived
+    // from the same per-shard numbers. step_cost ratios use the cumulative
+    // per-shard step-phase wall time; uplink share is the hottest shard's
+    // fraction of all routed uplinks. Timing-flagged like the per-shard
+    // gauges (values depend on the layout and the clock).
     uint64_t uplinks_total = 0;
     uint64_t uplinks_max = 0;
     uint64_t step_us_total = 0;
@@ -472,25 +474,6 @@ void Simulation::RecordStepObservations(int64_t step) {
                   ? static_cast<double>(uplinks_max) /
                         static_cast<double>(uplinks_total)
                   : 1.0 / n_shards);
-    // Rebalance instruments (DESIGN.md §15), registered only when online
-    // rebalancing is on — runs with --rebalance=off keep their deterministic
-    // exports byte-identical. The values themselves are deterministic at a
-    // fixed shard count (the planner's inputs are layout-invariant), so
-    // they are NOT timing-flagged: the epoch gauge annotates the HTML
-    // report timeline and the counters feed the migration-volume tables.
-    if (config_.mobieyes.sharding.rebalance_enabled()) {
-      const core::ShardRouter::RebalanceStats& rb = router.rebalance_stats();
-      registry_->GetGauge("rebalance.epoch", /*timing=*/false)
-          ->Set(static_cast<double>(router.shard_map().epoch()));
-      registry_->GetGauge("rebalance.events", /*timing=*/false)
-          ->Set(static_cast<double>(rb.events));
-      registry_->GetGauge("rebalance.cells_moved", /*timing=*/false)
-          ->Set(static_cast<double>(rb.cells_moved));
-      registry_->GetGauge("rebalance.focals_moved", /*timing=*/false)
-          ->Set(static_cast<double>(rb.focals_moved));
-      registry_->GetGauge("rebalance.rqi_ids_moved", /*timing=*/false)
-          ->Set(static_cast<double>(rb.rqi_ids_moved));
-    }
   }
 
   // Process-transport backplane gauges: per-peer send-queue depth plus the
@@ -553,12 +536,6 @@ void Simulation::StepOnce() {
         if (step == config_.shard_kill_step) {
           supervisor_->KillShard(config_.shard_kill_index);
         }
-        // Degraded-mode drain: uplinks parked while a shard daemon was down
-        // re-dispatch as soon as every shard is available again, ahead of
-        // this step's fresh traffic.
-        if (server_ && supervisor_->AllAvailable()) {
-          server_->router().DrainDeferredUplinks();
-        }
       }
       if (server_) server_->AdvanceTime(world_->now());
       // Cold client restarts happen between protocol turns: the device
@@ -574,16 +551,10 @@ void Simulation::StepOnce() {
         }
       }
       for (auto& client : clients_) client->OnTick();
-      // Rebalance turn (DESIGN.md §15): with the step's uplinks dispatched
-      // and before the checkpoint or the backplane pump, so migration ops
-      // ride this step's coalesced batches and a checkpoint taken below
-      // already carries the advanced epoch.
-      if (server_) server_->router().MaybeRebalance(step);
       // Periodic checkpoint with the step's state settled.
       if (server_ && config_.checkpoint_stride > 0 &&
           (step + 1) % config_.checkpoint_stride == 0) {
-        server_->Checkpoint();
-        ++metrics_.checkpoints_taken;
+        CheckpointServer();
       }
       // Backplane turn: flush this step's coalesced batches, read acks,
       // enforce deadlines, respawn dead daemons. Skipped while the server
@@ -635,9 +606,15 @@ void Simulation::CrashServer() {
   }
 }
 
+void Simulation::CheckpointServer() {
+  metrics_.wal_records_dropped +=
+      snapshot_store_.wal_dropped - wal_dropped_counted_;
+  wal_dropped_counted_ = 0;
+  server_->Checkpoint();
+  ++metrics_.checkpoints_taken;
+}
+
 void Simulation::RestoreServer() {
-  // Account overflow before Checkpoint() below resets the store's counter.
-  metrics_.wal_records_dropped += snapshot_store_.wal_dropped;
   server_ = std::make_unique<core::MobiEyesServer>(
       *grid_, *layout_, *bmap_, *network_, resolved_mobieyes_);
   server_->set_trace_recorder(trace_.get());
@@ -659,8 +636,7 @@ void Simulation::RestoreServer() {
   server_->set_durable_store(&snapshot_store_);
   // A recovering server checkpoints before serving, collapsing the replayed
   // WAL into a fresh baseline image.
-  server_->Checkpoint();
-  ++metrics_.checkpoints_taken;
+  CheckpointServer();
   server_down_ = false;
   if (faulty_ != nullptr) faulty_->set_server_down(false);
   server_restore_step_ = -1;
@@ -699,19 +675,10 @@ RunMetrics Simulation::metrics() const {
     snapshot.network.inter_shard_messages = backplane.messages;
     snapshot.network.inter_shard_bytes = backplane.bytes;
     snapshot.network.inter_shard_handoffs = backplane.handoffs;
-    const core::ShardRouter::TransportStats& transport =
-        server_->router().transport_stats();
-    snapshot.uplinks_deferred = transport.uplinks_deferred;
-    snapshot.uplinks_drained = transport.uplinks_drained;
-    snapshot.uplinks_dropped = transport.uplinks_dropped;
-    const core::ShardRouter::RebalanceStats& rb =
-        server_->router().rebalance_stats();
-    snapshot.rebalance_events = rb.events;
-    snapshot.rebalance_cells_moved = rb.cells_moved;
-    snapshot.rebalance_focals_moved = rb.focals_moved;
-    snapshot.rebalance_rqi_ids_moved = rb.rqi_ids_moved;
-    snapshot.rebalance_epoch = server_->router().shard_map().epoch();
   }
+  // The open WAL window's refusals, not yet folded by a checkpoint.
+  snapshot.wal_records_dropped +=
+      snapshot_store_.wal_dropped - wal_dropped_counted_;
   if (supervisor_) {
     const core::SupervisorStats& bp = supervisor_->stats();
     snapshot.backplane_frames_sent = bp.frames_sent;

@@ -226,6 +226,10 @@ class Simulation {
   // elapses, and cold-restart clients the fault plan selects.
   void CrashServer();
   void RestoreServer();
+  // Periodic and post-restore checkpoint. Folds the closing WAL window's
+  // refused records into metrics_ first: Snapshot::Install zeroes the
+  // store's per-window counter.
+  void CheckpointServer();
   // Feeds per-step histograms and the sampler after measured step `step`
   // (0-based); called only when some observability component is on.
   void RecordStepObservations(int64_t step);
@@ -266,6 +270,9 @@ class Simulation {
   core::MobiEyesOptions resolved_mobieyes_;
   // Stable storage for the server (outlives the server process by design).
   core::Snapshot snapshot_store_;
+  // Share of snapshot_store_.wal_dropped (the open window's count) already
+  // folded into metrics_ or discounted as pre-measurement drops.
+  uint64_t wal_dropped_counted_ = 0;
   bool server_down_ = false;
   int64_t server_restore_step_ = -1;
 

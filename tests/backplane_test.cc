@@ -295,105 +295,33 @@ TEST(StepBatchTest, MalformedBatchFailsCleanly) {
   }
 }
 
-TEST(StepBatchTest, PartitionAndRqiRowOpsReplicate) {
-  ShardPair pair;
-  const geo::CellCoord moved{2, 1};  // shard 0's band under the 2-way split
-  const int32_t flat = static_cast<int32_t>(pair.grid.FlatIndex(moved));
-  ASSERT_EQ(pair.map->ShardOf(moved), 0);
-
-  // Seed a row on the authority, mirror it, then migrate the cell: the
-  // partition update advances the shared map's epoch and the row-move ops
-  // hand the slice over explicitly.
-  pair.authority->RqiAdd(7, geo::CellRange{2, 2, 1, 1});
-  StepBatchBuilder builder;
-
-  // Opcode 4 needs a live map: without one the batch must fail, not crash.
-  builder.PartitionUpdate(1, {{flat, 1}});
-  std::vector<uint8_t> partition_only = builder.Finish();
-  uint32_t applied = 0;
-  EXPECT_FALSE(core::ApplyStepBatch(partition_only.data(),
-                                    partition_only.size(),
-                                    pair.replica.get(), &applied)
-                   .ok());
-  EXPECT_EQ(pair.map->epoch(), 0u);
-
-  builder.RqiOp(true, 7, geo::CellRange{2, 2, 1, 1});
-  builder.PartitionUpdate(1, {{flat, 1}});
-  builder.RqiRowSet({3, 3}, {11, 12, 13});
-  builder.RqiRowClear({2, 1});
-  EXPECT_EQ(builder.op_count(), 4u);
-  std::vector<uint8_t> payload = builder.Finish();
-  ASSERT_TRUE(core::ApplyStepBatch(payload.data(), payload.size(),
-                                   pair.replica.get(), &applied,
-                                   pair.map.get())
-                  .ok());
-  EXPECT_EQ(applied, 4u);
-  EXPECT_EQ(pair.map->epoch(), 1u);
-  EXPECT_EQ(pair.map->ShardOf(moved), 1);
-  EXPECT_EQ(pair.replica->QueriesForCell({3, 3}),
-            (std::vector<QueryId>{11, 12, 13}));
-  EXPECT_TRUE(pair.replica->QueriesForCell({2, 1}).empty());
-
-  // A partition update that does not advance the epoch is refused.
-  builder.PartitionUpdate(1, {{flat, 0}});
-  payload = builder.Finish();
-  EXPECT_FALSE(core::ApplyStepBatch(payload.data(), payload.size(),
-                                    pair.replica.get(), nullptr,
-                                    pair.map.get())
-                   .ok());
-  EXPECT_EQ(pair.map->epoch(), 1u);
-}
-
-TEST(StepBatchTest, TruncatedPartitionOpsFailCleanly) {
-  ShardPair pair;
-  StepBatchBuilder builder;
-  builder.PartitionUpdate(1, {{0, 1}, {5, 1}});
-  builder.RqiRowSet({1, 1}, {3, 4});
-  builder.RqiRowClear({0, 0});
-  std::vector<uint8_t> payload = builder.Finish();
-  for (size_t len = 0; len < payload.size(); ++len) {
-    core::ApplyStepBatch(payload.data(), len, pair.replica.get(), nullptr,
-                         pair.map.get())
-        .ok();  // outcome length-dependent; must not crash
-  }
-}
-
-TEST(ShardConfigCodecTest, EpochTailRoundTripsAndEpochZeroStaysLegacy) {
+TEST(ShardConfigCodecTest, RoundTripsAndRejectsMalformedPayloads) {
   core::ShardConfig config;
   config.universe = geo::Rect{0, 0, 100, 100};
   config.alpha = 10.0;
   config.sharding.num_shards = 4;
 
-  // Epoch 0: no tail on the wire (the pre-epoch format, byte for byte).
-  std::vector<uint8_t> legacy;
-  core::EncodeShardConfig(config, &legacy);
+  // Five f64 fields and the shard count: the whole partition, since the
+  // row-band formula needs nothing else.
+  std::vector<uint8_t> payload;
+  core::EncodeShardConfig(config, &payload);
+  ASSERT_EQ(payload.size(), 5 * sizeof(double) + sizeof(uint32_t));
   core::ShardConfig back;
   ASSERT_TRUE(
-      core::DecodeShardConfig(legacy.data(), legacy.size(), &back).ok());
-  EXPECT_EQ(back.epoch, 0u);
-  EXPECT_TRUE(back.owners.empty());
+      core::DecodeShardConfig(payload.data(), payload.size(), &back).ok());
+  EXPECT_EQ(back.universe.w, 100.0);
+  EXPECT_EQ(back.alpha, 10.0);
+  EXPECT_EQ(back.sharding.num_shards, 4);
 
-  // Epoch > 0 appends the tail after the legacy fields; everything before
-  // it is unchanged.
-  config.epoch = 7;
-  config.owners.assign(100, 0);
-  for (size_t f = 50; f < 100; ++f) config.owners[f] = 3;
-  std::vector<uint8_t> tailed;
-  core::EncodeShardConfig(config, &tailed);
-  ASSERT_GT(tailed.size(), legacy.size());
-  EXPECT_TRUE(std::equal(legacy.begin(), legacy.end(), tailed.begin()));
-  ASSERT_TRUE(
-      core::DecodeShardConfig(tailed.data(), tailed.size(), &back).ok());
-  EXPECT_EQ(back.epoch, 7u);
-  EXPECT_EQ(back.owners, config.owners);
-
-  // A truncated tail must fail the decode, never half-apply.
-  for (size_t len = legacy.size() + 1; len < tailed.size(); ++len) {
+  // Truncations and trailing bytes must fail the decode.
+  for (size_t len = 0; len < payload.size(); ++len) {
     core::ShardConfig scratch;
-    EXPECT_FALSE(
-        core::DecodeShardConfig(tailed.data(), len, &scratch).ok())
+    EXPECT_FALSE(core::DecodeShardConfig(payload.data(), len, &scratch).ok())
         << "len " << len;
   }
+  payload.push_back(0);
+  EXPECT_FALSE(
+      core::DecodeShardConfig(payload.data(), payload.size(), &back).ok());
 }
 
 TEST(StateSyncTest, RoundTripPreservesDigest) {
@@ -498,24 +426,28 @@ TEST(ProcessTransportTest, KilledDaemonRejoinsAndReconverges) {
   if (ShardSupervisor::FindShardd("").empty()) {
     GTEST_SKIP() << "mobieyes_shardd not found";
   }
-  sim::SimulationConfig config = ProcessConfig(4);
+  sim::SimulationConfig inproc = ProcessConfig(4);
+  inproc.measure_error = true;
+  inproc.checkpoint_stride = 4;
+  sim::SimulationConfig config = inproc;
   config.shard_transport = sim::SimulationConfig::ShardTransport::kProcess;
-  config.measure_error = true;
-  config.checkpoint_stride = 4;
   config.shard_kill_step = 8;
   config.shard_kill_index = 1;
 
+  auto reference = sim::Simulation::Make(inproc);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  (*reference)->Run(20);
   auto simulation = sim::Simulation::Make(config);
   ASSERT_TRUE(simulation.ok()) << simulation.status().ToString();
   (*simulation)->Run(20);
 
+  // The router dispatched every uplink while the daemon was dead, so the
+  // killed run answers exactly like the in-process one.
+  EXPECT_EQ(ResultsOf((*reference).get()), ResultsOf((*simulation).get()));
   sim::RunMetrics metrics = (*simulation)->metrics();
   EXPECT_GE(metrics.shard_restarts, 1);
   EXPECT_EQ(metrics.backplane_digest_mismatches, 0);
-  // Degraded mode queued the dead shard's uplinks and drained every one.
-  EXPECT_GT(metrics.uplinks_deferred, 0);
   EXPECT_EQ(metrics.uplinks_dropped, 0);
-  EXPECT_EQ(metrics.uplinks_drained, metrics.uplinks_deferred);
   EXPECT_GE((*simulation)->CurrentAccuracy().agreement, 0.95);
 
   // After the run the backplane settles: every daemon up, queues empty.
@@ -601,8 +533,6 @@ TEST(AuthorityModeTest, MatchesInProcessByteForByte) {
     // Every shard got its clean initial cutover to daemon authority.
     EXPECT_GE(metrics.backplane_cutovers,
               static_cast<uint64_t>(shards));
-    // Authority mode never defers an uplink: the mirror absorbs outages.
-    EXPECT_EQ(metrics.uplinks_deferred, 0u);
     EXPECT_EQ(metrics.uplinks_dropped, 0u);
   }
 }
@@ -642,8 +572,6 @@ TEST(AuthorityModeTest, SigkillFailsOverSameStepWithoutDroppingUplinks) {
   // scans before and after.
   EXPECT_GT(metrics.backplane_scans_local, 0u);
   EXPECT_GT(metrics.backplane_scans_remote, 0u);
-  // No step blocked on the dead daemon: zero deferred, zero dropped.
-  EXPECT_EQ(metrics.uplinks_deferred, 0u);
   EXPECT_EQ(metrics.uplinks_dropped, 0u);
   EXPECT_GE((*b)->CurrentAccuracy().agreement, 0.95);
 
@@ -682,115 +610,12 @@ TEST(AuthorityModeTest, ChaosRunReconvergesWithoutLosingUplinks) {
   EXPECT_GT(metrics.backplane_chaos_frames, 0u);
   EXPECT_EQ(metrics.backplane_chaos_kills, 1u);
   EXPECT_EQ(metrics.uplinks_dropped, 0u);
-  EXPECT_EQ(metrics.uplinks_deferred, 0u);
   EXPECT_GE((*b)->CurrentAccuracy().agreement, 0.95);
 
   // The backplane itself settles after the storm.
   ASSERT_NE((*b)->supervisor(), nullptr);
   EXPECT_TRUE((*b)->supervisor()->Quiesce(5000).ok());
   EXPECT_TRUE((*b)->supervisor()->AllAvailable());
-}
-
-// --- Online rebalancing over the backplane (DESIGN.md §15) -------------------
-
-sim::SimulationConfig RebalancedConfig(int shards) {
-  sim::SimulationConfig config = ProcessConfig(shards);
-  config.params.object_distribution = sim::ObjectDistribution::kHotspot;
-  config.mobieyes.sharding.rebalance_stride = 2;
-  config.mobieyes.sharding.rebalance_threshold = 1.05;
-  config.mobieyes.sharding.rebalance_max_moves = 8;
-  return config;
-}
-
-TEST(RebalanceTransportTest, RebalancedProcessRunMatchesInProcess) {
-  if (ShardSupervisor::FindShardd("").empty()) {
-    GTEST_SKIP() << "mobieyes_shardd not found";
-  }
-  // Partition updates, row moves and epoch-stamped acks ride the real
-  // backplane; the daemons must track every epoch without a single resync.
-  sim::SimulationConfig inproc = RebalancedConfig(4);
-  inproc.obs.enable_heatmap = true;
-  sim::SimulationConfig process = inproc;
-  process.shard_transport = sim::SimulationConfig::ShardTransport::kProcess;
-
-  auto a = sim::Simulation::Make(inproc);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  auto b = sim::Simulation::Make(process);
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  (*a)->Run(12);
-  (*b)->Run(12);
-
-  sim::RunMetrics metrics = (*b)->metrics();
-  ASSERT_GT(metrics.rebalance_events, 0u) << "workload never rebalanced";
-  EXPECT_EQ(metrics.rebalance_epoch, (*a)->metrics().rebalance_epoch);
-  EXPECT_EQ((*a)->ObservabilityJson(/*include_timing=*/false),
-            (*b)->ObservabilityJson(/*include_timing=*/false));
-  EXPECT_EQ((*a)->heatmap()->ToJson(/*include_layout_dependent=*/false),
-            (*b)->heatmap()->ToJson(/*include_layout_dependent=*/false));
-  EXPECT_EQ(ResultsOf((*a).get()), ResultsOf((*b).get()));
-  EXPECT_EQ(metrics.backplane_digest_mismatches, 0);
-  EXPECT_EQ(metrics.backplane_rpc_timeouts, 0);
-  EXPECT_EQ(metrics.shard_restarts, 0);
-}
-
-TEST(RebalanceTransportTest, RebalancedAuthorityRunMatchesInProcess) {
-  if (ShardSupervisor::FindShardd("").empty()) {
-    GTEST_SKIP() << "mobieyes_shardd not found";
-  }
-  // Authority mode on top: scans carry the live epoch and a daemon never
-  // answers for a cell it no longer owns, so the merged rows stay exact
-  // across every epoch advance.
-  sim::SimulationConfig inproc = RebalancedConfig(4);
-  sim::SimulationConfig authority = RebalancedConfig(4);
-  authority.shard_transport = sim::SimulationConfig::ShardTransport::kProcess;
-  authority.shard_authority = true;
-
-  auto a = sim::Simulation::Make(inproc);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  auto b = sim::Simulation::Make(authority);
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  (*a)->Run(12);
-  (*b)->Run(12);
-
-  sim::RunMetrics metrics = (*b)->metrics();
-  ASSERT_GT(metrics.rebalance_events, 0u) << "workload never rebalanced";
-  EXPECT_GT(metrics.backplane_scans_remote, 0u);
-  EXPECT_EQ(ResultsOf((*a).get()), ResultsOf((*b).get()));
-  EXPECT_EQ(metrics.uplinks_deferred, 0u);
-  EXPECT_EQ(metrics.uplinks_dropped, 0u);
-}
-
-TEST(RebalanceTransportTest, SigkillDuringMigrationReconverges) {
-  if (ShardSupervisor::FindShardd("").empty()) {
-    GTEST_SKIP() << "mobieyes_shardd not found";
-  }
-  // SIGKILL a daemon on a migration step (stride 2 puts a planning point on
-  // every even step): the pending partition update is frame-logged while
-  // the daemon is down and the rejoin replays it on top of the
-  // capture-time-epoch config, so the fleet reconverges on the live epoch.
-  sim::SimulationConfig config = RebalancedConfig(4);
-  config.shard_transport = sim::SimulationConfig::ShardTransport::kProcess;
-  config.measure_error = true;
-  config.checkpoint_stride = 4;
-  config.shard_kill_step = 8;
-  config.shard_kill_index = 1;
-
-  auto simulation = sim::Simulation::Make(config);
-  ASSERT_TRUE(simulation.ok()) << simulation.status().ToString();
-  (*simulation)->Run(20);
-
-  sim::RunMetrics metrics = (*simulation)->metrics();
-  ASSERT_GT(metrics.rebalance_events, 0u) << "workload never rebalanced";
-  EXPECT_GE(metrics.shard_restarts, 1);
-  EXPECT_EQ(metrics.uplinks_dropped, 0);
-  EXPECT_EQ(metrics.uplinks_drained, metrics.uplinks_deferred);
-  EXPECT_GE((*simulation)->CurrentAccuracy().agreement, 0.95);
-
-  // The fleet settles on one epoch: every daemon back up and in sync.
-  ASSERT_NE((*simulation)->supervisor(), nullptr);
-  EXPECT_TRUE((*simulation)->supervisor()->Quiesce(5000).ok());
-  EXPECT_TRUE((*simulation)->supervisor()->AllAvailable());
-  EXPECT_EQ((*simulation)->supervisor()->down_shards(), 0);
 }
 
 }  // namespace

@@ -476,6 +476,42 @@ TEST(SimulationCrashTest, WalOverflowStillConverges) {
   EXPECT_GE((*simulation)->CurrentAccuracy().agreement, 0.95);
 }
 
+// The drop counter covers the whole run, not one checkpoint window: each
+// periodic checkpoint zeroes Snapshot::wal_dropped, so the run metric must
+// fold every window in before that happens. The run is fault-free, so each
+// uplink the network carries is offered to the WAL, and a window logs at
+// most wal_limit of them.
+TEST(SimulationCrashTest, WalDropCounterSpansCheckpointWindows) {
+  sim::SimulationConfig config = SmallCrashConfig();
+  config.warmup_steps = 0;
+  config.checkpoint_stride = 2;
+  config.wal_limit = 8;
+  auto simulation = sim::Simulation::Make(config);
+  ASSERT_TRUE(simulation.ok()) << simulation.status().ToString();
+
+  constexpr int kSteps = 7;  // the last window is still open at the end
+  uint64_t offered = 0;
+  uint64_t logged = 0;
+  uint64_t window = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    (*simulation)->Run(1);
+    const uint64_t total = (*simulation)->metrics().network.uplink_messages;
+    window += total - offered;
+    offered = total;
+    if ((step + 1) % config.checkpoint_stride == 0) {
+      logged += std::min<uint64_t>(window, config.wal_limit);
+      window = 0;
+    }
+  }
+  logged += std::min<uint64_t>(window, config.wal_limit);
+
+  sim::RunMetrics metrics = (*simulation)->metrics();
+  EXPECT_EQ(metrics.checkpoints_taken, kSteps / config.checkpoint_stride);
+  EXPECT_EQ(metrics.server_crashes, 0);
+  ASSERT_GT(offered, logged);
+  EXPECT_EQ(metrics.wal_records_dropped, offered - logged);
+}
+
 // WAL replay is part of the sweep determinism contract: crash-recovery
 // cells must produce byte-identical deterministic reports for any worker
 // count.

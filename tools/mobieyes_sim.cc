@@ -19,8 +19,6 @@
 //                [--server-crash=S:R] [--client-restart-rate=F]
 //                [--checkpoint-stride=N]
 //                [--shards=N] [--shard-threads=N]
-//                [--shard-partition=rowband|hash]
-//                [--rebalance=off|STRIDE:THRESHOLD:MAX_MOVES]
 //
 // The fault flags configure the net::FaultyNetwork (see
 // src/mobieyes/net/fault_injection.h); --harden switches the MobiEyes
@@ -47,7 +45,6 @@
 #include <memory>
 #include <string>
 
-#include "mobieyes/core/rebalance.h"
 #include "mobieyes/net/backplane.h"
 #include "mobieyes/net/energy.h"
 #include "mobieyes/obs/report_html.h"
@@ -104,8 +101,6 @@ void PrintUsage(const char* argv0) {
                "          [--server-crash=S:R] [--client-restart-rate=F]\n"
                "          [--checkpoint-stride=N]\n"
                "          [--shards=N] [--shard-threads=N]\n"
-               "          [--shard-partition=rowband|hash]\n"
-               "          [--rebalance=off|STRIDE:THRESHOLD:MAX_MOVES]\n"
                "          [--shard-transport=inproc|process] [--shardd=PATH]\n"
                "          [--backplane-timeout-steps=N]\n"
                "          [--heartbeat-stride=N] [--shard-kill=S:K]\n"
@@ -269,26 +264,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* cli) {
       if (cli->config.shard_threads < 1) {
         std::fprintf(stderr, "bad --shard-threads value '%s'\n",
                      value.c_str());
-        return false;
-      }
-    } else if (key == "shard-partition") {
-      if (value == "rowband") {
-        cli->config.mobieyes.sharding.partition =
-            core::ShardPartition::kRowBand;
-      } else if (value == "hash") {
-        cli->config.mobieyes.sharding.partition = core::ShardPartition::kHash;
-      } else {
-        std::fprintf(stderr,
-                     "bad --shard-partition value '%s' (want rowband|hash)\n",
-                     value.c_str());
-        return false;
-      }
-    } else if (key == "rebalance") {
-      Status st = core::ParseRebalanceSpec(
-          value, &cli->config.mobieyes.sharding);
-      if (!st.ok()) {
-        std::fprintf(stderr, "bad --rebalance value '%s': %s\n", value.c_str(),
-                     st.ToString().c_str());
         return false;
       }
     } else if (key == "shard-transport") {
@@ -483,12 +458,8 @@ int main(int argc, char** argv) {
       const core::ShardRouter& router = server->router();
       std::printf(
           "\n-- server shards ---------------------------------------\n");
-      std::printf("shards                     %d (%s partition)\n",
-                  router.num_shards(),
-                  router.shard_map().partition() ==
-                          core::ShardPartition::kRowBand
-                      ? "rowband"
-                      : "hash");
+      std::printf("shards                     %d (row bands)\n",
+                  router.num_shards());
       std::printf("step phase                 %.6g s total (%.6g s/step)\n",
                   metrics.server_step_seconds,
                   metrics.steps > 0 ? metrics.server_step_seconds /
@@ -512,22 +483,6 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(shard.stats().handoffs_in),
                     static_cast<unsigned long long>(
                         shard.stats().handoffs_out));
-      }
-      if (cli.config.mobieyes.sharding.rebalance_enabled()) {
-        std::printf(
-            "\n-- online rebalancing ----------------------------------\n");
-        std::printf("partition epoch            %llu\n",
-                    static_cast<unsigned long long>(metrics.rebalance_epoch));
-        std::printf("rebalance events           %llu (%llu cells moved)\n",
-                    static_cast<unsigned long long>(metrics.rebalance_events),
-                    static_cast<unsigned long long>(
-                        metrics.rebalance_cells_moved));
-        std::printf("migration volume           %llu focal handoffs, "
-                    "%llu RQI row ids\n",
-                    static_cast<unsigned long long>(
-                        metrics.rebalance_focals_moved),
-                    static_cast<unsigned long long>(
-                        metrics.rebalance_rqi_ids_moved));
       }
     }
   }
@@ -557,10 +512,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(bp.digest_mismatches));
     std::printf("daemon restarts            %llu\n",
                 static_cast<unsigned long long>(bp.restarts));
-    std::printf("uplinks deferred/drained   %llu / %llu (%llu dropped)\n",
-                static_cast<unsigned long long>(metrics.uplinks_deferred),
-                static_cast<unsigned long long>(metrics.uplinks_drained),
-                static_cast<unsigned long long>(metrics.uplinks_dropped));
     if (metrics.backplane_scans_remote + metrics.backplane_scans_local > 0 ||
         metrics.backplane_failovers > 0 || metrics.backplane_cutovers > 0) {
       std::printf("authority scans            %llu remote / %llu local\n",
