@@ -1,26 +1,32 @@
 // Microbenchmarks for the mobility layer (google-benchmark): World::Step
 // (motion + velocity redraws + cell-index maintenance) and the visitor
-// iteration primitives, at 1k/10k/100k/1M objects. These are the per-step
-// hot paths every simulation mode sits on top of; regressions here slow the
-// entire bench suite.
+// iteration primitives, at 1k/10k/100k/1M objects, plus broadcast delivery
+// through the client fleet at 100k. These are the per-step hot paths every
+// simulation mode sits on top of; regressions here slow the entire bench
+// suite.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <vector>
 
 #include "mobieyes/common/random.h"
+#include "mobieyes/core/client_fleet.h"
 #include "mobieyes/geo/grid.h"
 #include "mobieyes/mobility/world.h"
+#include "mobieyes/net/message.h"
+#include "mobieyes/net/network.h"
 
 #ifndef NDEBUG
-// Debug builds count global allocations so the steady-state-zero claim for
-// World::Step is asserted, not assumed (it would be invisible in a timing
-// run). Release builds keep the default operators: the counter itself would
-// perturb what the bench measures.
+// Debug builds count global allocations so the steady-state-zero claims for
+// World::Step and broadcast delivery are asserted, not assumed (they would
+// be invisible in a timing run). Release builds keep the default operators:
+// the counter itself would perturb what the bench measures.
 namespace {
 uint64_t g_alloc_count = 0;
 }  // namespace
@@ -124,6 +130,77 @@ void BM_ForEachObjectUnderCoverage(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ForEachObjectUnderCoverage)->Arg(1000)->Arg(10000)->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
+
+// Base-station broadcasts through WirelessNetwork::Broadcast into a warm
+// 100k client fleet: the coverage query, reception charging and the
+// fleet's per-receiver relevance check. Every client holds one query of
+// the same focal, and each iteration broadcasts from the next of 256
+// stations scattered over the universe, so client state is not cache
+// resident. relevant:0 relays the velocity of a focal nobody tracks, so
+// every reception is skipped; relevant:1 relays the tracked focal's, so
+// every receiver runs its handler and updates its entry.
+void BM_BroadcastDelivery(benchmark::State& state) {
+  namespace core = mobieyes::core;
+  namespace net = mobieyes::net;
+  constexpr int kObjects = 100000;
+  const bool relevant = state.range(0) != 0;
+  Grid grid = MakeGrid();
+  World world = MakeWorld(grid, kObjects, 7);
+  net::WirelessNetwork network;
+  network.set_track_per_object_bytes(false);
+  network.set_coverage_query(
+      [&world](const Circle& circle,
+               const std::function<void(ObjectId)>& fn) {
+        world.ForEachObjectInCircle(circle, fn);
+      });
+  core::ClientFleet fleet(world, network, core::MobiEyesOptions{});
+  net::QueryInfo info;
+  info.qid = 1;
+  info.focal_oid = kObjects;  // a focal outside the fleet: no self-query
+  info.region = mobieyes::geo::QueryRegion::MakeCircle(3.0);
+  info.mon_region = grid.CellsIntersecting(Rect{0, 0, kSide, kSide});
+  std::vector<ObjectId> everyone(kObjects);
+  for (int k = 0; k < kObjects; ++k) everyone[k] = k;
+  fleet.OnBroadcast(net::MakeMessage(net::QueryInstallBroadcast{{info}}),
+                    everyone);
+  // Table 1 coverage: the circle circumscribing a 10-mile lattice square.
+  const double coverage_radius = 10.0 / std::sqrt(2.0);
+  Rng rng(8);
+  std::vector<net::BaseStation> stations;
+  for (int k = 0; k < 256; ++k) {
+    const Point center{rng.NextDouble(10, kSide - 10),
+                       rng.NextDouble(10, kSide - 10)};
+    stations.push_back(net::BaseStation{k, Circle{center, coverage_radius}});
+  }
+  net::VelocityChangeBroadcast relay;
+  relay.focal_oid = relevant ? kObjects : kObjects + 1;
+  relay.state.vel = {0.01, 0.0};
+  const net::Message message = net::MakeMessage(relay);
+  network.Broadcast(stations[0], message);  // warm the receiver pool
+#ifndef NDEBUG
+  // Steady-state delivery must not allocate, skipped or handled.
+  const uint64_t allocs_before = g_alloc_count;
+  network.Broadcast(stations[1], message);
+  if (g_alloc_count != allocs_before) {
+    state.SkipWithError("broadcast delivery allocated at steady state");
+  }
+#endif
+  const uint64_t receptions_before = network.stats().broadcast_receptions;
+  const uint64_t skipped_before = fleet.skipped_receptions();
+  size_t next = 0;
+  for (auto _ : state) {
+    network.Broadcast(stations[next++ % stations.size()], message);
+  }
+  const uint64_t receptions =
+      network.stats().broadcast_receptions - receptions_before;
+  const uint64_t skipped = fleet.skipped_receptions() - skipped_before;
+  if (receptions == 0 || (relevant ? skipped != 0 : skipped != receptions)) {
+    state.SkipWithError("unexpected skip decisions");
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(receptions));
+}
+BENCHMARK(BM_BroadcastDelivery)->ArgName("relevant")->Arg(0)->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -6,9 +6,8 @@
 // Run: ./build/examples/fleet_geofence
 
 #include <cstdio>
-#include <memory>
 
-#include "mobieyes/core/client.h"
+#include "mobieyes/core/client_fleet.h"
 #include "mobieyes/core/server.h"
 #include "mobieyes/mobility/world.h"
 #include "mobieyes/net/base_station.h"
@@ -58,16 +57,7 @@ int main() {
   network.set_server_handler([&](ObjectId from, const net::Message& message) {
     server.OnUplink(from, message);
   });
-  std::vector<std::unique_ptr<core::MobiEyesClient>> clients;
-  for (size_t oid = 0; oid < world->object_count(); ++oid) {
-    clients.push_back(std::make_unique<core::MobiEyesClient>(
-        *world, static_cast<ObjectId>(oid), network, options));
-    core::MobiEyesClient* client = clients.back().get();
-    network.RegisterClient(static_cast<ObjectId>(oid),
-                           [client](const net::Message& message) {
-                             client->OnDownlink(message);
-                           });
-  }
+  core::ClientFleet fleet(*world, network, options);
 
   // Two concentric geofences bound to the leader: a 5-mile formation ring
   // and a 12-mile stragglers ring — groupable queries with one focal.
@@ -81,7 +71,7 @@ int main() {
   Rng rng(2);
   for (int step = 1; step <= 10; ++step) {
     world->Step(30.0, 0, rng);
-    for (auto& client : clients) client->OnTick();
+    for (core::MobiEyesClient& client : fleet.clients()) client.OnTick();
     auto in_formation = server.QueryResult(*inner);
     auto in_range = server.QueryResult(*outer);
     std::printf("t=%4.0fs  leader x=%5.1f  formation ring: %zu  "
@@ -92,9 +82,9 @@ int main() {
 
   uint64_t evaluated = 0;
   uint64_t skipped = 0;
-  for (const auto& client : clients) {
-    evaluated += client->queries_evaluated();
-    skipped += client->safe_period_skips();
+  for (const core::MobiEyesClient& client : fleet.clients()) {
+    evaluated += client.queries_evaluated();
+    skipped += client.safe_period_skips();
   }
   std::printf("\nsafe-period effect: %llu evaluations performed, "
               "%llu skipped\n",

@@ -7,9 +7,8 @@
 // Run: ./build/examples/highway_corridor
 
 #include <cstdio>
-#include <memory>
 
-#include "mobieyes/core/client.h"
+#include "mobieyes/core/client_fleet.h"
 #include "mobieyes/core/server.h"
 #include "mobieyes/mobility/world.h"
 #include "mobieyes/net/base_station.h"
@@ -57,16 +56,7 @@ int main() {
   network.set_server_handler([&](ObjectId from, const net::Message& message) {
     server.OnUplink(from, message);
   });
-  std::vector<std::unique_ptr<core::MobiEyesClient>> clients;
-  for (size_t oid = 0; oid < world->object_count(); ++oid) {
-    clients.push_back(std::make_unique<core::MobiEyesClient>(
-        *world, static_cast<ObjectId>(oid), network, options));
-    core::MobiEyesClient* client = clients.back().get();
-    network.RegisterClient(static_cast<ObjectId>(oid),
-                           [client](const net::Message& message) {
-                             client->OnDownlink(message);
-                           });
-  }
+  core::ClientFleet fleet(*world, network, options);
 
   // The corridor: 16 miles long, 3 miles wide, centered on the patrol car,
   // active for a 10-minute shift (600 seconds).
@@ -85,7 +75,7 @@ int main() {
   for (int step = 1; step <= 24; ++step) {  // 12 simulated minutes
     world->Step(30.0, 0, rng);
     server.AdvanceTime(world->now());
-    for (auto& client : clients) client->OnTick();
+    for (core::MobiEyesClient& client : fleet.clients()) client.OnTick();
 
     auto result = server.QueryResult(*qid);
     if (!result.ok()) {

@@ -3,11 +3,12 @@
 // result change as objects move.
 //
 // Run: ./build/examples/quickstart
+// Exits non-zero unless the customer ends up as the query's only result.
 
 #include <cstdio>
-#include <memory>
+#include <unordered_set>
 
-#include "mobieyes/core/client.h"
+#include "mobieyes/core/client_fleet.h"
 #include "mobieyes/core/server.h"
 #include "mobieyes/mobility/world.h"
 #include "mobieyes/net/base_station.h"
@@ -62,16 +63,9 @@ int main() {
     server.OnUplink(from, message);
   });
 
-  std::vector<std::unique_ptr<core::MobiEyesClient>> clients;
-  for (ObjectId oid = 0; oid < 3; ++oid) {
-    clients.push_back(std::make_unique<core::MobiEyesClient>(
-        *world, oid, network, options));
-    core::MobiEyesClient* client = clients.back().get();
-    network.RegisterClient(
-        oid, [client](const net::Message& message) {
-          client->OnDownlink(message);
-        });
-  }
+  // One client per object; the fleet registers each for one-to-one
+  // downlinks and decodes every broadcast once for all covered objects.
+  core::ClientFleet fleet(*world, network, options);
 
   // 4. Install a moving query: "objects within 5 miles of object 0".
   auto qid = server.InstallQuery(/*focal_oid=*/0, /*radius=*/5.0,
@@ -86,11 +80,18 @@ int main() {
   // 5. Step the world; each client runs its own evaluation logic and only
   //    containment *changes* travel to the server.
   Rng rng(1);
+  std::unordered_set<ObjectId> final_result;
   for (int step = 1; step <= 6; ++step) {
     world->Step(/*dt=*/30.0, /*velocity_changes=*/0, rng);
-    for (auto& client : clients) client->OnTick();
+    for (core::MobiEyesClient& client : fleet.clients()) client.OnTick();
 
     auto result = server.QueryResult(*qid);
+    if (!result.ok()) {
+      std::fprintf(stderr, "result: %s\n",
+                   result.status().ToString().c_str());
+      return 1;
+    }
+    final_result = *result;
     std::printf("t=%3.0fs  customer at x=%.1f  result={", world->now(),
                 world->object(1).pos.x);
     bool first = true;
@@ -108,5 +109,10 @@ int main() {
       static_cast<unsigned long long>(stats.uplink_messages),
       static_cast<unsigned long long>(stats.downlink_messages),
       static_cast<unsigned long long>(stats.broadcast_messages));
+  // The customer drifts into the 5-mile circle; the bystander never does.
+  if (final_result != std::unordered_set<ObjectId>{1}) {
+    std::fprintf(stderr, "expected the final result {1}\n");
+    return 1;
+  }
   return 0;
 }

@@ -35,11 +35,13 @@ MobiEyesClient::MobiEyesClient(const mobility::World& world, ObjectId oid,
       oid_(oid),
       network_(&network),
       options_(options),
-      prev_cell_(world.object(oid).cell) {}
+      prev_cell_(world.cell(oid)) {}
 
 void MobiEyesClient::OnTick() {
   ++tick_;
-  const mobility::ObjectState& me = world_->object(oid_);
+  // Materialized once: the world does not move within a tick, so every
+  // stage below (uplinks and nested deliveries included) sees this state.
+  const mobility::ObjectState me = world_->object(oid_);
   Seconds now = world_->now();
 
   // 0. Hardening: drop LQT entries whose soft-state lease lapsed.
@@ -61,7 +63,7 @@ void MobiEyesClient::OnTick() {
   }
 
   // 3. Periodic evaluation of the LQT (§3.6).
-  EvaluateQueries();
+  EvaluateQueries(me);
 
   // 4. Hardening: retransmit unacked tracked uplinks and, periodically,
   // reconcile the LQT with the server.
@@ -90,12 +92,11 @@ void MobiEyesClient::HandleCellCrossing(const geo::CellCoord& new_cell) {
   prev_cell_ = new_cell;
 }
 
-void MobiEyesClient::EvaluateQueries() {
+void MobiEyesClient::EvaluateQueries(const mobility::ObjectState& me) {
   if (lqt_.empty()) return;
   ScopedTimer timed(eval_watch_);
   TRACE_SPAN(trace_, "client.evaluate_queries");
 
-  const mobility::ObjectState& me = world_->object(oid_);
   Seconds now = world_->now();
   const bool grouping = options_.enable_query_grouping;
   // Persistent scratch: this runs every tick for every client with a
@@ -205,8 +206,7 @@ void MobiEyesClient::SendFlipReports(const std::vector<size_t>& dirty_groups) {
 }
 
 void MobiEyesClient::SendVelocityReport() {
-  const mobility::ObjectState& me = world_->object(oid_);
-  last_relayed_ = FocalState{me.pos, me.vel, world_->now()};
+  last_relayed_ = Kinematics();
   net::Message message =
       net::MakeMessage(net::VelocityChangeReport{oid_, last_relayed_});
   if (options_.enable_reliable_uplink) {
@@ -303,15 +303,14 @@ void MobiEyesClient::TrackUplink(net::Message& message, PendingUplink entry) {
 }
 
 net::Message MobiEyesClient::RebuildPending(const PendingUplink& pending) {
-  const mobility::ObjectState& me = world_->object(oid_);
   switch (pending.type) {
     case net::MessageType::kVelocityChangeReport:
-      last_relayed_ = FocalState{me.pos, me.vel, world_->now()};
+      last_relayed_ = Kinematics();
       return net::MakeMessage(
           net::VelocityChangeReport{oid_, last_relayed_});
     case net::MessageType::kCellChangeReport:
       return net::MakeMessage(
-          net::CellChangeReport{oid_, pending.prev_cell, me.cell});
+          net::CellChangeReport{oid_, pending.prev_cell, world_->cell(oid_)});
     default: {
       net::ResultBitmapReport report;
       report.oid = oid_;
@@ -370,10 +369,9 @@ void MobiEyesClient::MaybeReconcile() {
 }
 
 void MobiEyesClient::SendReconcile(bool cold_start) {
-  const mobility::ObjectState& me = world_->object(oid_);
   net::LqtReconcileRequest request;
   request.oid = oid_;
-  request.cell = me.cell;
+  request.cell = world_->cell(oid_);
   request.cold_start = cold_start;
   request.known_qids.reserve(lqt_.size());
   for (const LqtEntry& entry : lqt_) {
@@ -385,13 +383,14 @@ void MobiEyesClient::SendReconcile(bool cold_start) {
 
 void MobiEyesClient::Reset() {
   lqt_.clear();
+  SyncSignature();
   // The restart loses the tracked uplinks; their ack rounds are cancelled,
   // not left pending forever.
   for (const PendingUplink& p : pending_) DropAckRound(p.seq);
   pending_.clear();
   has_mq_ = false;
   last_relayed_ = FocalState{};
-  prev_cell_ = world_->object(oid_).cell;
+  prev_cell_ = world_->cell(oid_);
   // ISN-style restart: deriving the first sequence number from the tick
   // clock keeps the new incarnation's seq range disjoint from the old
   // one's, so the server's dedup ring never mistakes fresh uplinks for
@@ -406,15 +405,12 @@ void MobiEyesClient::Reset() {
 }
 
 void MobiEyesClient::OnDownlink(const Message& message) {
-  const mobility::ObjectState& me = world_->object(oid_);
-  Seconds now = world_->now();
-
+  // Each case reads only the fields of this object's state it needs.
   switch (message.type) {
     case net::MessageType::kPositionVelocityRequest: {
-      network_->SendUplink(
-          oid_,
-          net::MakeMessage(net::PositionVelocityReport{
-              oid_, FocalState{me.pos, me.vel, now}, me.max_speed}));
+      const net::PositionVelocityReport report{oid_, Kinematics(),
+                                               world_->max_speed(oid_)};
+      network_->SendUplink(oid_, net::MakeMessage(report));
       break;
     }
     case net::MessageType::kFocalNotification: {
@@ -425,7 +421,7 @@ void MobiEyesClient::OnDownlink(const Message& message) {
         has_mq_ = true;
         // Mirror what the server just recorded in the FOT: the state this
         // object reported during the installation round trip.
-        last_relayed_ = FocalState{me.pos, me.vel, now};
+        last_relayed_ = Kinematics();
       }
       break;
     }
@@ -444,7 +440,7 @@ void MobiEyesClient::OnDownlink(const Message& message) {
         if (entry.focal_oid == broadcast.focal_oid) {
           entry.focal = broadcast.state;
           // The server only relays vectors of live queries: refresh leases.
-          entry.lease_expires_at = LeaseExpiry(now);
+          entry.lease_expires_at = LeaseExpiry(world_->now());
         }
       }
       if (broadcast.carries_query_info) {
@@ -459,34 +455,47 @@ void MobiEyesClient::OnDownlink(const Message& message) {
     case net::MessageType::kQueryUpdateBroadcast: {
       const auto& broadcast =
           std::get<net::QueryUpdateBroadcast>(message.payload);
-      std::vector<size_t> stale;
+      const geo::CellCoord cell = world_->cell(oid_);
+      std::vector<QueryId> stale_qids;
       for (const QueryInfo& info : broadcast.queries) {
         LqtEntry* entry = FindEntry(info.qid);
         if (entry != nullptr) {
-          if (info.mon_region.Contains(me.cell)) {
+          if (info.mon_region.Contains(cell)) {
             entry->focal = info.focal;
             entry->mon_region = info.mon_region;
-            entry->lease_expires_at = LeaseExpiry(now);
+            entry->lease_expires_at = LeaseExpiry(world_->now());
           } else {
-            stale.push_back(static_cast<size_t>(entry - lqt_.data()));
+            stale_qids.push_back(info.qid);
           }
         } else {
           InstallIfApplicable(info);
         }
       }
-      std::sort(stale.begin(), stale.end());
+      if (stale_qids.empty()) break;
+      // Indices are taken only now: an install above may have shifted the
+      // entries, and a qid listed twice must not be removed twice.
+      std::vector<size_t> stale;
+      for (size_t k = 0; k < lqt_.size(); ++k) {
+        if (std::find(stale_qids.begin(), stale_qids.end(), lqt_[k].qid) !=
+            stale_qids.end()) {
+          stale.push_back(k);
+        }
+      }
       RemoveEntries(stale);
       break;
     }
     case net::MessageType::kQueryRemoveBroadcast: {
       const auto& broadcast =
           std::get<net::QueryRemoveBroadcast>(message.payload);
+      bool erased = false;
       for (QueryId qid : broadcast.qids) {
         LqtEntry* entry = FindEntry(qid);
         if (entry != nullptr) {
           lqt_.erase(lqt_.begin() + (entry - lqt_.data()));
+          erased = true;
         }
       }
+      if (erased) SyncSignature();
       break;
     }
     case net::MessageType::kNewQueriesNotification: {
@@ -516,10 +525,10 @@ void MobiEyesClient::OnDownlink(const Message& message) {
 }
 
 void MobiEyesClient::InstallIfApplicable(const QueryInfo& info) {
+  // The same three tests gate ClientFleet's broadcast relevance check.
   if (info.focal_oid == oid_) return;  // never a target of its own query
-  const mobility::ObjectState& me = world_->object(oid_);
-  if (!info.mon_region.Contains(me.cell)) return;
-  if (me.attr > info.filter_threshold) return;  // filter not satisfied
+  if (!info.mon_region.Contains(world_->cell(oid_))) return;
+  if (world_->attr(oid_) > info.filter_threshold) return;  // filter fails
 
   if (LqtEntry* existing = FindEntry(info.qid)) {
     existing->focal = info.focal;
@@ -538,6 +547,7 @@ void MobiEyesClient::InstallIfApplicable(const QueryInfo& info) {
   entry.focal_max_speed = info.focal_max_speed;
   entry.lease_expires_at = LeaseExpiry(world_->now());
   lqt_.insert(lqt_.begin() + InsertPosition(entry), std::move(entry));
+  SyncSignature();
 }
 
 void MobiEyesClient::RemoveEntries(const std::vector<size_t>& indices) {
@@ -556,9 +566,18 @@ void MobiEyesClient::RemoveEntries(const std::vector<size_t>& indices) {
   for (auto it = indices.rbegin(); it != indices.rend(); ++it) {
     lqt_.erase(lqt_.begin() + *it);
   }
+  SyncSignature();
   if (!report.qids.empty()) {
     SendBitmapReport(std::move(report));
   }
+}
+
+uint64_t MobiEyesClient::lqt_signature() const {
+  uint64_t signature = 0;
+  for (const LqtEntry& entry : lqt_) {
+    signature |= LqtQidKey(entry.qid) | LqtFocalKey(entry.focal_oid);
+  }
+  return signature;
 }
 
 std::optional<bool> MobiEyesClient::IsTargetOf(QueryId qid) const {

@@ -22,6 +22,23 @@ class LifecycleTracker;
 
 namespace mobieyes::core {
 
+// LQT key signature (DESIGN.md §16): a 64-bit Bloom summary of the qids and
+// focal oids one LQT holds, two bits per key. A key whose bits are not all
+// set in the signature is provably absent from the LQT; a key whose bits
+// are all set may be present or may collide.
+inline uint64_t LqtKeyBits(uint64_t hash) {
+  return (uint64_t{1} << (hash >> 58)) | (uint64_t{1} << ((hash >> 52) & 63));
+}
+inline uint64_t LqtQidKey(QueryId qid) {
+  return LqtKeyBits(static_cast<uint64_t>(qid) * 0x9E3779B97F4A7C15ULL);
+}
+inline uint64_t LqtFocalKey(ObjectId focal_oid) {
+  return LqtKeyBits(static_cast<uint64_t>(focal_oid) * 0xC2B2AE3D27D4EB4FULL);
+}
+inline bool LqtMayHold(uint64_t signature, uint64_t key) {
+  return (signature & key) == key;
+}
+
 // The moving-object side of MobiEyes (paper §3): each object keeps a local
 // query table (LQT) of the moving queries whose monitoring region covers
 // its current grid cell, evaluates them each time step by dead-reckoning
@@ -53,8 +70,9 @@ class MobiEyesClient {
   MobiEyesClient(const mobility::World& world, ObjectId oid,
                  net::WirelessNetwork& network, MobiEyesOptions options);
 
-  // Network entry point for downlink traffic (one-to-one and broadcast);
-  // wire this to WirelessNetwork::RegisterClient.
+  // Network entry point for downlink traffic (one-to-one and broadcast).
+  // core::ClientFleet wires it to the network and skips it for broadcasts
+  // it can prove change nothing; a direct call always runs in full.
   void OnDownlink(const net::Message& message);
 
   // Per-time-step processing, run after the world advanced: cell-crossing
@@ -77,6 +95,8 @@ class MobiEyesClient {
   bool has_mq() const { return has_mq_; }
   size_t lqt_size() const { return lqt_.size(); }
   const std::vector<LqtEntry>& lqt() const { return lqt_; }
+  // Key signature of the current LQT, recomputed from its entries.
+  uint64_t lqt_signature() const;
 
   // Last containment status this object computed for a query, or nullopt
   // when the query is not in the LQT.
@@ -111,6 +131,8 @@ class MobiEyesClient {
   size_t pending_uplinks() const { return pending_.size(); }
 
  private:
+  friend class ClientFleet;
+
   // One unacknowledged tracked uplink. Retransmissions regenerate the
   // payload from current client state (stored here is only what cannot be
   // re-derived), so a retry never reintroduces stale data.
@@ -124,7 +146,12 @@ class MobiEyesClient {
   };
 
   void HandleCellCrossing(const geo::CellCoord& new_cell);
-  void EvaluateQueries();
+  void EvaluateQueries(const mobility::ObjectState& me);
+  // This object's ground-truth kinematics now, as relayed to the server.
+  net::FocalState Kinematics() const {
+    return net::FocalState{world_->position(oid_), world_->velocity(oid_),
+                           world_->now()};
+  }
   // Uplink send paths; with enable_reliable_uplink they stamp a sequence
   // number and track the message for ack/retry.
   void SendVelocityReport();
@@ -153,6 +180,11 @@ class MobiEyesClient {
   LqtEntry* FindEntry(QueryId qid);
   // Insertion position keeping lqt_ sorted by (focal_oid, radius desc, qid).
   size_t InsertPosition(const LqtEntry& entry) const;
+  // Rewrites the fleet's signature slot; called after every LQT insert,
+  // erase and clear so the fleet's relevance check never misses a key.
+  void SyncSignature() {
+    if (signature_slot_ != nullptr) *signature_slot_ = lqt_signature();
+  }
 
   const mobility::World* world_;
   ObjectId oid_;
@@ -160,6 +192,8 @@ class MobiEyesClient {
   MobiEyesOptions options_;
 
   std::vector<LqtEntry> lqt_;
+  // The fleet's dense copy of lqt_signature(); null outside a fleet.
+  uint64_t* signature_slot_ = nullptr;
   bool has_mq_ = false;
   net::FocalState last_relayed_;  // what others believe about this object
   geo::CellCoord prev_cell_;

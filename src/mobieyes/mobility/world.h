@@ -91,6 +91,10 @@ class World {
   const double* xs() const { return x_.data(); }
   const double* ys() const { return y_.data(); }
   const double* attrs() const { return attr_.data(); }
+  // Each object's current cell, column and row (the client fleet's
+  // broadcast relevance check reads these).
+  const int32_t* cell_is() const { return cell_i_.data(); }
+  const int32_t* cell_js() const { return cell_j_.data(); }
 
   // Span-index internals, exposed for the kernels and the span-invariant
   // tests: cell_span_items() is the oid array, cell_span_offsets()[f] ..

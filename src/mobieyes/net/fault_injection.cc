@@ -217,9 +217,10 @@ bool FaultyNetwork::SendDownlinkTo(ObjectId to, Message message) {
   return WirelessNetwork::SendDownlinkTo(to, std::move(message));
 }
 
-void FaultyNetwork::Broadcast(const BaseStation& station, Message message) {
+void FaultyNetwork::Broadcast(const BaseStation& station,
+                              const Message& message) {
   if (!FaultsApply()) {
-    WirelessNetwork::Broadcast(station, std::move(message));
+    WirelessNetwork::Broadcast(station, message);
     return;
   }
   if (InOutage(station.id, step_)) {
@@ -244,10 +245,9 @@ void FaultyNetwork::Broadcast(const BaseStation& station, Message message) {
                  copies)) {
     return;
   }
-  for (int k = 1; k < copies; ++k) {
+  for (int k = 0; k < copies; ++k) {
     WirelessNetwork::Broadcast(station, message);
   }
-  WirelessNetwork::Broadcast(station, std::move(message));
 }
 
 void FaultyNetwork::DeliverDeferred(Deferred& entry) {
@@ -271,7 +271,7 @@ void FaultyNetwork::DeliverDeferred(Deferred& entry) {
       WirelessNetwork::SendDownlinkTo(entry.party, std::move(entry.message));
       break;
     case Kind::kBroadcast:
-      WirelessNetwork::Broadcast(entry.station, std::move(entry.message));
+      WirelessNetwork::Broadcast(entry.station, entry.message);
       break;
   }
 }
@@ -283,13 +283,9 @@ void FaultyNetwork::AccountDisconnectTransitions(int64_t step) {
   if (!probabilistic && plan_.forced_disconnect_oid == kInvalidObjectId) {
     return;
   }
-  if (client_order_.size() != clients_.size()) {
-    client_order_.clear();
-    client_order_.reserve(clients_.size());
-    for (const auto& [oid, handler] : clients_) client_order_.push_back(oid);
-    std::sort(client_order_.begin(), client_order_.end());
-  }
-  for (ObjectId oid : client_order_) {
+  for (size_t k = 0; k < clients_.size(); ++k) {
+    if (!clients_[k]) continue;
+    const auto oid = static_cast<ObjectId>(k);
     if (IsDisconnected(oid, step) && !IsDisconnected(oid, step - 1)) {
       ++stats_.disconnect_events;
       if (fault_metrics_.disconnects != nullptr) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <vector>
 
 #include "mobieyes/common/ids.h"
 #include "mobieyes/common/random.h"
@@ -148,7 +147,7 @@ class FaultyNetwork : public WirelessNetwork {
 
   void SendUplink(ObjectId from, Message message) override;
   bool SendDownlinkTo(ObjectId to, Message message) override;
-  void Broadcast(const BaseStation& station, Message message) override;
+  void Broadcast(const BaseStation& station, const Message& message) override;
 
   // Registers the base instruments plus fault counters ("net.fault.*").
   void AttachMetrics(obs::MetricsRegistry* registry) override;
@@ -179,10 +178,6 @@ class FaultyNetwork : public WirelessNetwork {
   int64_t step_ = -1;  // faults apply once AdvanceStep has run
   bool server_down_ = false;
   std::deque<Deferred> deferred_;
-
-  // Registered object ids in deterministic (sorted) order, for the per-step
-  // disconnect-transition scan; rebuilt when registrations change.
-  std::vector<ObjectId> client_order_;
 
   struct FaultMetrics {
     obs::Counter* dropped = nullptr;

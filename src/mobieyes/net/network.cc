@@ -38,6 +38,13 @@ NetworkStats& NetworkStats::operator+=(const NetworkStats& other) {
   return *this;
 }
 
+void WirelessNetwork::RegisterClient(ObjectId oid, ClientHandler handler) {
+  if (oid < 0) return;
+  const auto k = static_cast<size_t>(oid);
+  if (k >= clients_.size()) clients_.resize(k + 1);
+  clients_[k] = std::move(handler);
+}
+
 void WirelessNetwork::AttachMetrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) {
     metrics_ = WireMetrics{};
@@ -141,8 +148,8 @@ bool WirelessNetwork::SendDownlinkTo(ObjectId to, Message message) {
   if (track_per_object_bytes_) {
     stats_.rx_bytes_per_object[to] += bytes;
   }
-  auto it = clients_.find(to);
-  if (it == clients_.end()) {
+  const auto k = static_cast<size_t>(to);
+  if (to < 0 || k >= clients_.size() || !clients_[k]) {
     // The transmission happened (counted above) but nobody decodes it: an
     // observable routing failure rather than a silent no-op.
     ++stats_.undeliverable_downlinks;
@@ -151,11 +158,12 @@ bool WirelessNetwork::SendDownlinkTo(ObjectId to, Message message) {
     if (metrics_attached_) metrics_.undeliverable->Increment();
     return false;
   }
-  it->second(message);
+  clients_[k](message);
   return true;
 }
 
-void WirelessNetwork::Broadcast(const BaseStation& station, Message message) {
+void WirelessNetwork::Broadcast(const BaseStation& station,
+                                const Message& message) {
   if (observer_) observer_(Direction::kBroadcast, station.id, message);
   size_t bytes = WireSizeBytes(message);
   ++stats_.downlink_messages;
@@ -183,9 +191,8 @@ void WirelessNetwork::Broadcast(const BaseStation& station, Message message) {
       stats_.rx_bytes_per_object[oid] += bytes;
     }
   }
-  for (ObjectId oid : receivers) {
-    auto it = clients_.find(oid);
-    if (it != clients_.end()) it->second(message);
+  if (broadcast_receiver_ != nullptr) {
+    broadcast_receiver_->OnBroadcast(message, receivers);
   }
   --broadcast_depth_;
 }

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -139,6 +140,19 @@ struct MessageHistogram {
   }
 };
 
+// Receives every broadcast once, with the whole list of objects it reached
+// (core::ClientFleet, or a test double). One call per broadcast replaces a
+// handler lookup and call per covered object.
+class BroadcastReceiver {
+ public:
+  virtual ~BroadcastReceiver() = default;
+  // `receivers` holds every covered object in coverage order; each has
+  // already been charged its reception. Handlers may re-enter the network:
+  // the span stays valid through nested broadcasts for the whole call.
+  virtual void OnBroadcast(const Message& message,
+                           std::span<const ObjectId> receivers) = 0;
+};
+
 // Simulated asymmetric wireless medium (paper §2.2): objects can send
 // uplink messages to the server; the server can send one-to-one downlink
 // messages and per-base-station broadcasts. Delivery is synchronous — a
@@ -162,8 +176,14 @@ class WirelessNetwork {
   void set_server_handler(ServerHandler handler) {
     server_handler_ = std::move(handler);
   }
-  void RegisterClient(ObjectId oid, ClientHandler handler) {
-    clients_[oid] = std::move(handler);
+  // Handler for one-to-one downlinks addressed to `oid` (ids are dense, so
+  // the table is indexed by oid). Broadcasts go to the broadcast receiver
+  // instead. Not to be called from inside a handler.
+  void RegisterClient(ObjectId oid, ClientHandler handler);
+  // Decodes every broadcast for the objects it covers; null (the default)
+  // leaves broadcasts charged but undecoded. Must outlive the network's use.
+  void set_broadcast_receiver(BroadcastReceiver* receiver) {
+    broadcast_receiver_ = receiver;
   }
   // Virtual so FaultyNetwork can wrap the query with a disconnected-object
   // filter before broadcasts consult it.
@@ -189,8 +209,9 @@ class WirelessNetwork {
   virtual bool SendDownlinkTo(ObjectId to, Message message);
 
   // Server -> all objects under `station` (one downlink message on the
-  // medium; every covered object receives and decodes it).
-  virtual void Broadcast(const BaseStation& station, Message message);
+  // medium; every covered object receives it and is charged for it, and the
+  // broadcast receiver decodes it for all of them in one call).
+  virtual void Broadcast(const BaseStation& station, const Message& message);
 
   const NetworkStats& stats() const { return stats_; }
   void ResetStats() { stats_ = NetworkStats{}; }
@@ -230,7 +251,10 @@ class WirelessNetwork {
                      size_t bytes);
 
   ServerHandler server_handler_;
-  std::unordered_map<ObjectId, ClientHandler> clients_;
+  // One-to-one downlink handlers indexed by oid; an empty slot is an
+  // unregistered object.
+  std::vector<ClientHandler> clients_;
+  BroadcastReceiver* broadcast_receiver_ = nullptr;
   CoverageQuery coverage_query_;
   Observer observer_;
   NetworkStats stats_;
@@ -243,7 +267,9 @@ class WirelessNetwork {
   // handler may uplink a reply whose server-side processing triggers a
   // nested broadcast, which must not clobber the outer call's receiver
   // list. Each depth level keeps its vector across calls, so steady-state
-  // broadcasts allocate nothing.
+  // broadcasts allocate nothing. A nested level may grow the pool, but that
+  // moves the inner vectors without touching their buffers, so the span an
+  // outer call handed to the receiver stays valid.
   std::vector<std::vector<ObjectId>> receiver_pool_;
   size_t broadcast_depth_ = 0;
 };

@@ -116,18 +116,10 @@ Status Simulation::Setup() {
           if (server_) server_->OnUplink(from, message);
         });
 
-    clients_.reserve(world_->object_count());
-    for (size_t oid = 0; oid < world_->object_count(); ++oid) {
-      clients_.push_back(std::make_unique<core::MobiEyesClient>(
-          *world_, static_cast<ObjectId>(oid), *network_, options));
-      core::MobiEyesClient* client = clients_.back().get();
-      client->set_trace_recorder(trace_.get());
-      if (lifecycle_) client->set_lifecycle(lifecycle_.get());
-      network_->RegisterClient(
-          static_cast<ObjectId>(oid),
-          [client](const net::Message& message) {
-            client->OnDownlink(message);
-          });
+    fleet_ = std::make_unique<core::ClientFleet>(*world_, *network_, options);
+    for (core::MobiEyesClient& client : fleet_->clients()) {
+      client.set_trace_recorder(trace_.get());
+      if (lifecycle_) client.set_lifecycle(lifecycle_.get());
     }
 
     for (const QuerySpec& spec : query_specs_) {
@@ -275,7 +267,7 @@ void Simulation::ResetMeasurement() {
   metrics_.objects = static_cast<int64_t>(world_->object_count());
   network_->ResetStats();
   if (server_) server_->ResetLoadTimer();
-  for (auto& client : clients_) client->ResetCounters();
+  for (core::MobiEyesClient& client : Clients()) client.ResetCounters();
   if (object_index_) object_index_->ResetLoadTimer();
   if (query_index_) query_index_->ResetLoadTimer();
   // Metrics cover the measured window, like RunMetrics; the trace is *not*
@@ -311,10 +303,8 @@ void Simulation::Run(int steps) {
     StepOnce();
     ++metrics_.steps;
     metrics_.simulated_seconds += config_.params.time_step;
-    if (IsMobiEyesMode(config_.mode)) {
-      for (const auto& client : clients_) {
-        metrics_.lqt_size_sum += client->lqt_size();
-      }
+    for (const core::MobiEyesClient& client : Clients()) {
+      metrics_.lqt_size_sum += client.lqt_size();
     }
     if (config_.measure_error) {
       ExactOracle::AccuracyStats accuracy = CurrentAccuracy();
@@ -399,11 +389,11 @@ void Simulation::RecordStepObservations(int64_t step) {
   uint64_t lqt_total = 0;
   uint64_t skips_total = 0;
   double client_seconds = 0.0;
-  for (const auto& client : clients_) {
-    size_t lqt_size = client->lqt_size();
+  for (const core::MobiEyesClient& client : Clients()) {
+    size_t lqt_size = client.lqt_size();
     lqt_total += lqt_size;
-    skips_total += client->safe_period_skips();
-    client_seconds += client->processing_seconds();
+    skips_total += client.safe_period_skips();
+    client_seconds += client.processing_seconds();
     if (lqt_hist_ != nullptr) {
       lqt_hist_->Observe(static_cast<double>(lqt_size));
     }
@@ -543,14 +533,14 @@ void Simulation::StepOnce() {
       if (faulty_ != nullptr &&
           (config_.faults.client_restart_rate > 0.0 ||
            config_.faults.forced_restart_oid != kInvalidObjectId)) {
-        for (auto& client : clients_) {
-          if (faulty_->ShouldRestartClient(client->oid(), step)) {
-            client->Reset();
+        for (core::MobiEyesClient& client : Clients()) {
+          if (faulty_->ShouldRestartClient(client.oid(), step)) {
+            client.Reset();
             ++metrics_.client_restarts;
           }
         }
       }
-      for (auto& client : clients_) client->OnTick();
+      for (core::MobiEyesClient& client : Clients()) client.OnTick();
       // Periodic checkpoint with the step's state settled.
       if (server_ && config_.checkpoint_stride > 0 &&
           (step + 1) % config_.checkpoint_stride == 0) {
@@ -702,10 +692,10 @@ RunMetrics Simulation::metrics() const {
   }
   if (object_index_) snapshot.server_seconds = object_index_->load_seconds();
   if (query_index_) snapshot.server_seconds = query_index_->load_seconds();
-  for (const auto& client : clients_) {
-    snapshot.client_processing_seconds += client->processing_seconds();
-    snapshot.queries_evaluated += client->queries_evaluated();
-    snapshot.safe_period_skips += client->safe_period_skips();
+  for (const core::MobiEyesClient& client : Clients()) {
+    snapshot.client_processing_seconds += client.processing_seconds();
+    snapshot.queries_evaluated += client.queries_evaluated();
+    snapshot.safe_period_skips += client.safe_period_skips();
   }
   return snapshot;
 }

@@ -2,6 +2,7 @@
 #define MOBIEYES_SIM_SIMULATION_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mobieyes/baseline/central_messaging.h"
@@ -11,6 +12,7 @@
 #include "mobieyes/common/status.h"
 #include "mobieyes/common/thread_pool.h"
 #include "mobieyes/core/client.h"
+#include "mobieyes/core/client_fleet.h"
 #include "mobieyes/core/options.h"
 #include "mobieyes/core/server.h"
 #include "mobieyes/core/shard_supervisor.h"
@@ -176,9 +178,10 @@ class Simulation {
   // server.
   core::ShardSupervisor* supervisor() { return supervisor_.get(); }
   core::MobiEyesClient* client(ObjectId oid) {
-    return clients_.empty() ? nullptr
-                            : clients_[static_cast<size_t>(oid)].get();
+    return fleet_ ? &fleet_->client(oid) : nullptr;
   }
+  // Null unless running a MobiEyes mode.
+  core::ClientFleet* fleet() { return fleet_.get(); }
   baseline::ObjectIndexProcessor* object_index() {
     return object_index_.get();
   }
@@ -240,6 +243,11 @@ class Simulation {
   // Window-boundary work shared by RecordHeatmap and FlushHeatmap: the
   // residency snapshot plus RollWindow, clearing the pending-step count.
   void RollHeatmapWindow();
+  // Every client of a MobiEyes mode; empty for the centralized baselines.
+  std::span<core::MobiEyesClient> Clients() const {
+    if (!fleet_) return {};
+    return fleet_->clients();
+  }
   // Reported result of installed query k under the current mode.
   const std::unordered_set<ObjectId>* ReportedResult(size_t k) const;
 
@@ -264,7 +272,7 @@ class Simulation {
   std::unique_ptr<ThreadPool> shard_pool_;
   std::unique_ptr<core::ShardSupervisor> supervisor_;
   std::unique_ptr<core::MobiEyesServer> server_;
-  std::vector<std::unique_ptr<core::MobiEyesClient>> clients_;
+  std::unique_ptr<core::ClientFleet> fleet_;
   // Resolved MobiEyes options (propagation/threshold applied), kept so a
   // post-crash replacement server is constructed identically.
   core::MobiEyesOptions resolved_mobieyes_;

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "mobieyes/net/base_station.h"
 #include "mobieyes/net/message.h"
 #include "mobieyes/net/network.h"
 #include "mobieyes/obs/metrics_registry.h"
+#include "test_harness.h"
 
 namespace mobieyes::net {
 namespace {
+
+using test::BroadcastRecorder;
 
 Message Ping() { return MakeMessage(PositionVelocityRequest{1}); }
 
@@ -54,18 +58,14 @@ TEST(NetworkTest, BroadcastReachesObjectsInCoverage) {
           if (circle.Contains(positions[oid])) fn(static_cast<ObjectId>(oid));
         }
       });
-  std::vector<int> deliveries(3, 0);
-  for (ObjectId oid = 0; oid < 3; ++oid) {
-    network.RegisterClient(oid,
-                           [&deliveries, oid](const Message&) {
-                             ++deliveries[oid];
-                           });
-  }
+  BroadcastRecorder recorder;
+  network.set_broadcast_receiver(&recorder);
   BaseStation station{0, geo::Circle{geo::Point{0, 0}, 5.0}};
   network.Broadcast(station, Ping());
-  EXPECT_EQ(deliveries[0], 1);
-  EXPECT_EQ(deliveries[1], 1);
-  EXPECT_EQ(deliveries[2], 0);
+  EXPECT_EQ(recorder.broadcasts(), 1);
+  EXPECT_EQ(recorder.deliveries(0), 1);
+  EXPECT_EQ(recorder.deliveries(1), 1);
+  EXPECT_EQ(recorder.deliveries(2), 0);
   // One broadcast = one downlink message on the medium, two receptions.
   EXPECT_EQ(network.stats().downlink_messages, 1u);
   EXPECT_EQ(network.stats().broadcast_messages, 1u);
@@ -73,6 +73,71 @@ TEST(NetworkTest, BroadcastReachesObjectsInCoverage) {
   EXPECT_TRUE(network.stats().rx_bytes_per_object.contains(0));
   EXPECT_TRUE(network.stats().rx_bytes_per_object.contains(1));
   EXPECT_FALSE(network.stats().rx_bytes_per_object.contains(2));
+}
+
+TEST(NetworkTest, BroadcastsBypassOneToOneHandlers) {
+  WirelessNetwork network;
+  network.set_coverage_query(
+      [](const geo::Circle&, const std::function<void(ObjectId)>& fn) {
+        fn(4);
+      });
+  int one_to_one = 0;
+  network.RegisterClient(4, [&](const Message&) { ++one_to_one; });
+  BaseStation station{0, geo::Circle{geo::Point{0, 0}, 5.0}};
+  // With no broadcast receiver the broadcast is charged but undecoded.
+  network.Broadcast(station, Ping());
+  EXPECT_EQ(network.stats().broadcast_receptions, 1u);
+  BroadcastRecorder recorder;
+  network.set_broadcast_receiver(&recorder);
+  network.Broadcast(station, Ping());
+  EXPECT_EQ(recorder.deliveries(4), 1);
+  EXPECT_EQ(one_to_one, 0);
+  network.SendDownlinkTo(4, Ping());
+  EXPECT_EQ(one_to_one, 1);
+  EXPECT_EQ(recorder.broadcasts(), 1);
+}
+
+// A receiver's handler may set off a nested broadcast; the outer receiver
+// list handed to the broadcast receiver must survive it intact.
+TEST(NetworkTest, NestedBroadcastKeepsOuterReceiverList) {
+  WirelessNetwork network;
+  network.set_coverage_query(
+      [](const geo::Circle& circle, const std::function<void(ObjectId)>& fn) {
+        // Outer station covers 0..9, the nested one 100..139.
+        const ObjectId base = circle.center.x > 50.0 ? 100 : 0;
+        const ObjectId count = base == 0 ? 10 : 40;
+        for (ObjectId oid = base; oid < base + count; ++oid) fn(oid);
+      });
+  const BaseStation outer{0, geo::Circle{geo::Point{0, 0}, 1.0}};
+  const BaseStation inner{1, geo::Circle{geo::Point{90, 90}, 1.0}};
+  struct Nesting : BroadcastReceiver {
+    WirelessNetwork* network = nullptr;
+    const BaseStation* inner = nullptr;
+    std::vector<ObjectId> seen;
+    int depth = 0;
+    void OnBroadcast(const Message& message,
+                     std::span<const ObjectId> receivers) override {
+      for (ObjectId oid : receivers) {
+        seen.push_back(oid);
+        if (depth == 0 && oid == 3) {
+          ++depth;
+          for (int k = 0; k < 4; ++k) network->Broadcast(*inner, message);
+          --depth;
+        }
+      }
+    }
+  } nesting;
+  nesting.network = &network;
+  nesting.inner = &inner;
+  network.set_broadcast_receiver(&nesting);
+  network.Broadcast(outer, Ping());
+  ASSERT_EQ(nesting.seen.size(), 10u + 4u * 40u);
+  // The outer list resumes after the nested deliveries, in order.
+  for (ObjectId oid = 0; oid < 10; ++oid) {
+    const size_t at = oid <= 3 ? oid : oid + 160;
+    EXPECT_EQ(nesting.seen[at], oid);
+  }
+  EXPECT_EQ(network.stats().broadcast_receptions, 10u + 4u * 40u);
 }
 
 TEST(NetworkTest, ReentrantDeliveryIsSafe) {

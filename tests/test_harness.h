@@ -2,14 +2,18 @@
 #define MOBIEYES_TESTS_TEST_HARNESS_H_
 
 // Shared fixture for protocol-level tests: a small fully-wired MobiEyes
-// deployment (grid, base stations, world, network, server, one client per
-// object) with hand-placed objects and a deterministic step driver.
+// deployment (grid, base stations, world, network, server, and a client
+// fleet with one client per object — the delivery path Simulation uses)
+// with hand-placed objects and a deterministic step driver.
 
+#include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mobieyes/common/random.h"
 #include "mobieyes/core/client.h"
+#include "mobieyes/core/client_fleet.h"
 #include "mobieyes/core/options.h"
 #include "mobieyes/core/server.h"
 #include "mobieyes/geo/grid.h"
@@ -20,6 +24,26 @@
 #include "mobieyes/net/network.h"
 
 namespace mobieyes::test {
+
+// Stand-in for the client fleet in network-level tests: counts each
+// covered object's broadcast deliveries.
+class BroadcastRecorder : public net::BroadcastReceiver {
+ public:
+  void OnBroadcast(const net::Message&,
+                   std::span<const ObjectId> receivers) override {
+    ++broadcasts_;
+    for (ObjectId oid : receivers) ++deliveries_[oid];
+  }
+  int deliveries(ObjectId oid) const {
+    auto it = deliveries_.find(oid);
+    return it == deliveries_.end() ? 0 : it->second;
+  }
+  int broadcasts() const { return broadcasts_; }
+
+ private:
+  std::map<ObjectId, int> deliveries_;
+  int broadcasts_ = 0;
+};
 
 struct ObjectSpec {
   // NOLINTNEXTLINE(google-explicit-constructor): terse test setup.
@@ -85,15 +109,7 @@ class MiniDeployment {
           server_->OnUplink(from, message);
         });
 
-    for (size_t k = 0; k < specs.size(); ++k) {
-      clients_.push_back(std::make_unique<core::MobiEyesClient>(
-          *world_, static_cast<ObjectId>(k), *network_, options));
-      core::MobiEyesClient* client = clients_.back().get();
-      network_->RegisterClient(static_cast<ObjectId>(k),
-                               [client](const net::Message& message) {
-                                 client->OnDownlink(message);
-                               });
-    }
+    fleet_ = std::make_unique<core::ClientFleet>(*world_, *network_, options);
   }
 
   // One simulation step: advance the world (no random velocity re-draws so
@@ -102,7 +118,7 @@ class MiniDeployment {
     world_->Step(dt, /*velocity_changes=*/0, rng_);
     if (faulty_ != nullptr) faulty_->AdvanceStep(step_++);
     server_->AdvanceTime(world_->now());
-    for (auto& client : clients_) client->OnTick();
+    for (core::MobiEyesClient& client : fleet_->clients()) client.OnTick();
   }
 
   void TickN(int steps, Seconds dt = 30.0) {
@@ -118,9 +134,8 @@ class MiniDeployment {
   net::FaultyNetwork* faulty_network() { return faulty_; }
   int64_t step() const { return step_; }
   core::MobiEyesServer& server() { return *server_; }
-  core::MobiEyesClient& client(ObjectId oid) {
-    return *clients_[static_cast<size_t>(oid)];
-  }
+  core::MobiEyesClient& client(ObjectId oid) { return fleet_->client(oid); }
+  core::ClientFleet& fleet() { return *fleet_; }
 
  private:
   Rng rng_;
@@ -132,7 +147,7 @@ class MiniDeployment {
   std::unique_ptr<mobility::World> world_;
   std::unique_ptr<net::WirelessNetwork> network_;
   std::unique_ptr<core::MobiEyesServer> server_;
-  std::vector<std::unique_ptr<core::MobiEyesClient>> clients_;
+  std::unique_ptr<core::ClientFleet> fleet_;
 };
 
 }  // namespace mobieyes::test
