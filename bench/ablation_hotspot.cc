@@ -61,7 +61,6 @@ Result<std::unique_ptr<sim::Simulation>> RunHeatCell(
   config.mode = job.mode;
   config.mobieyes = job.mobieyes;
   config.warmup_steps = job.options.warmup_steps;
-  config.shard_threads = job.options.shard_threads;
   config.obs.enable_heatmap = true;
   config.obs.heatmap_window = 4;
   auto simulation = sim::Simulation::Make(config);

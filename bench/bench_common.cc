@@ -63,7 +63,6 @@ struct BenchState {
   int checkpoint_stride = -1;
   // Sharding flag overrides, same negative-means-unset convention.
   int shards = -1;
-  int shard_threads = -1;
   int shard_transport = -1;  // 0 = inproc, 1 = process
   std::string shardd_path;
   long long shard_kill_step = -1;
@@ -121,6 +120,18 @@ void ApplyBackplaneOptions(const RunOptions& options,
   }
 }
 
+// True when `arg` is one of a bench's own flags (see InitBench).
+bool IsOwnFlag(const char* arg, const std::vector<std::string>& own_flags) {
+  for (const std::string& flag : own_flags) {
+    const bool takes_value = !flag.empty() && flag.back() == '=';
+    if (takes_value ? std::strncmp(arg, flag.c_str(), flag.size()) == 0
+                    : flag == arg) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void AppendDoubles(std::string* out, const std::vector<double>& values) {
   *out += '[';
   for (size_t k = 0; k < values.size(); ++k) {
@@ -146,7 +157,6 @@ sim::RunMetrics RunMode(const sim::SimulationParams& params, sim::SimMode mode,
   config.warmup_steps = options.warmup_steps;
   config.checkpoint_stride = options.checkpoint_stride;
   config.wal_limit = options.wal_limit;
-  config.shard_threads = options.shard_threads;
   config.shard_transport = options.shard_transport;
   config.supervisor.shardd_path = options.shardd_path;
   config.supervisor.timeout_steps = options.backplane_timeout_steps;
@@ -164,7 +174,8 @@ sim::RunMetrics RunMode(const sim::SimulationParams& params, sim::SimMode mode,
   return (*simulation)->metrics();
 }
 
-void InitBench(const std::string& name, int argc, char** argv) {
+void InitBench(const std::string& name, int argc, char** argv,
+               const std::vector<std::string>& own_flags) {
   BenchState& state = State();
   state.name = name;
   state.threads = ThreadPool::HardwareThreads();
@@ -239,14 +250,6 @@ void InitBench(const std::string& name, int argc, char** argv) {
                      arg + 9);
         state.shards = -1;
       }
-    } else if (std::strncmp(arg, "--shard-threads=", 16) == 0) {
-      state.shard_threads = std::atoi(arg + 16);
-      if (state.shard_threads < 1) {
-        std::fprintf(stderr,
-                     "[bench] ignoring bad --shard-threads value '%s'\n",
-                     arg + 16);
-        state.shard_threads = -1;
-      }
     } else if (std::strncmp(arg, "--shard-transport=", 18) == 0) {
       if (std::strcmp(arg + 18, "inproc") == 0) {
         state.shard_transport = 0;
@@ -302,6 +305,9 @@ void InitBench(const std::string& name, int argc, char** argv) {
       state.fault_seed_set = true;
     } else if (std::strcmp(arg, "--harden") == 0) {
       state.harden = true;
+    } else if (!IsOwnFlag(arg, own_flags)) {
+      std::fprintf(stderr, "[%s] unknown flag '%s'\n", name.c_str(), arg);
+      std::exit(2);
     }
   }
   if (state.sample_stride == 0 && !state.metrics_path.empty()) {
@@ -330,7 +336,6 @@ SweepCellResult RunCell(const SweepJob& job, const SweepObsOptions& obs,
   config.warmup_steps = job.options.warmup_steps;
   config.checkpoint_stride = job.options.checkpoint_stride;
   config.wal_limit = job.options.wal_limit;
-  config.shard_threads = job.options.shard_threads;
   config.shard_transport = job.options.shard_transport;
   config.supervisor.shardd_path = job.options.shardd_path;
   config.supervisor.timeout_steps = job.options.backplane_timeout_steps;
@@ -373,10 +378,9 @@ SweepCellResult RunCell(const SweepJob& job, const SweepObsOptions& obs,
     result.trace_events = trace->TakeEvents();
   }
   if (obs.heatmap && (*simulation)->heatmap() != nullptr) {
-    // Deterministic flavor: layout-dependent channels excluded, so the
-    // export is byte-identical across thread and shard counts.
-    result.heatmap_json = (*simulation)->heatmap()->ToJson(
-        /*include_layout_dependent=*/false);
+    // Every channel is layout-invariant, so the export is byte-identical
+    // across thread and shard counts.
+    result.heatmap_json = (*simulation)->heatmap()->ToJson();
   }
   if (obs.capture_results) {
     const std::vector<QueryId>& qids = (*simulation)->installed_queries();
@@ -434,9 +438,6 @@ SweepJob ApplyOverrides(SweepJob job) {
     job.options.checkpoint_stride = state.checkpoint_stride;
   }
   if (state.shards > 0) job.mobieyes.sharding.num_shards = state.shards;
-  if (state.shard_threads > 0) {
-    job.options.shard_threads = state.shard_threads;
-  }
   if (state.shard_transport >= 0) {
     job.options.shard_transport =
         state.shard_transport == 1
@@ -599,8 +600,7 @@ bool WriteMetricsFile(const BenchState& state) {
 }
 
 // Writes the per-cell heat-map export. Same ordering/determinism contract
-// as the metrics file: byte-identical for any --threads, --shards or
-// --shard-threads value.
+// as the metrics file: byte-identical for any --threads or --shards value.
 bool WriteHeatmapFile(const BenchState& state) {
   std::string json = "{\"bench\": \"" + JsonEscape(state.name) +
                      "\",\n\"cells\": [\n";

@@ -31,9 +31,6 @@ struct RunOptions {
   // and the WAL record budget between checkpoints.
   int checkpoint_stride = 0;
   size_t wal_limit = 4096;
-  // Worker threads for the server's per-shard step phase (shard count
-  // itself lives in MobiEyesOptions::sharding).
-  int shard_threads = 1;
   // Shard transport (DESIGN.md §13): kProcess runs one daemon process per
   // shard behind the socket backplane; kInProcess is the plain path.
   sim::SimulationConfig::ShardTransport shard_transport =
@@ -80,8 +77,12 @@ struct SweepJob {
   std::string label;  // progress note, e.g. "fig03 alpha=2 EQP"
 };
 
-// Parses harness flags out of argv (unknown arguments are left alone) and
-// starts the bench wall clock. Call first in main().
+// Parses argv and starts the bench wall clock. Call first in main(). A
+// bench's own flags are listed in `own_flags` — by full text for switches
+// ("--require-match"), by prefix ending in '=' for flags taking a value
+// ("--min-agreement=") — and left for the bench to read; any other
+// argument that is not a harness flag exits the process with status 2, so
+// a typo never silently runs the default configuration. Harness flags:
 //   --threads=N        worker threads for RunSweep (default: hardware
 //                      threads; 1 runs strictly serially)
 //   --json=PATH        also write every printed table to PATH as JSON
@@ -95,9 +96,8 @@ struct SweepJob {
 //   --sample-stride=N  per-step sampling stride inside each cell
 //                      (default 1 when --metrics-json is given, else off)
 //   --heatmap=PATH     per-cell heat-map export (uplinks, RQI scan work,
-//                      installs, residency), deterministic flavor — the
-//                      file is byte-identical for any --threads, --shards
-//                      or --shard-threads value
+//                      installs, residency), deterministic — the file is
+//                      byte-identical for any --threads or --shards value
 //   --steps=N          override every job's measured step count (smoke runs)
 //   --objects=N        override every job's object count (smoke runs)
 //
@@ -124,7 +124,6 @@ struct SweepJob {
 //
 // Server sharding overrides (DESIGN.md §10, §13):
 //   --shards=N         grid-partitioned server shards (1 = monolith)
-//   --shard-threads=N  worker threads for the per-shard step phase
 //   --shard-transport=inproc|process  run shards in-process (default) or
 //                      as daemon processes behind the socket backplane
 //   --shardd=PATH      shard daemon binary for --shard-transport=process
@@ -137,7 +136,8 @@ struct SweepJob {
 //                      digest-verified rows (process transport)
 //   --backplane-fault=SPEC  seeded backplane chaos plan, e.g.
 //                      drop=0.05,delay=0.1:2,trunc=0.01,kill=12:1,seed=7
-void InitBench(const std::string& name, int argc, char** argv);
+void InitBench(const std::string& name, int argc, char** argv,
+               const std::vector<std::string>& own_flags = {});
 
 // Worker thread count RunSweep will use.
 int BenchThreads();
@@ -179,9 +179,8 @@ struct SweepCellResult {
   std::string metrics_json;
   // Trace events with pid = job index. Empty when !obs.trace.
   std::vector<obs::TraceEvent> trace_events;
-  // HeatMap::ToJson(include_layout_dependent=false): deterministic for a
-  // given seed, byte-identical across thread and shard counts. Empty when
-  // !obs.heatmap.
+  // HeatMap::ToJson(): deterministic for a given seed, byte-identical
+  // across thread and shard counts. Empty when !obs.heatmap.
   std::string heatmap_json;
   // Final result set of each installed query, sorted by object id, indexed
   // like Simulation::installed_queries(). Empty when !obs.capture_results.

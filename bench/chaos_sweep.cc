@@ -69,7 +69,8 @@ SweepJob MakeJob(int shards) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  InitBench("chaos_sweep", argc, argv);
+  InitBench("chaos_sweep", argc, argv,
+            {"--require-reconverge", "--min-agreement="});
   bool require_reconverge = false;
   double min_agreement = 0.95;
   for (int k = 1; k < argc; ++k) {

@@ -151,24 +151,6 @@ void BM_HeatMapAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_HeatMapAdd);
 
-// One per-step shard-window merge of a 64x64 map (all channels): what the
-// simulation pays per shard per step to keep the global map layout-
-// invariant.
-void BM_HeatMapMergeWindow(benchmark::State& state) {
-  mobieyes::obs::HeatMap global(64, 64);
-  mobieyes::obs::HeatMap shard(64, 64);
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (int c = 0; c < 256; ++c) {
-      shard.Add(mobieyes::obs::HeatMap::kUplinks, c % 64, c / 64);
-    }
-    state.ResumeTiming();
-    global.MergeWindowFrom(shard);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HeatMapMergeWindow)->Unit(benchmark::kMicrosecond);
-
 // A full lifecycle round: stamp (hash-map insert) plus resolve (find,
 // erase, bucket scan) — the per-tracked-message cost.
 void BM_LifecycleStampResolve(benchmark::State& state) {

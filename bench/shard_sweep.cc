@@ -3,36 +3,21 @@
 // hardened workload with per-step checkpoints, varying only --shards, and the
 // sweep reports:
 //
-//   - step phase s/step (measured wall time) and the *parallel speedup*:
-//     monolith step time over (step - sum_of_shard_bodies + max_shard_body),
-//     i.e. the serial remainder plus the critical path — what a perfectly
-//     parallel step would cost. This bound is independent of how many
-//     hardware threads this machine has (the measured wall-clock speedup is
-//     printed too, but it saturates at the machine's core count),
-//   - wireless vs coordinator-backplane messaging, including the
-//     cross-shard handoff rate,
+//   - step phase s/step (measured wall time) and its measured speedup over
+//     the monolith,
+//   - wireless messaging and the cross-shard handoff rate,
 //   - an equivalence check: every multi-shard cell's final result sets must
 //     match the monolith cell's bit for bit (the sharding contract).
 //
 // Cells run strictly serially (never across a worker pool) so the wall
-// times are honest. Shard bodies run *inline* by default (shard_threads=1):
-// that keeps each per-shard measurement uncontended CPU time, which the
-// parallel-speedup model needs — with a pool oversubscribing the machine's
-// cores, descheduled shard bodies inflate their own wall times and the
-// model overestimates. Pass --shard-threads=8 on a machine with >= 8 cores
-// to see the measured wall-clock column approach the model.
+// times are honest.
 //
-// Gate flags for CI (exit 1 on violation):
+// Gate flag for CI (exit 1 on violation):
 //   --require-match        fail unless every multi-shard cell matches the
 //                          monolith's result sets and wireless totals
-//   --require-speedup=X    fail unless the parallel speedup of the largest
-//                          cell (most shards, most objects) is >= X
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -48,9 +33,6 @@ const int kObjectCounts[] = {10000, 100000};
 
 constexpr int kMeasuredSteps = 12;
 constexpr int kWarmupSteps = 2;
-// Shard bodies run inline by default (see the header comment); override
-// with --shard-threads on machines with enough cores.
-constexpr int kDefaultShardThreads = 1;
 
 SweepJob MakeJob(int objects, int shards) {
   SweepJob job;
@@ -60,10 +42,9 @@ SweepJob MakeJob(int objects, int shards) {
   job.mode = sim::SimMode::kMobiEyesEager;
   job.options.steps = kMeasuredSteps;
   job.options.warmup_steps = kWarmupSteps;
-  // Per-step checkpoints keep the (parallelizable) image encoding in the
-  // measured step phase, as a sharded production server would run.
+  // Per-step checkpoints keep the per-shard image encoding in the measured
+  // step phase.
   job.options.checkpoint_stride = 1;
-  job.options.shard_threads = kDefaultShardThreads;
   job.faults.harden = true;
   job.mobieyes.sharding.num_shards = shards;
   job.label = "shard_sweep objects=" + std::to_string(objects) +
@@ -83,22 +64,16 @@ double Speedup(double mono_step, double value) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  InitBench("shard_sweep", argc, argv);
+  InitBench("shard_sweep", argc, argv, {"--require-match"});
   bool require_match = false;
-  double require_speedup = 0.0;
   for (int k = 1; k < argc; ++k) {
-    if (std::strcmp(argv[k], "--require-match") == 0) {
-      require_match = true;
-    } else if (std::strncmp(argv[k], "--require-speedup=", 18) == 0) {
-      require_speedup = std::atof(argv[k] + 18);
-    }
+    if (std::string(argv[k]) == "--require-match") require_match = true;
   }
 
   SweepObsOptions obs;
   obs.capture_results = true;
 
   bool all_match = true;
-  double final_parallel_speedup = 0.0;
 
   for (int objects : kObjectCounts) {
     std::vector<SweepJob> jobs;
@@ -113,13 +88,13 @@ int main(int argc, char** argv) {
 
     std::vector<double> xs;
     std::vector<Series> timing = {
-        {"step s/step", {}},          {"max shard s/step", {}},
-        {"parallel speedup", {}},     {"measured speedup", {}},
+        {"step s/step", {}},
+        {"measured speedup", {}},
         {"server load s/step", {}},
     };
     std::vector<Series> messaging = {
-        {"wireless msgs/step", {}},  {"backplane msgs/step", {}},
-        {"backplane KB/step", {}},   {"handoffs/step", {}},
+        {"wireless msgs/step", {}},
+        {"handoffs/step", {}},
         {"results match", {}},
     };
     for (size_t k = 0; k < cells.size(); ++k) {
@@ -127,25 +102,12 @@ int main(int argc, char** argv) {
       xs.push_back(static_cast<double>(jobs[k].mobieyes.sharding.num_shards));
 
       timing[0].values.push_back(PerStep(m.server_step_seconds, m));
-      timing[1].values.push_back(PerStep(m.server_step_max_shard_seconds, m));
-      // Serial remainder + critical path: the cost of a perfectly parallel
-      // step, whatever this machine's core count.
-      const double parallel_step = m.server_step_seconds -
-                                   m.server_step_shard_seconds +
-                                   m.server_step_max_shard_seconds;
-      const double parallel = Speedup(mono_step, parallel_step);
-      timing[2].values.push_back(parallel);
-      timing[3].values.push_back(Speedup(mono_step, m.server_step_seconds));
-      timing[4].values.push_back(PerStep(m.server_seconds, m));
+      timing[1].values.push_back(Speedup(mono_step, m.server_step_seconds));
+      timing[2].values.push_back(PerStep(m.server_seconds, m));
 
       messaging[0].values.push_back(
           PerStep(static_cast<double>(m.network.total_messages()), m));
       messaging[1].values.push_back(
-          PerStep(static_cast<double>(m.network.inter_shard_messages), m));
-      messaging[2].values.push_back(
-          PerStep(static_cast<double>(m.network.inter_shard_bytes), m) /
-          1024.0);
-      messaging[3].values.push_back(
           PerStep(static_cast<double>(m.network.inter_shard_handoffs), m));
 
       // The sharding contract: identical result sets and wireless totals,
@@ -154,15 +116,12 @@ int main(int argc, char** argv) {
           cells[k].query_results == mono.query_results &&
           m.network.uplink_bytes == mono.metrics.network.uplink_bytes &&
           m.network.downlink_bytes == mono.metrics.network.downlink_bytes;
-      messaging[4].values.push_back(match ? 1.0 : 0.0);
+      messaging[2].values.push_back(match ? 1.0 : 0.0);
       if (!match) {
         all_match = false;
         std::fprintf(stderr,
                      "[shard_sweep] MISMATCH vs monolith: %s\n",
                      jobs[k].label.c_str());
-      }
-      if (k + 1 == cells.size()) {
-        final_parallel_speedup = parallel;
       }
     }
 
@@ -230,23 +189,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "[shard_sweep] FAIL: multi-shard cells diverged from the "
                  "monolith\n");
-    return 1;
-  }
-  // The parallel-speedup model needs at least two cores for the shard
-  // bodies to overlap even in principle; on a single-core host the gate
-  // would fail for reasons that have nothing to do with the code.
-  if (require_speedup > 0.0 && std::thread::hardware_concurrency() < 2) {
-    std::fprintf(stderr,
-                 "[shard_sweep] SKIP: --require-speedup=%.3f not enforced "
-                 "on a single-core host\n",
-                 require_speedup);
-    require_speedup = 0.0;
-  }
-  if (require_speedup > 0.0 && final_parallel_speedup < require_speedup) {
-    std::fprintf(stderr,
-                 "[shard_sweep] FAIL: parallel speedup %.3f < required %.3f "
-                 "(largest cell)\n",
-                 final_parallel_speedup, require_speedup);
     return 1;
   }
   return status;

@@ -2,13 +2,12 @@
 #define MOBIEYES_CORE_SERVER_H_
 
 #include <unordered_set>
+#include <vector>
 
 #include "mobieyes/common/ids.h"
 #include "mobieyes/common/status.h"
-#include "mobieyes/common/thread_pool.h"
 #include "mobieyes/common/units.h"
 #include "mobieyes/core/options.h"
-#include "mobieyes/core/rqi.h"
 #include "mobieyes/core/shard_router.h"
 #include "mobieyes/core/snapshot.h"
 #include "mobieyes/geo/grid.h"
@@ -29,7 +28,7 @@ namespace mobieyes::core {
 // Internally the server is a ShardRouter in front of N grid-partitioned
 // ServerShards (options.sharding; DESIGN.md §10). The default single shard
 // is the monolith; more shards change nothing a client can observe — only
-// how the server's own state and step-phase work are partitioned.
+// how the server's own state is partitioned.
 class MobiEyesServer {
  public:
   // The table-row types moved to server_shard.h with the sharding refactor;
@@ -91,8 +90,11 @@ class MobiEyesServer {
     return router_.FindFocal(oid);
   }
   size_t query_count() const { return router_.query_count(); }
-  // Shard 0's RQI slice — the full index when running single-shard.
-  const ReverseQueryIndex& rqi() const { return router_.shard(0).rqi(); }
+  // The RQI row of `cell` (queries whose monitoring region covers it, in
+  // registration order), read from the shard owning the cell.
+  const std::vector<QueryId>& QueriesForCell(const geo::CellCoord& cell) const {
+    return router_.QueriesForCell(cell);
+  }
 
   // The sharded deployment behind the facade.
   ShardRouter& router() { return router_; }
@@ -101,8 +103,8 @@ class MobiEyesServer {
 
   // Accumulated wall time spent in server-side logic ("server load", §5.2).
   double load_seconds() const { return router_.load_seconds(); }
-  // Wall time of the parallelizable step phase (expiry/lease scans and
-  // checkpoint encoding); the shard bench's comparison quantity.
+  // Wall time of the step phase (expiry/lease scans and checkpoint
+  // encoding); the shard bench's comparison quantity.
   double step_seconds() const { return router_.step_seconds(); }
   void ResetLoadTimer() { router_.ResetLoadTimer(); }
 
@@ -112,20 +114,13 @@ class MobiEyesServer {
     router_.set_trace_recorder(trace);
   }
 
-  // Worker pool for the per-shard step phase; null (the default) runs the
-  // shards inline. The pool must outlive the server.
-  void set_thread_pool(ThreadPool* pool) { router_.set_thread_pool(pool); }
+  // Per-cell heat map charged with uplinks, RQI scan work and installs at
+  // the cells they name (DESIGN.md §12); null (the default) disables it.
+  // The map must outlive the server.
+  void set_heatmap(obs::HeatMap* heatmap) { router_.set_heatmap(heatmap); }
 
-  // Per-cell heat maps, one per shard, charged to the shard owning each
-  // charged cell (DESIGN.md §12). Merge the per-shard windows in shard
-  // order for a layout-independent global map.
-  void EnableHeatmaps(int32_t rows, int32_t cols) {
-    router_.EnableHeatmaps(rows, cols);
-  }
-  obs::HeatMap* shard_heatmap(int k) { return router_.shard_heatmap(k); }
-
-  // Lifecycle latency tap (install->first-result, handoff rounds); null
-  // (the default) disables it. The tracker must outlive the server.
+  // Lifecycle latency tap (install->first-result rounds); null (the
+  // default) disables it. The tracker must outlive the server.
   void set_lifecycle(obs::LifecycleTracker* lifecycle) {
     router_.set_lifecycle(lifecycle);
   }

@@ -79,23 +79,20 @@ class ShardMap {
 
 // One grid partition's slice of the server state: the FOT/SQT entries homed
 // on its cells and the RQI rows of the cells it owns. A shard is a passive
-// state container plus the scans that parallelize across shards — all
-// orchestration (uplink dispatch, broadcasts, cross-shard reads) lives in
-// the ShardRouter, which is what keeps a multi-shard run's observable
-// behavior identical to the monolith.
+// state container plus its step-phase scans — all orchestration (uplink
+// dispatch, broadcasts, cross-shard reads) lives in the ShardRouter, which
+// is what keeps a multi-shard run's observable behavior identical to the
+// monolith.
 class ServerShard {
  public:
   // Per-shard operational counters, exported as shard_id-tagged gauges
   // (timing-flagged: operational visibility, excluded from deterministic
   // metric exports, which must not vary with the shard count).
   struct Stats {
-    uint64_t uplinks_routed = 0;  // uplinks whose ingress shard was this one
     uint64_t handoffs_in = 0;
     uint64_t handoffs_out = 0;
-    // Step-phase wall time spent on this shard's scans. The max across
-    // shards is the critical path of a perfectly parallel step, which is
-    // how the shard bench reports speedup independently of how many
-    // hardware threads the measuring machine happens to have.
+    // Step-phase wall time spent on this shard's scans and checkpoint
+    // chunks; the max across shards is the largest shard body.
     uint64_t step_micros = 0;
   };
 
@@ -138,9 +135,8 @@ class ServerShard {
   const std::vector<QueryId>& QueriesForCell(const geo::CellCoord& c) const {
     return rqi_.QueriesForCell(c);
   }
-  const ReverseQueryIndex& rqi() const { return rqi_; }
 
-  // --- Step-phase scans (read-only; safe to run concurrently per shard) ----
+  // --- Step-phase scans (read-only; append matching query ids to *out) ----
 
   void CollectExpired(Seconds now, std::vector<QueryId>* out) const;
   void CollectLeaseDue(Seconds now, std::vector<QueryId>* out) const;

@@ -33,15 +33,6 @@ std::vector<typename Map::key_type> SortedKeys(const Map& map) {
   return keys;
 }
 
-// Modeled payload sizes of the coordinator backplane ops (DESIGN.md §10):
-// what a multi-process deployment would put on the wire for each cross-shard
-// interaction. Handoffs use their real wire encoding instead.
-constexpr size_t kOpEntryRead = net::kQueryInfoBytes;  // fetch a full SQT row
-constexpr size_t kOpEntryTouch = 2 * net::kIdBytes;    // qid -> focal/erase
-constexpr size_t kOpResultFlip = 2 * net::kIdBytes + 1;
-constexpr size_t kOpRqiUpdate = net::kIdBytes + net::kCellRangeBytes;
-constexpr size_t kOpReportForward = net::kIdBytes + net::kFocalStateBytes;
-
 }  // namespace
 
 using net::Message;
@@ -65,73 +56,29 @@ ShardRouter::ShardRouter(const geo::Grid& grid,
 
 template <typename Fn>
 void ShardRouter::ForEachShard(const char* span_name, const Fn& fn) const {
-  const int n = num_shards();
-  const bool tracing = trace_ != nullptr && n > 1;
-  struct SpanTimes {
-    uint64_t start = 0;
-    uint64_t dur = 0;
-  };
-  std::vector<SpanTimes> times;
-  if (tracing) times.resize(static_cast<size_t>(n));
-  auto body = [&](int64_t k) {
-    auto t0 = std::chrono::steady_clock::now();
-    if (tracing) {
-      // NowMicros only reads the recorder's epoch — safe off-thread; the
-      // append happens below, after the join, on the calling thread.
-      uint64_t start = trace_->NowMicros();
-      fn(static_cast<int>(k));
-      times[static_cast<size_t>(k)] = {start, trace_->NowMicros() - start};
-    } else {
-      fn(static_cast<int>(k));
-    }
-    // Each shard accumulates into its own Stats, so this is race-free even
-    // when the pool runs shards concurrently.
-    const auto elapsed = std::chrono::steady_clock::now() - t0;
-    shards_[static_cast<size_t>(k)]->stats().step_micros +=
-        static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-                .count());
-  };
-  if (pool_ != nullptr && n > 1) {
-    pool_->ParallelFor(0, n, body);
-  } else {
-    for (int64_t k = 0; k < n; ++k) body(k);
-  }
-  if (tracing) {
-    for (int k = 0; k < n; ++k) {
-      trace_->AddCompleteOnTid(span_name, "sim", times[k].start, times[k].dur,
-                               k + 1);
-    }
-  }
-}
-
-void ShardRouter::CountOp(int target_shard, size_t payload_bytes) {
-  if (num_shards() == 1 || replaying_ || target_shard == ctx_shard_) return;
-  ++backplane_.messages;
-  backplane_.bytes += net::kHeaderBytes + payload_bytes;
-}
-
-void ShardRouter::EnableHeatmaps(int32_t rows, int32_t cols) {
-  heatmaps_.clear();
-  heatmaps_.reserve(static_cast<size_t>(num_shards()));
+  obs::TraceRecorder* trace = num_shards() > 1 ? trace_ : nullptr;
   for (int k = 0; k < num_shards(); ++k) {
-    heatmaps_.push_back(std::make_unique<obs::HeatMap>(rows, cols));
+    TRACE_SPAN(trace, span_name);
+    const auto t0 = std::chrono::steady_clock::now();
+    fn(k);
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    shards_[k]->stats().step_micros += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());
   }
 }
 
 void ShardRouter::ChargeHeat(obs::HeatMap::Channel channel,
                              const geo::CellCoord& cell, uint64_t n) {
-  // Replay suppression mirrors the send/backplane suppression: the
-  // pre-crash run already charged this work.
-  if (heatmaps_.empty() || replaying_ || n == 0) return;
-  heatmaps_[map_.ShardOf(cell)]->Add(channel, cell.i, cell.j, n);
+  // Replay suppression mirrors the send suppression: the pre-crash run
+  // already charged this work.
+  if (heatmap_ == nullptr || replaying_ || n == 0) return;
+  heatmap_->Add(channel, cell.i, cell.j, n);
 }
 
 bool ShardRouter::UplinkHeatCell(const Message& message,
                                  geo::CellCoord* cell) const {
-  // Unlike IngressShard this always resolves the cell itself (never the
-  // shard), and it must stay layout-invariant: the same uplink stream
-  // charges the same cells whatever the partitioning.
+  // Must stay layout-invariant: the same uplink stream charges the same
+  // cells whatever the partitioning.
   switch (message.type) {
     case net::MessageType::kQueryInstallRequest: {
       const auto& p = std::get<net::QueryInstallRequest>(message.payload);
@@ -221,27 +168,14 @@ int ShardRouter::MigrateIfNeeded(ObjectId oid) {
   if (focal == nullptr) return home;
   int target = map_.ShardOf(focal->cell);
   if (target == home) return home;
-  // ExtractFocal below invalidates `focal`.
-  const geo::CellCoord handoff_cell = focal->cell;
 
   // The focal crossed a partition boundary: migrate ownership with an
   // explicit handoff message so the co-location invariant holds. The
-  // handoff is delivered in-memory on the coordinator backplane and
-  // accounted at its real wire size; it never touches the wireless medium,
+  // handoff is delivered in memory; it never touches the wireless medium,
   // so clients cannot observe the shard layout.
   Message message = net::MakeMessage(src.ExtractFocal(oid, target));
   if (!replaying_) {
-    ++backplane_.messages;
-    ++backplane_.handoffs;
-    backplane_.bytes += net::WireSizeBytes(message);
-    // Layout-dependent by nature (no handoffs with one shard), so the
-    // handoffs channel and handoff kind are excluded from deterministic
-    // exports.
-    ChargeHeat(obs::HeatMap::kHandoffs, handoff_cell, 1);
-    if (lifecycle_ != nullptr) {
-      lifecycle_->Stamp(obs::LifecycleTracker::kHandoff,
-                        static_cast<uint64_t>(oid));
-    }
+    ++handoffs_;
     if (transport_ != nullptr) {
       transport_->OnHandoff(home, target, oid, message);
     }
@@ -252,19 +186,12 @@ int ShardRouter::MigrateIfNeeded(ObjectId oid) {
   }
   shards_[target]->AdoptFocal(std::move(handoff));
   home_it->second = target;
-  if (lifecycle_ != nullptr && !replaying_) {
-    // Ownership transferred within the dispatch: a same-step (latency 0)
-    // round, recorded so handoff volume shows up in the lifecycle table.
-    lifecycle_->ResolveIfPending(obs::LifecycleTracker::kHandoff,
-                                 static_cast<uint64_t>(oid));
-  }
   return target;
 }
 
 void ShardRouter::RqiAddAll(QueryId qid, const geo::CellRange& mon_region) {
   for (int s : map_.ShardsIntersecting(mon_region)) {
     shards_[s]->RqiAdd(qid, mon_region);
-    CountOp(s, kOpRqiUpdate);
     if (transport_ != nullptr && !replaying_) {
       transport_->OnRqiOp(/*add=*/true, s, qid, mon_region);
     }
@@ -274,7 +201,6 @@ void ShardRouter::RqiAddAll(QueryId qid, const geo::CellRange& mon_region) {
 void ShardRouter::RqiRemoveAll(QueryId qid, const geo::CellRange& mon_region) {
   for (int s : map_.ShardsIntersecting(mon_region)) {
     shards_[s]->RqiRemove(qid, mon_region);
-    CountOp(s, kOpRqiUpdate);
     if (transport_ != nullptr && !replaying_) {
       transport_->OnRqiOp(/*add=*/false, s, qid, mon_region);
     }
@@ -320,7 +246,6 @@ Result<QueryId> ShardRouter::InstallQuery(ObjectId focal_oid,
   }
   // Installation executes on the focal's home shard.
   const int home = focal_home_.at(focal_oid);
-  ctx_shard_ = home;
   ServerShard& shard = *shards_[home];
   FotEntry& focal = *shard.FindFocal(focal_oid);
 
@@ -372,25 +297,18 @@ Result<QueryId> ShardRouter::InstallQuery(ObjectId focal_oid,
 void ShardRouter::AdvanceTime(Seconds now) {
   TRACE_SPAN(trace_, "server.advance_time");
   now_ = now;
-  const size_t n = static_cast<size_t>(num_shards());
-  std::vector<std::vector<QueryId>>& per_shard = scan_per_shard_;
-  per_shard.resize(n);
-  for (auto& part : per_shard) part.clear();
-  std::vector<QueryId>& expired = scan_merged_;
+  std::vector<QueryId>& expired = scan_out_;
   expired.clear();
   {
     TimedSection timed(load_timer_);
     TimedSection step(step_timer_);
     ForEachShard("server.shard.expiry_scan", [&](int k) {
-      shards_[k]->CollectExpired(now, &per_shard[k]);
+      shards_[k]->CollectExpired(now, &expired);
     });
-    for (const auto& part : per_shard) {
-      expired.insert(expired.end(), part.begin(), part.end());
-    }
   }
   // Sorted so removal-broadcast order does not depend on hash-map layout —
-  // or on the shard count: a merged multi-shard scan and the monolith's
-  // single scan collapse to the same sequence.
+  // or on the shard count: every shard's matches and the monolith's single
+  // scan collapse to the same sequence.
   std::sort(expired.begin(), expired.end());
   for (QueryId qid : expired) {
     (void)RemoveQuery(qid);
@@ -399,29 +317,20 @@ void ShardRouter::AdvanceTime(Seconds now) {
 }
 
 void ShardRouter::RenewLeases() {
-  const size_t n = static_cast<size_t>(num_shards());
-  std::vector<std::vector<QueryId>>& per_shard = scan_per_shard_;
-  per_shard.resize(n);
-  for (auto& part : per_shard) part.clear();
-  std::vector<QueryId>& due = scan_merged_;
+  std::vector<QueryId>& due = scan_out_;
   due.clear();
   {
     TimedSection timed(load_timer_);
     TimedSection step(step_timer_);
     ForEachShard("server.shard.lease_scan", [&](int k) {
-      shards_[k]->CollectLeaseDue(now_, &per_shard[k]);
+      shards_[k]->CollectLeaseDue(now_, &due);
     });
-    for (const auto& part : per_shard) {
-      due.insert(due.end(), part.begin(), part.end());
-    }
   }
   // Sorted so the broadcast order (and hence any fault-injection draw
   // sequence downstream) is independent of hash-map iteration order.
   std::sort(due.begin(), due.end());
   for (QueryId qid : due) {
-    const int home = qid_home_.at(qid);
-    ctx_shard_ = home;
-    ServerShard& shard = *shards_[home];
+    ServerShard& shard = *shards_[qid_home_.at(qid)];
     SqtEntry& entry = *shard.FindQuery(qid);
     entry.lease_renew_at = now_ + options_.lease_duration;
     // Re-assert hasMQ on the focal object (a lost FocalNotification would
@@ -442,9 +351,7 @@ Status ShardRouter::RemoveQuery(QueryId qid) {
   TimedSection timed(load_timer_);
   auto home_it = qid_home_.find(qid);
   if (home_it == qid_home_.end()) return Status::NotFound("unknown query id");
-  const int home = home_it->second;
-  ctx_shard_ = home;
-  ServerShard& shard = *shards_[home];
+  ServerShard& shard = *shards_[home_it->second];
   auto it = shard.sqt().find(qid);
   if (it == shard.sqt().end()) return Status::NotFound("unknown query id");
   SqtEntry entry = std::move(it->second);
@@ -480,43 +387,6 @@ Status ShardRouter::RemoveQuery(QueryId qid) {
   return Status::OK();
 }
 
-int ShardRouter::IngressShard(const Message& message) const {
-  if (num_shards() == 1) return 0;
-  switch (message.type) {
-    case net::MessageType::kQueryInstallRequest: {
-      const auto& p = std::get<net::QueryInstallRequest>(message.payload);
-      auto it = focal_home_.find(p.oid);
-      return it == focal_home_.end() ? 0 : it->second;
-    }
-    case net::MessageType::kPositionVelocityReport: {
-      const auto& p = std::get<net::PositionVelocityReport>(message.payload);
-      return map_.ShardOf(grid_->CellOf(p.state.pos));
-    }
-    case net::MessageType::kVelocityChangeReport: {
-      const auto& p = std::get<net::VelocityChangeReport>(message.payload);
-      return map_.ShardOf(grid_->CellOf(p.state.pos));
-    }
-    case net::MessageType::kCellChangeReport: {
-      const auto& p = std::get<net::CellChangeReport>(message.payload);
-      return map_.ShardOf(p.new_cell);
-    }
-    case net::MessageType::kResultBitmapReport: {
-      const auto& p = std::get<net::ResultBitmapReport>(message.payload);
-      for (QueryId qid : p.qids) {
-        auto it = qid_home_.find(qid);
-        if (it != qid_home_.end()) return it->second;
-      }
-      return 0;
-    }
-    case net::MessageType::kLqtReconcileRequest: {
-      const auto& p = std::get<net::LqtReconcileRequest>(message.payload);
-      return map_.ShardOf(p.cell);
-    }
-    default:
-      return 0;
-  }
-}
-
 void ShardRouter::OnUplink(ObjectId from, const Message& message) {
   TimedSection timed(load_timer_);
   // Write-ahead: log the uplink before any handler mutates state, so the
@@ -525,9 +395,7 @@ void ShardRouter::OnUplink(ObjectId from, const Message& message) {
   if (store_ != nullptr && !replaying_) store_->Append(from, message);
   const bool outer_dispatch = dispatching_;
   dispatching_ = true;
-  ctx_shard_ = IngressShard(message);
-  ++shards_[ctx_shard_]->stats().uplinks_routed;
-  if (!heatmaps_.empty() && !replaying_) {
+  if (heatmap_ != nullptr && !replaying_) {
     // Charged per arrival (duplicates included — a retransmission is radio
     // and routing work too), at the cell the message itself names.
     geo::CellCoord cell;
@@ -620,7 +488,7 @@ void ShardRouter::HandlePositionVelocityReport(
     const net::PositionVelocityReport& report) {
   auto home_it = focal_home_.find(report.oid);
   if (home_it == focal_home_.end()) {
-    // New focal object: home it on its reported cell's shard (the ingress).
+    // New focal object: home it on its reported cell's shard.
     FotEntry entry;
     entry.state = report.state;
     entry.max_speed = report.max_speed;
@@ -630,9 +498,7 @@ void ShardRouter::HandlePositionVelocityReport(
     focal_home_.emplace(report.oid, home);
     return;
   }
-  const int home = home_it->second;
-  if (home != ctx_shard_) CountOp(home, kOpReportForward);
-  FotEntry& entry = *shards_[home]->FindFocal(report.oid);
+  FotEntry& entry = *shards_[home_it->second]->FindFocal(report.oid);
   entry.state = report.state;
   entry.max_speed = report.max_speed;
   entry.cell = grid_->CellOf(report.state.pos);
@@ -643,16 +509,13 @@ void ShardRouter::HandleVelocityChange(
     const net::VelocityChangeReport& report) {
   auto home_it = focal_home_.find(report.oid);
   if (home_it == focal_home_.end()) return;  // stale report, unbound object
-  int home = home_it->second;
-  if (home != ctx_shard_) CountOp(home, kOpReportForward);
-  FotEntry* focal_ptr = shards_[home]->FindFocal(report.oid);
+  FotEntry* focal_ptr = shards_[home_it->second]->FindFocal(report.oid);
   // A delayed or retransmitted report can arrive after a newer one; relaying
   // the older vector would roll every monitoring region's prediction back.
   if (report.state.tm < focal_ptr->state.tm) return;
   focal_ptr->state = report.state;
   focal_ptr->cell = grid_->CellOf(report.state.pos);
-  home = MigrateIfNeeded(report.oid);
-  ServerShard& shard = *shards_[home];
+  ServerShard& shard = *shards_[MigrateIfNeeded(report.oid)];
   const FotEntry& focal = *shard.FindFocal(report.oid);
 
   // §3.4: relay the new vector to the monitoring region of each query bound
@@ -708,13 +571,8 @@ void ShardRouter::HandleCellChange(const net::CellChangeReport& report) {
   // the cells' owning shards; the diff preserves the new row's order, like
   // ReverseQueryIndex::NewQueriesForMove.
   if (options_.propagation == PropagationMode::kEager) {
-    const int prev_owner = map_.ShardOf(report.prev_cell);
     const std::vector<QueryId>& prev_row =
         RqiRow(report.prev_cell, &scan_row_a_);
-    if (prev_owner != ctx_shard_) {
-      CountOp(prev_owner,
-              net::kCellBytes + prev_row.size() * net::kIdBytes);
-    }
     const std::vector<QueryId>& new_row =
         RqiRow(report.new_cell, &scan_row_b_);
     // RQI scan work: both rows are walked to answer this crossing.
@@ -728,16 +586,14 @@ void ShardRouter::HandleCellChange(const net::CellChangeReport& report) {
                                          &new_qids);
     // The object never monitors its own queries.
     std::erase_if(new_qids, [&](QueryId qid) {
-      const int home = qid_home_.at(qid);
-      CountOp(home, kOpEntryTouch);
-      return shards_[home]->FindQuery(qid)->focal_oid == report.oid;
+      return shards_[qid_home_.at(qid)]->FindQuery(qid)->focal_oid ==
+             report.oid;
     });
     if (!new_qids.empty()) {
       net::NewQueriesNotification notification;
       notification.oid = report.oid;
       for (QueryId qid : new_qids) {
         const int home = qid_home_.at(qid);
-        CountOp(home, kOpEntryRead);
         notification.queries.push_back(
             BuildQueryInfo(*shards_[home], *shards_[home]->FindQuery(qid)));
       }
@@ -748,8 +604,7 @@ void ShardRouter::HandleCellChange(const net::CellChangeReport& report) {
   // Additional operations when the mover is a focal object: recompute each
   // bound query's monitoring region and notify the union of the old and new
   // regions. The focal (and its queries) first migrate to the new cell's
-  // shard — which is the ingress shard — if a partition boundary was
-  // crossed.
+  // shard if a partition boundary was crossed.
   auto home_it = focal_home_.find(report.oid);
   if (home_it == focal_home_.end()) return;
   shards_[home_it->second]->FindFocal(report.oid)->cell = report.new_cell;
@@ -802,7 +657,6 @@ void ShardRouter::HandleResultBitmap(const net::ResultBitmapReport& report) {
   for (size_t k = 0; k < report.qids.size(); ++k) {
     auto home_it = qid_home_.find(report.qids[k]);
     if (home_it == qid_home_.end()) continue;
-    CountOp(home_it->second, kOpResultFlip);
     SqtEntry* entry = shards_[home_it->second]->FindQuery(report.qids[k]);
     bool is_target = (report.bitmap >> k) & 1;
     if (is_target) {
@@ -825,9 +679,8 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
     // everywhere (a coordinated sweep over all shards) and let its fresh
     // evaluations re-report the flips — briefly missing beats spuriously
     // present forever.
-    for (int s = 0; s < num_shards(); ++s) {
-      CountOp(s, net::kIdBytes);
-      for (auto& [qid, entry] : shards_[s]->sqt()) {
+    for (auto& shard : shards_) {
+      for (auto& [qid, entry] : shard->sqt()) {
         entry.result.erase(request.oid);
       }
     }
@@ -836,7 +689,6 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
     // renewal.
     auto home_it = focal_home_.find(request.oid);
     if (home_it != focal_home_.end()) {
-      CountOp(home_it->second, kOpEntryTouch);
       const FotEntry* focal = shards_[home_it->second]->FindFocal(request.oid);
       if (focal != nullptr && !focal->queries.empty()) {
         SendDownlink(request.oid,
@@ -852,9 +704,7 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
   const std::vector<QueryId>& cell_row = RqiRow(request.cell, &scan_row_a_);
   ChargeHeat(obs::HeatMap::kRqiScan, request.cell, cell_row.size());
   for (QueryId qid : cell_row) {
-    const int home = qid_home_.at(qid);
-    CountOp(home, kOpEntryTouch);
-    if (shards_[home]->FindQuery(qid)->focal_oid != request.oid) {
+    if (shards_[qid_home_.at(qid)]->FindQuery(qid)->focal_oid != request.oid) {
       expected.push_back(qid);
     }
   }
@@ -878,7 +728,6 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
   for (QueryId qid : request.known_qids) {
     SqtEntry* entry = MutableQuery(qid);
     if (entry == nullptr) continue;
-    CountOp(qid_home_.at(qid), kOpResultFlip);
     if (targets.contains(qid)) {
       entry->result.insert(request.oid);
       if (lifecycle_ != nullptr && !replaying_) {
@@ -892,10 +741,7 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
   }
   for (QueryId qid : stale) {
     SqtEntry* entry = MutableQuery(qid);
-    if (entry != nullptr) {
-      CountOp(qid_home_.at(qid), kOpEntryTouch);
-      entry->result.erase(request.oid);
-    }
+    if (entry != nullptr) entry->result.erase(request.oid);
   }
 
   if (!missing.empty()) {
@@ -903,7 +749,6 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
     notification.oid = request.oid;
     for (QueryId qid : missing) {
       const int home = qid_home_.at(qid);
-      CountOp(home, kOpEntryRead);
       notification.queries.push_back(
           BuildQueryInfo(*shards_[home], *shards_[home]->FindQuery(qid)));
     }
@@ -1034,36 +879,23 @@ std::vector<uint8_t> ShardRouter::EncodeImage() const {
   w.F64(now_);
   w.I64(next_qid_);
 
-  // Each shard encodes its slice in parallel (sorted within the shard);
-  // shard key sets are disjoint, so a serial k-way merge by key emits the
-  // same global sorted-key layout the monolith wrote — the image format is
-  // shard-count-independent.
+  // Each shard encodes its slice (sorted within the shard); shard key sets
+  // are disjoint, so a k-way merge by key emits the same global sorted-key
+  // layout the monolith wrote — the image format is shard-count-independent.
   const size_t n = static_cast<size_t>(num_shards());
   std::vector<ServerShard::ImageChunk> fot_chunks(n);
   std::vector<ServerShard::ImageChunk> sqt_chunks(n);
-  // The dedup table rides along: shard k serializes the k-th contiguous
-  // slice of the (already sorted) key order, so concatenating the parts
-  // reproduces the serial ascending-oid encoding byte for byte.
-  std::vector<std::vector<uint8_t>> seen_parts(n);
   ForEachShard("server.shard.checkpoint_encode", [&](int k) {
     fot_chunks[k] = shards_[k]->EncodeFotChunk();
     sqt_chunks[k] = shards_[k]->EncodeSqtChunk();
-    const size_t lo = seen_order_.size() * static_cast<size_t>(k) / n;
-    const size_t hi = seen_order_.size() * (static_cast<size_t>(k) + 1) / n;
-    net::ByteWriter part(&seen_parts[k]);
-    for (size_t i = lo; i < hi; ++i) {
-      const ObjectId oid = seen_order_[i];
-      const SeenSeqs& seen = seen_seqs_.at(oid);
-      part.I64(oid);
-      for (uint32_t seq : seen.ring) part.U32(seq);
-      part.U8(static_cast<uint8_t>(seen.next));
-    }
   });
+  constexpr size_t kSeenEntryBytes =
+      sizeof(int64_t) + sizeof(SeenSeqs::ring) + sizeof(uint8_t);
   size_t total_bytes = out.size() + 3 * sizeof(uint32_t);
   for (size_t k = 0; k < n; ++k) {
-    total_bytes += fot_chunks[k].bytes.size() + sqt_chunks[k].bytes.size() +
-                   seen_parts[k].size();
+    total_bytes += fot_chunks[k].bytes.size() + sqt_chunks[k].bytes.size();
   }
+  total_bytes += seen_order_.size() * kSeenEntryBytes;
   out.reserve(total_bytes);
   auto merge = [&out,
                 &w](const std::vector<ServerShard::ImageChunk>& chunks) {
@@ -1093,9 +925,13 @@ std::vector<uint8_t> ShardRouter::EncodeImage() const {
   merge(fot_chunks);
   merge(sqt_chunks);
 
+  // The dedup table, in ascending-oid order.
   w.U32(static_cast<uint32_t>(seen_seqs_.size()));
-  for (const std::vector<uint8_t>& part : seen_parts) {
-    out.insert(out.end(), part.begin(), part.end());
+  for (ObjectId oid : seen_order_) {
+    const SeenSeqs& seen = seen_seqs_.at(oid);
+    w.I64(oid);
+    for (uint32_t seq : seen.ring) w.U32(seq);
+    w.U8(static_cast<uint8_t>(seen.next));
   }
   return out;
 }

@@ -10,7 +10,6 @@
 #include "mobieyes/common/ids.h"
 #include "mobieyes/common/status.h"
 #include "mobieyes/common/stopwatch.h"
-#include "mobieyes/common/thread_pool.h"
 #include "mobieyes/common/units.h"
 #include "mobieyes/core/options.h"
 #include "mobieyes/core/server_shard.h"
@@ -38,22 +37,14 @@ class ShardTransport;
 // entry, migrates ownership with explicit ShardHandoff messages when a
 // focal object crosses a partition boundary, and funnels every downlink
 // through the wireless network in the exact order the monolith produced.
-// What parallelizes across shards is the step phase: expiry scans, lease
-// scans, and checkpoint-chunk encoding, all shard-local reads.
+// The step phase (expiry scans, lease scans, checkpoint-chunk encoding)
+// walks the shards in shard order and times each shard's slice.
 //
 // Invariant (co-location): a focal object's FOT row and every SQT entry
 // bound to it live on the shard owning the focal's current cell. RQI rows
 // are keyed by cell and never migrate.
 class ShardRouter {
  public:
-  // Coordinator-side traffic of the sharded deployment; all zero with one
-  // shard. Mirrored into NetworkStats::inter_shard_* by the simulation.
-  struct BackplaneStats {
-    uint64_t messages = 0;
-    uint64_t bytes = 0;
-    uint64_t handoffs = 0;  // subset of messages
-  };
-
   ShardRouter(const geo::Grid& grid, const net::BaseStationLayout& layout,
               const net::Bmap& bmap, net::WirelessNetwork& network,
               MobiEyesOptions options);
@@ -83,12 +74,14 @@ class ShardRouter {
   // Home shard of a query / focal object; -1 if unknown.
   int ShardOfQuery(QueryId qid) const;
   int ShardOfFocal(ObjectId oid) const;
-  const BackplaneStats& backplane() const { return backplane_; }
+  // Cross-shard focal migrations so far (kShardHandoff messages delivered
+  // outside WAL replay); zero with one shard. Mirrored into
+  // NetworkStats::inter_shard_handoffs by the simulation.
+  uint64_t handoffs() const { return handoffs_; }
 
   double load_seconds() const { return load_timer_.total_seconds(); }
-  // Wall time of the parallelized step phase (expiry scan, lease scan,
-  // checkpoint encode) — the quantity the shard bench compares across
-  // shard counts.
+  // Wall time of the step phase (expiry scan, lease scan, checkpoint
+  // encode) — the quantity the shard bench compares across shard counts.
   double step_seconds() const { return step_timer_.total_seconds(); }
   void ResetLoadTimer() {
     load_timer_.Reset();
@@ -97,29 +90,18 @@ class ShardRouter {
   }
 
   void set_trace_recorder(obs::TraceRecorder* trace) { trace_ = trace; }
-  // Pool for the per-shard step phase; null (default) runs shards inline.
-  // The pool must outlive the router.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
-  // --- Heat maps & lifecycle (DESIGN.md §12) -------------------------------
+  // --- Heat map & lifecycle (DESIGN.md §12) --------------------------------
   //
-  // Creates one HeatMap per shard over a rows×cols cell raster. Every
-  // charge is attributed to the shard owning the charged *cell* (not the
-  // shard that happened to do the work), so summing the per-shard windows
-  // in fixed shard order yields totals that are byte-identical across
-  // shard counts. Charges are suppressed while replaying a WAL: the
-  // pre-crash run already recorded that work.
-  void EnableHeatmaps(int32_t rows, int32_t cols);
-  // Per-shard map, or nullptr when heat maps are disabled or `k` is not a
-  // shard index.
-  obs::HeatMap* shard_heatmap(int k) {
-    if (k < 0 || static_cast<size_t>(k) >= heatmaps_.size()) return nullptr;
-    return heatmaps_[k].get();
-  }
+  // The heat map the router charges (uplinks, RQI scan work, installs),
+  // always at the cell the charge names, so the charges are the same
+  // whatever the shard count. Charges are suppressed while replaying a
+  // WAL: the pre-crash run already recorded that work. Null (the default)
+  // disables it; the map must outlive the router.
+  void set_heatmap(obs::HeatMap* heatmap) { heatmap_ = heatmap; }
 
-  // Lifecycle latency tap (install->first-result rounds keyed by qid,
-  // handoff rounds keyed by oid); null (the default) disables it. The
-  // tracker must outlive the router.
+  // Lifecycle latency tap (install->first-result rounds keyed by qid); null
+  // (the default) disables it. The tracker must outlive the router.
   void set_lifecycle(obs::LifecycleTracker* lifecycle) {
     lifecycle_ = lifecycle;
   }
@@ -152,11 +134,6 @@ class ShardRouter {
   bool AckAndDedup(ObjectId from, uint32_t seq);
   void RenewLeases();
 
-  // Shard that first receives an uplink: the one owning the reporting
-  // object's cell (per the message's own cell evidence). Cross-shard work
-  // relative to this ingress is what the backplane accounting charges.
-  int IngressShard(const net::Message& message) const;
-
   // Mutable entry lookups through the home indexes.
   SqtEntry* MutableQuery(QueryId qid);
   FotEntry* MutableFocal(ObjectId oid);
@@ -178,13 +155,8 @@ class ShardRouter {
   const std::vector<QueryId>& RqiRow(const geo::CellCoord& cell,
                                      std::vector<QueryId>* scratch);
 
-  // Charges one backplane message to reach `target_shard` from the current
-  // ingress shard (free when local, single-shard, or replaying the WAL).
-  void CountOp(int target_shard, size_t payload_bytes);
-
-  // Adds `n` to `channel` at `cell` on the heat map of the shard owning
-  // that cell. No-op when heat maps are disabled, while replaying a WAL,
-  // or for n == 0.
+  // Adds `n` to `channel` at `cell` on the heat map. No-op when the heat
+  // map is off, while replaying a WAL, or for n == 0.
   void ChargeHeat(obs::HeatMap::Channel channel, const geo::CellCoord& cell,
                   uint64_t n);
   // Cell evidence an uplink carries, for heat-map attribution; false for
@@ -197,10 +169,10 @@ class ShardRouter {
   void BroadcastToRegion(const geo::CellRange& region, net::Message message);
   void SendDownlink(ObjectId to, net::Message message);
 
-  // Runs fn(shard_index) for every shard — on the pool when attached and
-  // multi-shard, inline otherwise — and emits per-shard trace spans (tid =
-  // shard id + 1) from the calling thread after joining. Const: it mutates
-  // no router state (workers touch only their own shard's slice).
+  // Runs fn(shard_index) for every shard in shard order, adding each
+  // call's wall time to that shard's Stats::step_micros, under a
+  // `span_name` trace span per shard when multi-shard. Const: it mutates
+  // no router state.
   template <typename Fn>
   void ForEachShard(const char* span_name, const Fn& fn) const;
 
@@ -234,26 +206,23 @@ class ShardRouter {
   // Keys of seen_seqs_, kept sorted incrementally (an object enters once,
   // on its first reliable uplink). Checkpoints write the dedup table in
   // ascending-oid order; maintaining the order here turns the encoder's
-  // per-checkpoint key sort into a contiguous range walk that parallelizes
-  // across shards.
+  // per-checkpoint key sort into a range walk.
   std::vector<ObjectId> seen_order_;
 
   Snapshot* store_ = nullptr;
   bool replaying_ = false;    // inside Restore's WAL replay: suppress sends
   bool dispatching_ = false;  // inside OnUplink: the WAL already has this
 
-  int ctx_shard_ = 0;  // ingress shard of the uplink being dispatched
-  BackplaneStats backplane_;
+  uint64_t handoffs_ = 0;
   ShardTransport* transport_ = nullptr;
 
   // Per-step scratch, reused so the hot server phases allocate nothing at
-  // steady state: the per-shard scan outputs and their merge vector
-  // (AdvanceTime / RenewLeases), the RQI row-diff buffers
-  // (HandleCellChange), and the reconcile expected/known sets
-  // (HandleLqtReconcile). Dispatch is serial and none of the users can
-  // re-enter itself through the synchronous network, so one copy suffices.
-  std::vector<std::vector<QueryId>> scan_per_shard_;
-  std::vector<QueryId> scan_merged_;
+  // steady state: the step-phase scan output (AdvanceTime / RenewLeases),
+  // the RQI row-diff buffers (HandleCellChange), and the reconcile
+  // expected/known sets (HandleLqtReconcile). Dispatch is serial and none
+  // of the users can re-enter itself through the synchronous network, so
+  // one copy suffices.
+  std::vector<QueryId> scan_out_;
   std::vector<QueryId> diff_scratch_;
   std::vector<QueryId> diff_out_;
   std::vector<QueryId> reconcile_expected_;
@@ -265,10 +234,8 @@ class ShardRouter {
 
   ReentrantTimer load_timer_;
   ReentrantTimer step_timer_;
-  ThreadPool* pool_ = nullptr;
   obs::TraceRecorder* trace_ = nullptr;
-  // One heat map per shard (empty unless EnableHeatmaps was called).
-  std::vector<std::unique_ptr<obs::HeatMap>> heatmaps_;
+  obs::HeatMap* heatmap_ = nullptr;
   obs::LifecycleTracker* lifecycle_ = nullptr;
 };
 

@@ -194,9 +194,10 @@ struct ShardQueryState {
 
 // Server-internal handoff migrating a focal object — its FOT row and every
 // query bound to it — from one shard to the cell's new owner when the focal
-// crosses a partition boundary. Never traverses the wireless network:
-// the ShardRouter delivers it on the coordinator backplane, where it is
-// accounted in NetworkStats::inter_shard_* using this wire encoding's size.
+// crosses a partition boundary. Never traverses the wireless network: the
+// ShardRouter delivers it in memory (and mirrors it to the shard daemons
+// under the process transport), counting it in
+// NetworkStats::inter_shard_handoffs.
 struct ShardHandoff {
   int32_t from_shard = 0;
   int32_t to_shard = 0;

@@ -22,8 +22,6 @@ NetworkStats& NetworkStats::operator+=(const NetworkStats& other) {
   delayed_messages += other.delayed_messages;
   duplicated_messages += other.duplicated_messages;
   disconnect_events += other.disconnect_events;
-  inter_shard_messages += other.inter_shard_messages;
-  inter_shard_bytes += other.inter_shard_bytes;
   inter_shard_handoffs += other.inter_shard_handoffs;
   for (size_t k = 0; k < kNumMessageTypes; ++k) {
     messages_by_type[k] += other.messages_by_type[k];

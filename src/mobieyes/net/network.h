@@ -65,14 +65,11 @@ struct NetworkStats {
   uint64_t duplicated_messages = 0;
   uint64_t disconnect_events = 0;  // objects entering a disconnect window
 
-  // --- Inter-shard backplane (DESIGN.md §10; always zero with one shard).
-  // Coordinator-to-shard traffic of the partitioned server: ownership
-  // handoffs plus cross-shard reads/updates. This is server-internal
-  // bandwidth — it never rides the wireless medium, so it is excluded from
-  // total_messages() and from the per-type wireless counters above.
-  uint64_t inter_shard_messages = 0;
-  uint64_t inter_shard_bytes = 0;
-  uint64_t inter_shard_handoffs = 0;  // subset of inter_shard_messages
+  // Cross-shard focal handoffs of the partitioned server (DESIGN.md §10;
+  // always zero with one shard). Server-internal — a handoff never rides
+  // the wireless medium, so it is excluded from total_messages() and from
+  // the per-type wireless counters above.
+  uint64_t inter_shard_handoffs = 0;
 
   // Transmissions on the medium by MessageType (all directions); summing
   // this array always equals total_messages().

@@ -1,7 +1,6 @@
 #include "mobieyes/obs/heatmap.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 
 namespace mobieyes::obs {
@@ -30,17 +29,11 @@ const char* HeatMap::ChannelName(Channel channel) {
       return "rqi_scan";
     case kInstalls:
       return "installs";
-    case kHandoffs:
-      return "handoffs";
     case kResidency:
       return "residency";
     default:
       return "unknown";
   }
-}
-
-bool HeatMap::ChannelLayoutDependent(Channel channel) {
-  return channel == kHandoffs;
 }
 
 HeatMap::HeatMap(int32_t rows, int32_t cols) : rows_(rows), cols_(cols) {
@@ -49,19 +42,6 @@ HeatMap::HeatMap(int32_t rows, int32_t cols) : rows_(rows), cols_(cols) {
     window_[c].assign(cells, 0);
     total_[c].assign(cells, 0);
     decayed_[c].assign(cells, 0.0);
-  }
-}
-
-void HeatMap::MergeWindowFrom(HeatMap& shard) {
-  assert(shard.rows_ == rows_ && shard.cols_ == cols_);
-  const size_t cells = window_[0].size();
-  for (int c = 0; c < kNumChannels; ++c) {
-    uint64_t* ours = window_[c].data();
-    uint64_t* theirs = shard.window_[c].data();
-    for (size_t k = 0; k < cells; ++k) {
-      ours[k] += theirs[k];
-      theirs[k] = 0;
-    }
   }
 }
 
@@ -98,21 +78,15 @@ uint64_t HeatMap::ChannelSum(Channel channel) const {
   return sum;
 }
 
-std::string HeatMap::ToJson(bool include_layout_dependent) const {
+std::string HeatMap::ToJson() const {
   std::string json = "{\"rows\": " + std::to_string(rows_) +
                      ", \"cols\": " + std::to_string(cols_) +
                      ", \"rolls\": " + std::to_string(rolls_) +
                      ", \"channels\": {";
-  bool first = true;
   for (int c = 0; c < kNumChannels; ++c) {
-    const auto channel = static_cast<Channel>(c);
-    if (ChannelLayoutDependent(channel) && !include_layout_dependent) {
-      continue;
-    }
-    if (!first) json += ", ";
-    first = false;
+    if (c > 0) json += ", ";
     json += '"';
-    json += ChannelName(channel);
+    json += ChannelName(static_cast<Channel>(c));
     json += "\": {\"total\": [";
     const size_t cells = total_[c].size();
     for (size_t k = 0; k < cells; ++k) {

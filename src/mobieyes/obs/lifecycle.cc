@@ -10,8 +10,6 @@ const char* LifecycleTracker::KindName(Kind kind) {
       return "uplink_ack";
     case kInstallFirstResult:
       return "install_first_result";
-    case kHandoff:
-      return "handoff";
     case kCrashRestore:
       return "crash_restore";
     case kCrashReconverge:
@@ -26,7 +24,7 @@ const char* LifecycleTracker::KindName(Kind kind) {
 bool LifecycleTracker::KindLayoutDependent(Kind kind) {
   // Backplane RPC rounds only exist with the process transport and resolve
   // at socket speed — real-deployment visibility, not simulation state.
-  return kind == kHandoff || kind == kBackplaneRpc;
+  return kind == kBackplaneRpc;
 }
 
 LifecycleTracker::LifecycleTracker()

@@ -26,16 +26,15 @@ namespace mobieyes::obs {
 //  * Stamps still pending at export are *counted* (the `pending` field),
 //    never silently leaked.
 //
-// The handoff kind only fires when shards > 1 and depends on the
-// partition; like HeatMap's handoffs channel it is flagged
-// layout-dependent and omitted from deterministic exports.
+// The backplane RPC kind only fires under the process transport and
+// resolves at socket speed, so it is flagged layout-dependent and omitted
+// from deterministic exports.
 class LifecycleTracker {
  public:
   enum Kind {
     kUplinkRoundTrip = 0,  // net uplink sent -> next downlink to the sender
     kUplinkAck,            // hardened client uplink -> matching server ack
     kInstallFirstResult,   // query installed -> first object enters result
-    kHandoff,              // focal migration start -> ownership adopted
     kCrashRestore,         // server crash -> checkpoint+WAL restore done
     kCrashReconverge,      // server crash -> accuracy back above threshold
     kBackplaneRpc,         // backplane frame sent -> ack (drop on timeout)

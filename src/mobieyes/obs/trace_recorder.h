@@ -44,14 +44,6 @@ class TraceRecorder {
     events_.push_back(TraceEvent{name, cat, ts_us, dur_us, pid_, 0});
   }
 
-  // Like AddComplete but on an explicit tid track. The sharded server tags
-  // per-shard spans with tid = shard id + 1 (tid 0 stays the main track);
-  // workers only read NowMicros, the owning thread appends after joining.
-  void AddCompleteOnTid(const char* name, const char* cat, uint64_t ts_us,
-                        uint64_t dur_us, int32_t tid) {
-    events_.push_back(TraceEvent{name, cat, ts_us, dur_us, pid_, tid});
-  }
-
   const std::vector<TraceEvent>& events() const { return events_; }
   std::vector<TraceEvent> TakeEvents();
   void Clear() { events_.clear(); }

@@ -19,16 +19,9 @@ struct RunMetrics {
   // Wall time spent in server-side logic (Figs. 1, 3).
   double server_seconds = 0.0;
   // Subset of server_seconds spent in the step phase (expiry/lease scans,
-  // checkpoint encoding) — the work that parallelizes across server shards
-  // and that the shard bench compares across --shards (DESIGN.md §10).
+  // checkpoint encoding) — the per-shard work the shard bench compares
+  // across --shards (DESIGN.md §10).
   double server_step_seconds = 0.0;
-  // Per-shard split of server_step_seconds: the summed time of all shard
-  // bodies (the parallelizable portion) and the largest single-shard share
-  // (the critical path). step - sum + max estimates a perfectly parallel
-  // step, which is how the shard bench reports speedup independently of
-  // how many hardware threads the measuring machine has.
-  double server_step_shard_seconds = 0.0;
-  double server_step_max_shard_seconds = 0.0;
 
   // Network totals for the measured window (Figs. 4-8).
   net::NetworkStats network;

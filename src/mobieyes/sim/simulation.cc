@@ -1,6 +1,5 @@
 #include "mobieyes/sim/simulation.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -101,14 +100,8 @@ Status Simulation::Setup() {
     server_ = std::make_unique<core::MobiEyesServer>(*grid_, *layout_, *bmap_,
                                                      *network_, options);
     server_->set_trace_recorder(trace_.get());
-    if (heatmap_) {
-      server_->EnableHeatmaps(grid_->rows(), grid_->columns());
-    }
+    server_->set_heatmap(heatmap_.get());
     if (lifecycle_) server_->set_lifecycle(lifecycle_.get());
-    if (config_.shard_threads > 1 && server_->num_shards() > 1) {
-      shard_pool_ = std::make_unique<ThreadPool>(config_.shard_threads);
-      server_->set_thread_pool(shard_pool_.get());
-    }
     network_->set_server_handler(
         [this](ObjectId from, const net::Message& message) {
           // server_ is null while the process is crashed; the fault layer
@@ -278,15 +271,6 @@ void Simulation::ResetMeasurement() {
   if (heatmap_) {
     heatmap_->Reset();
     heatmap_pending_steps_ = 0;
-    // Setup/warmup charges still sitting unmerged in the per-shard windows
-    // must not bleed into the first measured window.
-    if (server_) {
-      for (int s = 0; s < server_->num_shards(); ++s) {
-        if (obs::HeatMap* shard_map = server_->shard_heatmap(s)) {
-          shard_map->Reset();
-        }
-      }
-    }
   }
   if (lifecycle_) lifecycle_->Reset();
   cursor_ = StepCursor{};
@@ -325,15 +309,6 @@ void Simulation::Run(int steps) {
 }
 
 void Simulation::RecordHeatmap(int64_t step) {
-  // Fixed shard order 0..N-1: integer window counters make the merged map
-  // identical for any partition of the same charges.
-  if (server_) {
-    for (int s = 0; s < server_->num_shards(); ++s) {
-      if (obs::HeatMap* shard_map = server_->shard_heatmap(s)) {
-        heatmap_->MergeWindowFrom(*shard_map);
-      }
-    }
-  }
   ++heatmap_pending_steps_;
   const int window = config_.obs.heatmap_window > 0
                          ? config_.obs.heatmap_window
@@ -417,7 +392,7 @@ void Simulation::RecordStepObservations(int64_t step) {
 
   // Per-shard operational gauges (timing-flagged: their values depend on the
   // shard layout, and deterministic exports must be identical across
-  // --shards). Names are shard_id-tagged, e.g. "shard.02.uplinks".
+  // --shards). Names are shard_id-tagged, e.g. "shard.02.queries".
   if (registry_ != nullptr && server_ != nullptr &&
       server_->num_shards() > 1) {
     const core::ShardRouter& router = server_->router();
@@ -426,8 +401,6 @@ void Simulation::RecordStepObservations(int64_t step) {
       char tag[24];
       std::snprintf(tag, sizeof(tag), "shard.%02d.", s);
       std::string prefix(tag);
-      registry_->GetGauge(prefix + "uplinks", /*timing=*/true)
-          ->Set(static_cast<double>(shard.stats().uplinks_routed));
       registry_->GetGauge(prefix + "handoffs_in", /*timing=*/true)
           ->Set(static_cast<double>(shard.stats().handoffs_in));
       registry_->GetGauge(prefix + "handoffs_out", /*timing=*/true)
@@ -435,35 +408,6 @@ void Simulation::RecordStepObservations(int64_t step) {
       registry_->GetGauge(prefix + "queries", /*timing=*/true)
           ->Set(static_cast<double>(shard.sqt().size()));
     }
-    // Imbalance gauges: the partition's scheduler-facing scalars, derived
-    // from the same per-shard numbers. step_cost ratios use the cumulative
-    // per-shard step-phase wall time; uplink share is the hottest shard's
-    // fraction of all routed uplinks. Timing-flagged like the per-shard
-    // gauges (values depend on the layout and the clock).
-    uint64_t uplinks_total = 0;
-    uint64_t uplinks_max = 0;
-    uint64_t step_us_total = 0;
-    uint64_t step_us_max = 0;
-    for (int s = 0; s < router.num_shards(); ++s) {
-      const core::ServerShard::Stats& stats = router.shard(s).stats();
-      uplinks_total += stats.uplinks_routed;
-      uplinks_max = std::max(uplinks_max, stats.uplinks_routed);
-      step_us_total += stats.step_micros;
-      step_us_max = std::max(step_us_max, stats.step_micros);
-    }
-    const double n_shards = static_cast<double>(router.num_shards());
-    const double mean_step_us =
-        static_cast<double>(step_us_total) / n_shards;
-    registry_->GetGauge("shard.imbalance.step_cost_max_over_mean",
-                        /*timing=*/true)
-        ->Set(mean_step_us > 0.0
-                  ? static_cast<double>(step_us_max) / mean_step_us
-                  : 1.0);
-    registry_->GetGauge("shard.imbalance.max_uplink_share", /*timing=*/true)
-        ->Set(uplinks_total > 0
-                  ? static_cast<double>(uplinks_max) /
-                        static_cast<double>(uplinks_total)
-                  : 1.0 / n_shards);
   }
 
   // Process-transport backplane gauges: per-peer send-queue depth plus the
@@ -608,13 +552,10 @@ void Simulation::RestoreServer() {
   server_ = std::make_unique<core::MobiEyesServer>(
       *grid_, *layout_, *bmap_, *network_, resolved_mobieyes_);
   server_->set_trace_recorder(trace_.get());
-  if (shard_pool_) server_->set_thread_pool(shard_pool_.get());
-  // Re-wire the observability taps the dead process owned. Fresh (empty)
-  // per-shard heat maps: the global map already holds everything merged
-  // through the last completed step, and replay suppresses new charges.
-  if (heatmap_) {
-    server_->EnableHeatmaps(grid_->rows(), grid_->columns());
-  }
+  // Re-wire the observability taps the dead process held. The heat map
+  // outlives the server and keeps everything charged before the crash;
+  // replay suppresses new charges.
+  server_->set_heatmap(heatmap_.get());
   if (lifecycle_) server_->set_lifecycle(lifecycle_.get());
   size_t replayed = 0;
   Status status = server_->Restore(snapshot_store_, &replayed);
@@ -648,23 +589,10 @@ RunMetrics Simulation::metrics() const {
   if (server_) {
     snapshot.server_seconds = server_->load_seconds();
     snapshot.server_step_seconds = server_->step_seconds();
-    for (int s = 0; s < server_->num_shards(); ++s) {
-      double shard_seconds =
-          static_cast<double>(server_->router().shard(s).stats().step_micros) *
-          1e-6;
-      snapshot.server_step_shard_seconds += shard_seconds;
-      if (shard_seconds > snapshot.server_step_max_shard_seconds) {
-        snapshot.server_step_max_shard_seconds = shard_seconds;
-      }
-    }
-    // Coordinator-backplane traffic lives in the router, not the wireless
-    // network; surface it through the same stats struct (it is excluded
-    // from total_messages(), so the wireless figures are unaffected).
-    const core::ShardRouter::BackplaneStats& backplane =
-        server_->router().backplane();
-    snapshot.network.inter_shard_messages = backplane.messages;
-    snapshot.network.inter_shard_bytes = backplane.bytes;
-    snapshot.network.inter_shard_handoffs = backplane.handoffs;
+    // Handoffs live in the router, not the wireless network; surface them
+    // through the same stats struct (excluded from total_messages(), so the
+    // wireless figures are unaffected).
+    snapshot.network.inter_shard_handoffs = server_->router().handoffs();
   }
   // The open WAL window's refusals, not yet folded by a checkpoint.
   snapshot.wal_records_dropped +=
@@ -760,10 +688,11 @@ std::string Simulation::ObservabilityJson(bool include_timing) const {
   json += registry_ ? registry_->ToJson(include_timing) : "{}";
   json += ", \"series\": ";
   json += sampler_ ? sampler_->ToJson(include_timing) : "{}";
-  // Layout-dependent channels/kinds follow the timing flag: deterministic
-  // exports must be identical across shard and thread counts.
+  // Layout-dependent lifecycle kinds follow the timing flag: deterministic
+  // exports must be identical across shard and thread counts and
+  // transports.
   json += ", \"heatmap\": ";
-  json += heatmap_ ? heatmap_->ToJson(include_timing) : "{}";
+  json += heatmap_ ? heatmap_->ToJson() : "{}";
   json += ", \"lifecycle\": ";
   json += lifecycle_ ? lifecycle_->ToJson(include_timing) : "{}";
   json += '}';

@@ -10,7 +10,6 @@
 #include "mobieyes/baseline/query_index.h"
 #include "mobieyes/common/random.h"
 #include "mobieyes/common/status.h"
-#include "mobieyes/common/thread_pool.h"
 #include "mobieyes/core/client.h"
 #include "mobieyes/core/client_fleet.h"
 #include "mobieyes/core/options.h"
@@ -62,15 +61,14 @@ struct ObservabilityOptions {
   // ring buffer of `sample_capacity` rows; 0 disables the sampler.
   int sample_stride = 0;
   size_t sample_capacity = 4096;
-  // Per-grid-cell heat maps (uplinks, RQI scan work, installs, handoffs,
-  // object residency; MobiEyes modes only). Per-shard windows merge into
-  // one global map each step; every heatmap_window steps the window is
-  // folded into an exponentially decayed view with factor heatmap_decay.
+  // Per-grid-cell heat map (uplinks, RQI scan work, installs, object
+  // residency; MobiEyes modes only). Every heatmap_window steps the window
+  // is folded into an exponentially decayed view with factor heatmap_decay.
   bool enable_heatmap = false;
   int heatmap_window = 16;
   double heatmap_decay = 0.5;
   // Virtual-step protocol-round latencies (uplink round trips, client ack
-  // rounds, install->first-result, handoffs, crash recovery), measured on
+  // rounds, install->first-result, crash recovery), measured on
   // the simulation's step clock — no wall time, so exports stay
   // deterministic.
   bool enable_lifecycle = false;
@@ -109,11 +107,6 @@ struct SimulationConfig {
   // once full, newer uplinks go unlogged and the restored state is stale.
   int checkpoint_stride = 0;
   size_t wal_limit = 4096;
-  // Worker threads for the server's per-shard step phase (expiry/lease
-  // scans, checkpoint encoding). Only meaningful with
-  // mobieyes.sharding.num_shards > 1; 1 (the default) steps shards inline.
-  // Orthogonal to the sweep harness's cell-level --threads parallelism.
-  int shard_threads = 1;
   // Shard transport (MobiEyes modes with num_shards > 1). kInProcess (the
   // default) keeps shards as in-memory state containers — the existing
   // byte-identical path. kProcess additionally runs one daemon process per
@@ -197,7 +190,8 @@ class Simulation {
   obs::MetricsRegistry* metrics_registry() { return registry_.get(); }
   obs::TraceRecorder* trace_recorder() { return trace_.get(); }
   obs::StepSampler* step_sampler() { return sampler_.get(); }
-  // The global (merged) heat map and the shared lifecycle tracker.
+  // The heat map and the lifecycle tracker, shared by network, clients and
+  // server.
   obs::HeatMap* heatmap() { return heatmap_.get(); }
   const obs::HeatMap* heatmap() const { return heatmap_.get(); }
   // Close a partially filled heat-map window: take the residency snapshot
@@ -236,9 +230,8 @@ class Simulation {
   // Feeds per-step histograms and the sampler after measured step `step`
   // (0-based); called only when some observability component is on.
   void RecordStepObservations(int64_t step);
-  // Merges the per-shard heat-map windows into the global map (fixed shard
-  // order) after measured step `step`, and at window boundaries snapshots
-  // object residency and rolls the decayed view.
+  // Counts measured step `step` into the open heat-map window, and at
+  // window boundaries snapshots object residency and rolls the decayed view.
   void RecordHeatmap(int64_t step);
   // Window-boundary work shared by RecordHeatmap and FlushHeatmap: the
   // residency snapshot plus RollWindow, clearing the pending-step count.
@@ -263,13 +256,11 @@ class Simulation {
   int64_t sim_step_ = 0;  // fault clock: counts every step incl. warmup
   std::unique_ptr<ExactOracle> oracle_;
 
-  // MobiEyes deployment (modes kMobiEyesEager / kMobiEyesLazy). The shard
-  // pool (null unless config.shard_threads > 1 with a multi-shard server) is
-  // declared before server_ so the server never outlives its worker pool.
-  // Likewise the supervisor (null unless shard_transport == kProcess with a
-  // multi-shard server): its daemons outlive any one server incarnation —
-  // a crash/restore re-attaches the new router and forces a full resync.
-  std::unique_ptr<ThreadPool> shard_pool_;
+  // MobiEyes deployment (modes kMobiEyesEager / kMobiEyesLazy). The
+  // supervisor (null unless shard_transport == kProcess with a multi-shard
+  // server) is declared before server_: its daemons outlive any one server
+  // incarnation — a crash/restore re-attaches the new router and forces a
+  // full resync.
   std::unique_ptr<core::ShardSupervisor> supervisor_;
   std::unique_ptr<core::MobiEyesServer> server_;
   std::unique_ptr<core::ClientFleet> fleet_;
@@ -304,10 +295,11 @@ class Simulation {
   std::unique_ptr<obs::MetricsRegistry> registry_;
   std::unique_ptr<obs::TraceRecorder> trace_;
   std::unique_ptr<obs::StepSampler> sampler_;
-  // Global merged heat map (created once the grid exists) and the lifecycle
-  // tracker shared by network, clients and server.
+  // Heat map (created once the grid exists; the server charges it through
+  // a pointer) and the lifecycle tracker shared by network, clients and
+  // server.
   std::unique_ptr<obs::HeatMap> heatmap_;
-  int64_t heatmap_pending_steps_ = 0;  // steps merged since the last roll
+  int64_t heatmap_pending_steps_ = 0;  // steps counted since the last roll
   std::unique_ptr<obs::LifecycleTracker> lifecycle_;
   // Pre-resolved per-step histograms (owned by registry_).
   obs::Histogram* lqt_hist_ = nullptr;

@@ -409,8 +409,7 @@ TEST(ProcessTransportTest, MatchesInProcessByteForByte) {
             (*b)->ObservabilityJson(/*include_timing=*/false));
   ASSERT_NE((*a)->heatmap(), nullptr);
   ASSERT_NE((*b)->heatmap(), nullptr);
-  EXPECT_EQ((*a)->heatmap()->ToJson(/*include_layout_dependent=*/false),
-            (*b)->heatmap()->ToJson(/*include_layout_dependent=*/false));
+  EXPECT_EQ((*a)->heatmap()->ToJson(), (*b)->heatmap()->ToJson());
   EXPECT_EQ(ResultsOf((*a).get()), ResultsOf((*b).get()));
 
   // Every replica kept pace: acks verified, no timeouts, no mismatches.
@@ -521,8 +520,7 @@ TEST(AuthorityModeTest, MatchesInProcessByteForByte) {
 
     EXPECT_EQ((*a)->ObservabilityJson(/*include_timing=*/false),
               (*b)->ObservabilityJson(/*include_timing=*/false));
-    EXPECT_EQ((*a)->heatmap()->ToJson(/*include_layout_dependent=*/false),
-              (*b)->heatmap()->ToJson(/*include_layout_dependent=*/false));
+    EXPECT_EQ((*a)->heatmap()->ToJson(), (*b)->heatmap()->ToJson());
     EXPECT_EQ(ResultsOf((*a).get()), ResultsOf((*b).get()));
 
     sim::RunMetrics metrics = (*b)->metrics();

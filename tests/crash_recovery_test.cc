@@ -379,7 +379,9 @@ TEST(SimulationCrashTest, RecoversUnderMessageLoss) {
 // duplicates, client cold-restarts and a server crash all active, every
 // stamp must be accounted for — resolved, cancelled or still pending at
 // export — never silently leaked, and duplicate terminal events must not
-// inflate the resolved counts past the stamped ones.
+// inflate the resolved counts past the stamped ones. The heat map must
+// survive the same run: the restored server charges it again, and the
+// export does not depend on the shard count.
 TEST(SimulationCrashTest, LifecycleAccountingSurvivesFaultsAndCrash) {
   sim::SimulationConfig config = SmallCrashConfig();
   config.faults.uplink_drop_rate = 0.15;
@@ -394,7 +396,16 @@ TEST(SimulationCrashTest, LifecycleAccountingSurvivesFaultsAndCrash) {
 
   auto simulation = sim::Simulation::Make(config);
   ASSERT_TRUE(simulation.ok()) << simulation.status().ToString();
-  (*simulation)->Run(24);
+  // After 2 warmup steps, the crash lands in measured step 6 and the
+  // restore in measured step 8, the 9th.
+  (*simulation)->Run(9);
+  ASSERT_NE((*simulation)->server(), nullptr);
+  const obs::HeatMap* heatmap = (*simulation)->heatmap();
+  ASSERT_NE(heatmap, nullptr);
+  const uint64_t uplinks_at_restore =
+      heatmap->ChannelSum(obs::HeatMap::kUplinks);
+  EXPECT_GT(uplinks_at_restore, 0u);
+  (*simulation)->Run(15);
   const obs::LifecycleTracker* lifecycle = (*simulation)->lifecycle();
   ASSERT_NE(lifecycle, nullptr);
   for (int k = 0; k < obs::LifecycleTracker::kNumKinds; ++k) {
@@ -418,12 +429,22 @@ TEST(SimulationCrashTest, LifecycleAccountingSurvivesFaultsAndCrash) {
   EXPECT_GT(lifecycle->restamped(obs::LifecycleTracker::kUplinkAck) +
                 lifecycle->cancelled(obs::LifecycleTracker::kUplinkAck),
             0u);
-  // Heat maps stayed coherent across the crash/restore re-wiring: charges
-  // landed both before and after the restore.
-  const obs::HeatMap* heatmap = (*simulation)->heatmap();
-  ASSERT_NE(heatmap, nullptr);
-  EXPECT_GT(heatmap->ChannelSum(obs::HeatMap::kUplinks), 0u);
+  // RestoreServer re-wired the heat map: uplinks kept landing after the
+  // restore step.
+  EXPECT_GT(heatmap->ChannelSum(obs::HeatMap::kUplinks), uplinks_at_restore);
   EXPECT_GT(heatmap->ChannelSum(obs::HeatMap::kResidency), 0u);
+
+  // The same crash run on 4 shards exports the same heat map, byte for
+  // byte.
+  sim::SimulationConfig sharded_config = config;
+  sharded_config.mobieyes.sharding.num_shards = 4;
+  auto sharded = sim::Simulation::Make(sharded_config);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  (*sharded)->Run(24);
+  EXPECT_EQ((*sharded)->metrics().server_crashes, 1);
+  (*simulation)->FlushHeatmap();
+  (*sharded)->FlushHeatmap();
+  EXPECT_EQ((*sharded)->heatmap()->ToJson(), heatmap->ToJson());
 }
 
 // A cold-restarted client rebuilds its LQT through the reconciliation path:

@@ -401,34 +401,6 @@ TEST(TraceRecorderTest, NullRecorderIsNoOpAndSetPidRestamps) {
 // ---------------------------------------------------------------------------
 // HeatMap
 
-TEST(HeatMapTest, ShardMergeMatchesMonolithicCharges) {
-  // The same charges, split across two shard maps vs applied to one map
-  // directly, must merge to identical windows (the §12 determinism
-  // contract: integer window addition commutes across partitions).
-  HeatMap mono(4, 4);
-  HeatMap shard0(4, 4);
-  HeatMap shard1(4, 4);
-  for (int k = 0; k < 10; ++k) {
-    int32_t i = k % 4;
-    int32_t j = (k * 3) % 4;
-    mono.Add(HeatMap::kUplinks, i, j);
-    (k % 2 == 0 ? shard0 : shard1).Add(HeatMap::kUplinks, i, j);
-  }
-  HeatMap merged(4, 4);
-  merged.MergeWindowFrom(shard0);
-  merged.MergeWindowFrom(shard1);
-  for (int32_t j = 0; j < 4; ++j) {
-    for (int32_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(merged.window(HeatMap::kUplinks, i, j),
-                mono.window(HeatMap::kUplinks, i, j));
-      // MergeWindowFrom drains the shard windows.
-      EXPECT_EQ(shard0.window(HeatMap::kUplinks, i, j), 0u);
-      EXPECT_EQ(shard1.window(HeatMap::kUplinks, i, j), 0u);
-    }
-  }
-  EXPECT_EQ(merged.ChannelSum(HeatMap::kUplinks), 10u);
-}
-
 TEST(HeatMapTest, RollWindowFoldsIntoTotalsAndDecayedView) {
   HeatMap map(2, 2);
   map.Add(HeatMap::kResidency, 0, 0, 8);
@@ -449,25 +421,22 @@ TEST(HeatMapTest, RollWindowFoldsIntoTotalsAndDecayedView) {
   EXPECT_EQ(map.decayed(HeatMap::kResidency, 0, 0), 0.0);
 }
 
-TEST(HeatMapTest, JsonExcludesLayoutDependentChannels) {
+TEST(HeatMapTest, JsonListsEveryChannelRowMajor) {
   HeatMap map(2, 3);
   map.Add(HeatMap::kUplinks, 1, 0, 4);
-  map.Add(HeatMap::kHandoffs, 2, 1, 7);
 
-  auto full = ParseJsonOrDie(map.ToJson(/*include_layout_dependent=*/true));
-  ASSERT_NE(full, nullptr);
-  EXPECT_EQ(full->object.at("rows").number, 2.0);
-  EXPECT_EQ(full->object.at("cols").number, 3.0);
-  const JsonValue& channels = full->object.at("channels");
-  EXPECT_TRUE(channels.object.contains("handoffs"));
+  auto json = ParseJsonOrDie(map.ToJson());
+  ASSERT_NE(json, nullptr);
+  EXPECT_EQ(json->object.at("rows").number, 2.0);
+  EXPECT_EQ(json->object.at("cols").number, 3.0);
+  const JsonValue& channels = json->object.at("channels");
+  EXPECT_EQ(channels.object.size(), static_cast<size_t>(HeatMap::kNumChannels));
+  for (const char* name : {"uplinks", "rqi_scan", "installs", "residency"}) {
+    EXPECT_TRUE(channels.object.contains(name)) << name;
+  }
   const JsonValue& uplinks = channels.object.at("uplinks");
   ASSERT_EQ(uplinks.object.at("window").array.size(), 6u);
   EXPECT_EQ(uplinks.object.at("window").array[1].number, 4.0);  // flat 0*3+1
-
-  auto det = ParseJsonOrDie(map.ToJson(/*include_layout_dependent=*/false));
-  ASSERT_NE(det, nullptr);
-  EXPECT_FALSE(det->object.at("channels").object.contains("handoffs"));
-  EXPECT_TRUE(det->object.at("channels").object.contains("uplinks"));
 }
 
 TEST(HeatMapTest, AsciiAndCsvRenderNonEmptyCells) {
@@ -547,23 +516,23 @@ TEST(LifecycleTrackerTest, JsonCountsPendingAndFiltersLayoutDependent) {
   LifecycleTracker tracker;
   tracker.set_step(1);
   tracker.Stamp(LifecycleTracker::kUplinkAck, 1);  // left pending
-  tracker.Stamp(LifecycleTracker::kHandoff, 2);
-  tracker.ResolveIfPending(LifecycleTracker::kHandoff, 2);
+  tracker.Stamp(LifecycleTracker::kBackplaneRpc, 2);
+  tracker.ResolveIfPending(LifecycleTracker::kBackplaneRpc, 2);
 
   auto full = ParseJsonOrDie(tracker.ToJson(/*include_layout_dependent=*/true));
   ASSERT_NE(full, nullptr);
   const JsonValue& kinds = full->object.at("kinds");
   EXPECT_EQ(kinds.object.at("uplink_ack").object.at("pending").number, 1.0);
-  EXPECT_TRUE(kinds.object.contains("handoff"));
+  EXPECT_TRUE(kinds.object.contains("backplane_rpc"));
 
   auto det = ParseJsonOrDie(tracker.ToJson(/*include_layout_dependent=*/false));
   ASSERT_NE(det, nullptr);
-  EXPECT_FALSE(det->object.at("kinds").object.contains("handoff"));
+  EXPECT_FALSE(det->object.at("kinds").object.contains("backplane_rpc"));
   EXPECT_TRUE(det->object.at("kinds").object.contains("uplink_round_trip"));
 
   tracker.Reset();
   EXPECT_EQ(tracker.pending(LifecycleTracker::kUplinkAck), 0u);
-  EXPECT_EQ(tracker.resolved(LifecycleTracker::kHandoff), 0u);
+  EXPECT_EQ(tracker.resolved(LifecycleTracker::kBackplaneRpc), 0u);
 }
 
 }  // namespace

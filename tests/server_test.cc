@@ -34,10 +34,8 @@ TEST(ServerTest, InstallQueryPopulatesServerState) {
   EXPECT_DOUBLE_EQ(focal->state.pos.x, 55.0);
 
   // RQI registered over the monitoring region.
-  EXPECT_EQ(deployment.server().rqi().QueriesForCell(CellCoord{5, 5}).size(),
-            1u);
-  EXPECT_TRUE(
-      deployment.server().rqi().QueriesForCell(CellCoord{0, 0}).empty());
+  EXPECT_EQ(deployment.server().QueriesForCell(CellCoord{5, 5}).size(), 1u);
+  EXPECT_TRUE(deployment.server().QueriesForCell(CellCoord{0, 0}).empty());
 }
 
 TEST(ServerTest, InstallQuerySetsClientState) {
@@ -122,8 +120,7 @@ TEST(ServerTest, RemoveQueryClearsServerAndClients) {
   EXPECT_EQ(deployment.server().FindFocal(0), nullptr);
   EXPECT_FALSE(deployment.client(0).has_mq());
   EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
-  EXPECT_TRUE(
-      deployment.server().rqi().QueriesForCell(CellCoord{5, 5}).empty());
+  EXPECT_TRUE(deployment.server().QueriesForCell(CellCoord{5, 5}).empty());
   EXPECT_EQ(deployment.server().RemoveQuery(*qid).code(),
             StatusCode::kNotFound);
 }

@@ -140,13 +140,16 @@ TEST(ShardRouterTest, BoundaryWalkKeepsShardedServerEquivalentToMonolith) {
       EXPECT_NE(router.shard(home).FindQuery(qid), nullptr) << context;
     }
     // RQI row equality on every cell: the sharded slices, read through the
-    // router, must reproduce the monolith's rows element-for-element (order
-    // included — broadcast order depends on it).
+    // router and through the server facade, must reproduce the monolith's
+    // rows element-for-element (order included — broadcast order depends
+    // on it).
     const geo::Grid& grid = mono.grid();
     for (int32_t j = 0; j < grid.rows(); ++j) {
       for (int32_t i = 0; i < grid.columns(); ++i) {
-        EXPECT_EQ(router.QueriesForCell({i, j}),
-                  mono.server().rqi().QueriesForCell({i, j}))
+        const std::vector<QueryId>& want = mono.server().QueriesForCell({i, j});
+        EXPECT_EQ(router.QueriesForCell({i, j}), want)
+            << context << " cell (" << i << ", " << j << ")";
+        EXPECT_EQ(sharded.server().QueriesForCell({i, j}), want)
             << context << " cell (" << i << ", " << j << ")";
       }
     }
@@ -170,21 +173,19 @@ TEST(ShardRouterTest, BoundaryWalkKeepsShardedServerEquivalentToMonolith) {
     expect_equivalent("step " + std::to_string(step));
   }
 
-  // The walk really crossed partition boundaries: ownership moved, via
-  // backplane handoffs, and those handoffs stayed off the wireless medium.
-  const core::ShardRouter::BackplaneStats& backplane = router.backplane();
-  EXPECT_GT(backplane.handoffs, 0u);
-  EXPECT_GT(backplane.bytes, 0u);
+  // The walk really crossed partition boundaries: ownership moved via
+  // handoffs, and those handoffs stayed off the wireless medium.
+  EXPECT_GT(router.handoffs(), 0u);
   uint64_t handoffs_in = 0;
   uint64_t handoffs_out = 0;
   for (int s = 0; s < router.num_shards(); ++s) {
     handoffs_in += router.shard(s).stats().handoffs_in;
     handoffs_out += router.shard(s).stats().handoffs_out;
   }
-  EXPECT_EQ(handoffs_in, backplane.handoffs);
-  EXPECT_EQ(handoffs_out, backplane.handoffs);
-  // The monolith's backplane is silent by definition.
-  EXPECT_EQ(mono.server().router().backplane().messages, 0u);
+  EXPECT_EQ(handoffs_in, router.handoffs());
+  EXPECT_EQ(handoffs_out, router.handoffs());
+  // The monolith never hands off, by definition.
+  EXPECT_EQ(mono.server().router().handoffs(), 0u);
 }
 
 // --- Multi-shard checkpoint/restore ------------------------------------------
@@ -238,7 +239,7 @@ TEST(ShardRouterTest, MultiShardRestoreRehomesAcrossShardCounts) {
   d.server().Checkpoint();
   d.TickN(6);  // post-checkpoint uplinks land in the WAL
   ASSERT_GT(store.wal.size(), 0u);
-  ASSERT_GT(d.server().router().backplane().handoffs, 0u);
+  ASSERT_GT(d.server().router().handoffs(), 0u);
 
   for (int restore_shards : {1, 2, 4, 8}) {
     core::MobiEyesServer restored(d.grid(), d.layout(), d.bmap(), d.network(),

@@ -18,7 +18,7 @@
 //                [--fault-seed=N] [--harden]
 //                [--server-crash=S:R] [--client-restart-rate=F]
 //                [--checkpoint-stride=N]
-//                [--shards=N] [--shard-threads=N]
+//                [--shards=N]
 //
 // The fault flags configure the net::FaultyNetwork (see
 // src/mobieyes/net/fault_injection.h); --harden switches the MobiEyes
@@ -32,7 +32,7 @@
 //
 // --heatmap=PATH writes the per-cell heat maps (uplinks, RQI scan work,
 // installs, residency) as deterministic JSON — byte-identical across
-// shard/thread counts for the same seed. --report=PATH turns on every
+// shard counts for the same seed. --report=PATH turns on every
 // observability component and writes a single self-contained HTML report
 // (sparklines, heat-map grids, latency tables; DESIGN.md §12).
 //
@@ -100,7 +100,7 @@ void PrintUsage(const char* argv0) {
                "          [--fault-seed=N] [--harden]\n"
                "          [--server-crash=S:R] [--client-restart-rate=F]\n"
                "          [--checkpoint-stride=N]\n"
-               "          [--shards=N] [--shard-threads=N]\n"
+               "          [--shards=N]\n"
                "          [--shard-transport=inproc|process] [--shardd=PATH]\n"
                "          [--backplane-timeout-steps=N]\n"
                "          [--heartbeat-stride=N] [--shard-kill=S:K]\n"
@@ -257,13 +257,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* cli) {
       cli->config.mobieyes.sharding.num_shards = std::atoi(value.c_str());
       if (cli->config.mobieyes.sharding.num_shards < 1) {
         std::fprintf(stderr, "bad --shards value '%s'\n", value.c_str());
-        return false;
-      }
-    } else if (key == "shard-threads") {
-      cli->config.shard_threads = std::atoi(value.c_str());
-      if (cli->config.shard_threads < 1) {
-        std::fprintf(stderr, "bad --shard-threads value '%s'\n",
-                     value.c_str());
         return false;
       }
     } else if (key == "shard-transport") {
@@ -465,21 +458,14 @@ int main(int argc, char** argv) {
                   metrics.steps > 0 ? metrics.server_step_seconds /
                                           static_cast<double>(metrics.steps)
                                     : 0.0);
-      std::printf("backplane messages         %llu (%llu bytes, "
-                  "%llu handoffs)\n",
-                  static_cast<unsigned long long>(
-                      metrics.network.inter_shard_messages),
-                  static_cast<unsigned long long>(
-                      metrics.network.inter_shard_bytes),
+      std::printf("handoffs                   %llu\n",
                   static_cast<unsigned long long>(
                       metrics.network.inter_shard_handoffs));
       for (int s = 0; s < router.num_shards(); ++s) {
         const core::ServerShard& shard = router.shard(s);
         std::printf("shard %-2d                   %zu queries, %zu focals, "
-                    "%llu uplinks, %llu in / %llu out handoffs\n",
+                    "%llu in / %llu out handoffs\n",
                     s, shard.sqt().size(), shard.fot().size(),
-                    static_cast<unsigned long long>(
-                        shard.stats().uplinks_routed),
                     static_cast<unsigned long long>(shard.stats().handoffs_in),
                     static_cast<unsigned long long>(
                         shard.stats().handoffs_out));
@@ -605,9 +591,9 @@ int main(int argc, char** argv) {
                  cli.metrics_path.c_str());
   }
   if (!cli.heatmap_path.empty()) {
-    // Deterministic flavor (layout-dependent channels omitted): exports
-    // from different --shards/--shard-threads runs of one seed byte-match.
-    std::string json = (*simulation)->heatmap()->ToJson(false);
+    // Every channel is layout-invariant: exports from different --shards
+    // runs of one seed byte-match.
+    std::string json = (*simulation)->heatmap()->ToJson();
     if (!WriteFileOrComplain(cli.heatmap_path, json)) return 1;
     std::fprintf(stderr, "wrote heat-map export to %s\n",
                  cli.heatmap_path.c_str());
