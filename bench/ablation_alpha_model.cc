@@ -19,14 +19,11 @@ int main(int argc, char** argv) {
                                 {"model msgs/s", {}},
                                 {"model uplink", {}},
                                 {"model downlink", {}}};
-  RunOptions options;
-  options.steps = 8;
-
   std::vector<SweepJob> jobs;
   for (double alpha : alphas) {
     SweepJob job;
-    job.params.alpha = alpha;
-    job.options = options;
+    job.config.params.alpha = alpha;
+    job.steps = 8;
     job.label = "ablation_alpha alpha=" + std::to_string(alpha);
     jobs.push_back(job);
   }

@@ -17,18 +17,15 @@ int main(int argc, char** argv) {
   std::vector<Series> series = {{"msgs/s", {}},
                                 {"uplink msgs/s", {}},
                                 {"avg error", {}}};
-  RunOptions options;
-  options.steps = 8;
-  options.measure_error = true;
-
   std::vector<SweepJob> jobs;
   for (double delta : deltas) {
     SweepJob job;
-    job.params.num_objects = 2000;
-    job.params.num_queries = 200;
-    job.params.velocity_changes_per_step = 200;
-    job.params.dead_reckoning_threshold = delta;
-    job.options = options;
+    job.config.params.num_objects = 2000;
+    job.config.params.num_queries = 200;
+    job.config.params.velocity_changes_per_step = 200;
+    job.config.params.dead_reckoning_threshold = delta;
+    job.steps = 8;
+    job.config.measure_error = true;
     job.label = "ablation_delta delta=" + std::to_string(delta);
     jobs.push_back(job);
   }

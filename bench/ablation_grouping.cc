@@ -18,9 +18,6 @@ int main(int argc, char** argv) {
                                 {"ungrouped msgs/s", {}},
                                 {"grouped broadcasts", {}},
                                 {"ungrouped broadcasts", {}}};
-  RunOptions options;
-  options.steps = 8;
-
   core::MobiEyesOptions grouped;
   grouped.enable_query_grouping = true;
   core::MobiEyesOptions ungrouped;
@@ -31,13 +28,14 @@ int main(int argc, char** argv) {
   for (double nmq : query_counts) {
     for (bool grouping : {true, false}) {
       SweepJob job;
-      job.params.num_objects = 1000;  // small pool -> skewed focal distribution
-      job.params.velocity_changes_per_step = 100;
-      job.params.num_queries = static_cast<int>(nmq);
-      job.options = options;
-      job.mobieyes = grouping ? grouped : ungrouped;
+      // Small pool -> skewed focal distribution.
+      job.config.params.num_objects = 1000;
+      job.config.params.velocity_changes_per_step = 100;
+      job.config.params.num_queries = static_cast<int>(nmq);
+      job.steps = 8;
+      job.config.mobieyes = grouping ? grouped : ungrouped;
       job.label = "ablation_grouping nmq=" +
-                  std::to_string(job.params.num_queries) +
+                  std::to_string(static_cast<int>(nmq)) +
                   (grouping ? " grouped" : " ungrouped");
       jobs.push_back(job);
     }

@@ -52,19 +52,14 @@ double TopBandShare(const obs::HeatMap& map, obs::HeatMap::Channel channel,
 Result<std::unique_ptr<sim::Simulation>> RunHeatCell(
     sim::ObjectDistribution distribution) {
   SweepJob job;
-  job.params.num_queries = 400;
-  job.params.object_distribution = distribution;
-  job.options.steps = 8;
-  job = ApplyFlagOverrides(job);
-  sim::SimulationConfig config;
-  config.params = job.params;
-  config.mode = job.mode;
-  config.mobieyes = job.mobieyes;
-  config.warmup_steps = job.options.warmup_steps;
-  config.obs.enable_heatmap = true;
-  config.obs.heatmap_window = 4;
-  auto simulation = sim::Simulation::Make(config);
-  if (simulation.ok()) (*simulation)->Run(job.options.steps);
+  job.config.params.num_queries = 400;
+  job.config.params.object_distribution = distribution;
+  job.steps = 8;
+  job = WithBenchFlags(job);
+  job.config.obs.enable_heatmap = true;
+  job.config.obs.heatmap_window = 4;
+  auto simulation = sim::Simulation::Make(job.config);
+  if (simulation.ok()) (*simulation)->Run(job.steps);
   return simulation;
 }
 
@@ -79,9 +74,6 @@ int main(int argc, char** argv) {
                                 {"hotspot avg LQT", {}},
                                 {"uniform server s/step", {}},
                                 {"hotspot server s/step", {}}};
-  RunOptions options;
-  options.steps = 8;
-
   // Two cells per row: uniform (even indices) and hotspot (odd).
   std::vector<SweepJob> jobs;
   for (double nmq : query_counts) {
@@ -89,11 +81,11 @@ int main(int argc, char** argv) {
          {sim::ObjectDistribution::kUniform,
           sim::ObjectDistribution::kHotspot}) {
       SweepJob job;
-      job.params.num_queries = static_cast<int>(nmq);
-      job.params.object_distribution = distribution;
-      job.options = options;
+      job.config.params.num_queries = static_cast<int>(nmq);
+      job.config.params.object_distribution = distribution;
+      job.steps = 8;
       job.label =
-          "ablation_hotspot nmq=" + std::to_string(job.params.num_queries) +
+          "ablation_hotspot nmq=" + std::to_string(static_cast<int>(nmq)) +
           (distribution == sim::ObjectDistribution::kHotspot ? " hotspot"
                                                              : " uniform");
       jobs.push_back(job);

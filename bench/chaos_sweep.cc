@@ -29,6 +29,7 @@
 
 #include "bench_common.h"
 #include "mobieyes/core/shard_supervisor.h"
+#include "mobieyes/net/backplane.h"
 
 using namespace mobieyes;         // NOLINT(build/namespaces)
 using namespace mobieyes::bench;  // NOLINT(build/namespaces)
@@ -53,16 +54,18 @@ const ChaosSpec kSpecs[] = {
 
 SweepJob MakeJob(int shards) {
   SweepJob job;
+  sim::SimulationConfig& config = job.config;
   // fault_sweep's mid-size workload: big enough to exercise handoffs and
   // reconciliation, small enough that six chaos cells finish quickly.
-  job.params.num_objects = 2000;
-  job.params.num_queries = 200;
-  job.params.velocity_changes_per_step = 200;
-  job.mode = sim::SimMode::kMobiEyesEager;
-  job.options.steps = 20;
-  job.options.measure_error = true;
-  job.faults.harden = true;
-  job.mobieyes.sharding.num_shards = shards;
+  config.params.num_objects = 2000;
+  config.params.num_queries = 200;
+  config.params.velocity_changes_per_step = 200;
+  config.mode = sim::SimMode::kMobiEyesEager;
+  config.measure_error = true;
+  config.mobieyes =
+      core::HardenedOptions(config.mobieyes, config.params.time_step);
+  config.mobieyes.sharding.num_shards = shards;
+  job.steps = 20;
   return job;
 }
 
@@ -94,18 +97,23 @@ int main(int argc, char** argv) {
   constexpr int kShards = 4;
   // In-process baseline: the byte-identity reference every chaos cell must
   // still reproduce.
-  SweepJob baseline = ApplyFlagOverrides(MakeJob(kShards));
+  SweepJob baseline = WithBenchFlags(MakeJob(kShards));
   baseline.label = "chaos_sweep baseline inproc";
   std::vector<SweepCellResult> base_cells =
       RunSweepObserved({baseline}, 1, obs);
 
   std::vector<SweepJob> jobs;
   for (const ChaosSpec& spec : kSpecs) {
-    SweepJob job = ApplyFlagOverrides(MakeJob(kShards));
-    job.options.shard_transport =
+    SweepJob job = WithBenchFlags(MakeJob(kShards));
+    job.config.shard_transport =
         sim::SimulationConfig::ShardTransport::kProcess;
-    job.options.shard_authority = true;
-    job.options.backplane_fault = spec.fault;
+    job.config.shard_authority = true;
+    Status st =
+        net::ParseBackplaneFaultSpec(spec.fault, &job.config.backplane_fault);
+    if (!st.ok()) {
+      std::fprintf(stderr, "[chaos_sweep] %s\n", st.ToString().c_str());
+      return 1;
+    }
     job.label = std::string("chaos_sweep ") + spec.name +
                 (spec.fault[0] != '\0' ? std::string(" ") + spec.fault : "");
     jobs.push_back(std::move(job));

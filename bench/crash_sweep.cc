@@ -14,9 +14,12 @@
 // The cells step one simulated step at a time (Simulation::Run(1) +
 // CurrentAccuracy), which RunSweep cannot express, so this bench drives the
 // simulations directly; --json still records every table through
-// PrintTable/FinishBench.
+// PrintTable/FinishBench, and the harness config flags (--objects, the
+// fault and shard flags, ...) overlay every cell as in any other bench.
+// --steps is refused (exit 2): the crash timeline is fixed.
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -100,7 +103,8 @@ sim::SimulationConfig MakeConfig(const CrashCell& cell) {
 CrashResult RunCrashCell(const CrashCell& cell) {
   Progress(cell.label);
   CrashResult result;
-  auto simulation = sim::Simulation::Make(MakeConfig(cell));
+  SweepJob job = WithBenchFlags({MakeConfig(cell), kMeasuredSteps, cell.label});
+  auto simulation = sim::Simulation::Make(job.config);
   if (!simulation.ok()) {
     std::fprintf(stderr, "simulation setup failed: %s\n",
                  simulation.status().ToString().c_str());
@@ -158,6 +162,15 @@ void PrintRecoveryTable(const std::string& title,
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (int k = 1; k < argc; ++k) {
+    if (std::strncmp(argv[k], "--steps=", 8) == 0) {
+      std::fprintf(stderr,
+                   "[crash_sweep] --steps is not supported: every cell runs "
+                   "the fixed %d-step crash timeline\n",
+                   kMeasuredSteps);
+      return 2;
+    }
+  }
   InitBench("crash_sweep", argc, argv);
 
   // Sweep 1: checkpoint stride at drop 0, plus an uncrashed control. The

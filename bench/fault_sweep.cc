@@ -5,7 +5,7 @@
 // message cost of hardening. A second sweep adds delays, duplicates and
 // object disconnects on top of the drops.
 //
-// Harness fault flags (--drop-rate, --delay-steps, --outage, --seed,
+// Harness fault flags (--drop-rate, --delay-steps, --outage, --fault-seed,
 // --harden, ...) override every cell, so the CI smoke can re-run single
 // points cheaply.
 
@@ -23,25 +23,29 @@ namespace {
 
 SweepJob MakeJob(double drop, bool harden, bool mixed) {
   SweepJob job;
+  sim::SimulationConfig& config = job.config;
   // Sized so 16 cells with per-step oracle evaluation finish quickly while
   // still exercising grouping, leases and reconciliation.
-  job.params.num_objects = 2000;
-  job.params.num_queries = 200;
-  job.params.velocity_changes_per_step = 200;
-  job.mode = sim::SimMode::kMobiEyesEager;
-  job.options.steps = 20;
-  job.options.measure_error = true;
-  job.faults.plan.uplink_drop_rate = drop;
-  job.faults.plan.downlink_drop_rate = drop;
+  config.params.num_objects = 2000;
+  config.params.num_queries = 200;
+  config.params.velocity_changes_per_step = 200;
+  config.mode = sim::SimMode::kMobiEyesEager;
+  config.measure_error = true;
+  config.faults.uplink_drop_rate = drop;
+  config.faults.downlink_drop_rate = drop;
   if (mixed) {
-    job.faults.plan.delay_rate = 0.2;
-    job.faults.plan.max_delay_steps = 2;
-    job.faults.plan.duplicate_rate = 0.05;
-    job.faults.plan.disconnect_rate = 0.1;
-    job.faults.plan.disconnect_period_steps = 20;
-    job.faults.plan.disconnect_duration_steps = 4;
+    config.faults.delay_rate = 0.2;
+    config.faults.max_delay_steps = 2;
+    config.faults.duplicate_rate = 0.05;
+    config.faults.disconnect_rate = 0.1;
+    config.faults.disconnect_period_steps = 20;
+    config.faults.disconnect_duration_steps = 4;
   }
-  job.faults.harden = harden;
+  if (harden) {
+    config.mobieyes =
+        core::HardenedOptions(config.mobieyes, config.params.time_step);
+  }
+  job.steps = 20;
   job.label = std::string(mixed ? "mixed" : "drop") +
               " p=" + std::to_string(drop) +
               (harden ? " hardened" : " base");
@@ -119,15 +123,15 @@ int main(int argc, char** argv) {
     std::vector<SweepJob> chaos_jobs;
     for (double rate : chaos_rates) {
       SweepJob job = MakeJob(0.0, /*harden=*/true, /*mixed=*/false);
-      job.options.shard_transport =
+      job.config.shard_transport =
           sim::SimulationConfig::ShardTransport::kProcess;
-      job.options.shard_authority = true;
-      job.mobieyes.sharding.num_shards = 4;
+      job.config.shard_authority = true;
+      job.config.mobieyes.sharding.num_shards = 4;
       if (rate > 0.0) {
-        char spec[64];
-        std::snprintf(spec, sizeof(spec), "drop=%g,delay=%g:2,seed=11",
-                      rate, rate);
-        job.options.backplane_fault = spec;
+        job.config.backplane_fault.drop_rate = rate;
+        job.config.backplane_fault.delay_rate = rate;
+        job.config.backplane_fault.max_delay_steps = 2;
+        job.config.backplane_fault.seed = 11;
       }
       job.label = "chaos rate=" + std::to_string(rate) + " authority";
       chaos_jobs.push_back(std::move(job));

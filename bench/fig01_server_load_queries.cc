@@ -22,17 +22,14 @@ int main(int argc, char** argv) {
                                 {"QueryIndex", {}},
                                 {"MobiEyes-EQP", {}},
                                 {"MobiEyes-LQP", {}}};
-  RunOptions options;
-  options.steps = 8;
-
   std::vector<SweepJob> jobs;
   for (double nmq : query_counts) {
     for (sim::SimMode mode : modes) {
       SweepJob job;
-      job.params.num_queries = static_cast<int>(nmq);
-      job.mode = mode;
-      job.options = options;
-      job.label = "fig01 nmq=" + std::to_string(job.params.num_queries) +
+      job.config.params.num_queries = static_cast<int>(nmq);
+      job.config.mode = mode;
+      job.steps = 8;
+      job.label = "fig01 nmq=" + std::to_string(job.config.params.num_queries) +
                   " " + sim::SimModeName(mode);
       jobs.push_back(job);
     }

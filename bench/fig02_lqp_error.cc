@@ -20,21 +20,17 @@ int main(int argc, char** argv) {
     series.push_back({"alpha=" + std::to_string(static_cast<int>(alpha)), {}});
   }
 
-  RunOptions options;
-  options.steps = 8;
-  options.measure_error = true;
-
   std::vector<SweepJob> jobs;
   for (double nmo : velocity_changes) {
     for (double alpha : alphas) {
       SweepJob job;
-      job.params.velocity_changes_per_step = static_cast<int>(nmo);
-      job.params.alpha = alpha;
-      job.mode = sim::SimMode::kMobiEyesLazy;
-      job.options = options;
-      job.label =
-          "fig02 nmo=" + std::to_string(job.params.velocity_changes_per_step) +
-          " alpha=" + std::to_string(alpha);
+      job.config.params.velocity_changes_per_step = static_cast<int>(nmo);
+      job.config.params.alpha = alpha;
+      job.config.mode = sim::SimMode::kMobiEyesLazy;
+      job.steps = 8;
+      job.config.measure_error = true;
+      job.label = "fig02 nmo=" + std::to_string(static_cast<int>(nmo)) +
+                  " alpha=" + std::to_string(alpha);
       jobs.push_back(job);
     }
   }

@@ -16,22 +16,19 @@ int main(int argc, char** argv) {
                                 {"QueryIndex", {}},
                                 {"MobiEyes-EQP", {}},
                                 {"MobiEyes-LQP", {}}};
-  RunOptions options;
-  options.steps = 8;
-
   // The centralized baselines do not depend on alpha: measure them once on
   // the default configuration (jobs 0 and 1) and repeat the value across
   // rows; the per-alpha EQP/LQP cells follow pairwise.
   std::vector<SweepJob> jobs;
   {
     SweepJob object_index;
-    object_index.mode = sim::SimMode::kObjectIndex;
-    object_index.options = options;
+    object_index.config.mode = sim::SimMode::kObjectIndex;
+    object_index.steps = 8;
     object_index.label = "fig03 ObjectIndex baseline";
     jobs.push_back(object_index);
     SweepJob query_index;
-    query_index.mode = sim::SimMode::kQueryIndex;
-    query_index.options = options;
+    query_index.config.mode = sim::SimMode::kQueryIndex;
+    query_index.steps = 8;
     query_index.label = "fig03 QueryIndex baseline";
     jobs.push_back(query_index);
   }
@@ -39,9 +36,9 @@ int main(int argc, char** argv) {
     for (sim::SimMode mode :
          {sim::SimMode::kMobiEyesEager, sim::SimMode::kMobiEyesLazy}) {
       SweepJob job;
-      job.params.alpha = alpha;
-      job.mode = mode;
-      job.options = options;
+      job.config.params.alpha = alpha;
+      job.config.mode = mode;
+      job.steps = 8;
       job.label = "fig03 alpha=" + std::to_string(alpha) + " " +
                   sim::SimModeName(mode);
       jobs.push_back(job);

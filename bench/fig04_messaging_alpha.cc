@@ -19,18 +19,15 @@ int main(int argc, char** argv) {
   for (double nmq : query_counts) {
     series.push_back({"nmq=" + std::to_string(static_cast<int>(nmq)), {}});
   }
-  RunOptions options;
-  options.steps = 8;
-
   std::vector<SweepJob> jobs;
   for (double alpha : alphas) {
     for (double nmq : query_counts) {
       SweepJob job;
-      job.params.alpha = alpha;
-      job.params.num_queries = static_cast<int>(nmq);
-      job.options = options;
+      job.config.params.alpha = alpha;
+      job.config.params.num_queries = static_cast<int>(nmq);
+      job.steps = 8;
       job.label = "fig04 alpha=" + std::to_string(alpha) +
-                  " nmq=" + std::to_string(job.params.num_queries);
+                  " nmq=" + std::to_string(job.config.params.num_queries);
       jobs.push_back(job);
     }
   }

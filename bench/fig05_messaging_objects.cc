@@ -26,22 +26,20 @@ int main(int argc, char** argv) {
     series.push_back({"EQP" + suffix, {}});
     series.push_back({"LQP" + suffix, {}});
   }
-  RunOptions options;
-  options.steps = 8;
-
   std::vector<SweepJob> jobs;
   for (double no : object_counts) {
     for (double nmq : query_counts) {
       for (sim::SimMode mode : modes) {
         SweepJob job;
-        job.params.num_objects = static_cast<int>(no);
-        job.params.num_queries = static_cast<int>(nmq);
+        job.config.params.num_objects = static_cast<int>(no);
+        job.config.params.num_queries = static_cast<int>(nmq);
         // Keep nmo/no constant at the default ratio 1000/10000.
-        job.params.velocity_changes_per_step = static_cast<int>(no * 0.1);
-        job.mode = mode;
-        job.options = options;
-        job.label = "fig05 no=" + std::to_string(job.params.num_objects) +
-                    " nmq=" + std::to_string(job.params.num_queries) + " " +
+        job.config.params.velocity_changes_per_step =
+            static_cast<int>(no * 0.1);
+        job.config.mode = mode;
+        job.steps = 8;
+        job.label = "fig05 no=" + std::to_string(static_cast<int>(no)) +
+                    " nmq=" + std::to_string(static_cast<int>(nmq)) + " " +
                     sim::SimModeName(mode);
         jobs.push_back(job);
       }

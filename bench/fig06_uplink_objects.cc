@@ -20,18 +20,15 @@ int main(int argc, char** argv) {
                                 {"CentralOpt", {}},
                                 {"MobiEyes-EQP", {}},
                                 {"MobiEyes-LQP", {}}};
-  RunOptions options;
-  options.steps = 8;
-
   std::vector<SweepJob> jobs;
   for (double no : object_counts) {
     for (sim::SimMode mode : modes) {
       SweepJob job;
-      job.params.num_objects = static_cast<int>(no);
-      job.params.velocity_changes_per_step = static_cast<int>(no * 0.1);
-      job.mode = mode;
-      job.options = options;
-      job.label = "fig06 no=" + std::to_string(job.params.num_objects) + " " +
+      job.config.params.num_objects = static_cast<int>(no);
+      job.config.params.velocity_changes_per_step = static_cast<int>(no * 0.1);
+      job.config.mode = mode;
+      job.steps = 8;
+      job.label = "fig06 no=" + std::to_string(static_cast<int>(no)) + " " +
                   sim::SimModeName(mode);
       jobs.push_back(job);
     }

@@ -24,21 +24,17 @@ int main(int argc, char** argv) {
     series.push_back({"EQP" + suffix, {}});
     series.push_back({"LQP" + suffix, {}});
   }
-  RunOptions options;
-  options.steps = 8;
-
   std::vector<SweepJob> jobs;
   for (double nmo : velocity_changes) {
     for (double nmq : query_counts) {
       for (sim::SimMode mode : modes) {
         SweepJob job;
-        job.params.velocity_changes_per_step = static_cast<int>(nmo);
-        job.params.num_queries = static_cast<int>(nmq);
-        job.mode = mode;
-        job.options = options;
-        job.label = "fig07 nmo=" +
-                    std::to_string(job.params.velocity_changes_per_step) +
-                    " nmq=" + std::to_string(job.params.num_queries) + " " +
+        job.config.params.velocity_changes_per_step = static_cast<int>(nmo);
+        job.config.params.num_queries = static_cast<int>(nmq);
+        job.config.mode = mode;
+        job.steps = 8;
+        job.label = "fig07 nmo=" + std::to_string(static_cast<int>(nmo)) +
+                    " nmq=" + std::to_string(static_cast<int>(nmq)) + " " +
                     sim::SimModeName(mode);
         jobs.push_back(job);
       }

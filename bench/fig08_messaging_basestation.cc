@@ -19,18 +19,15 @@ int main(int argc, char** argv) {
   for (double nmq : query_counts) {
     series.push_back({"nmq=" + std::to_string(static_cast<int>(nmq)), {}});
   }
-  RunOptions options;
-  options.steps = 8;
-
   std::vector<SweepJob> jobs;
   for (double alen : station_sides) {
     for (double nmq : query_counts) {
       SweepJob job;
-      job.params.base_station_side = alen;
-      job.params.num_queries = static_cast<int>(nmq);
-      job.options = options;
+      job.config.params.base_station_side = alen;
+      job.config.params.num_queries = static_cast<int>(nmq);
+      job.steps = 8;
       job.label = "fig08 alen=" + std::to_string(alen) +
-                  " nmq=" + std::to_string(job.params.num_queries);
+                  " nmq=" + std::to_string(job.config.params.num_queries);
       jobs.push_back(job);
     }
   }

@@ -22,19 +22,17 @@ int main(int argc, char** argv) {
   std::vector<Series> series = {{"Naive", {}},
                                 {"CentralOpt", {}},
                                 {"MobiEyes-EQP", {}}};
-  RunOptions options;
-  options.steps = 8;
-  options.track_per_object_bytes = true;
   net::RadioEnergyModel radio;
 
   std::vector<SweepJob> jobs;
   for (double nmq : query_counts) {
     for (sim::SimMode mode : modes) {
       SweepJob job;
-      job.params.num_queries = static_cast<int>(nmq);
-      job.mode = mode;
-      job.options = options;
-      job.label = "fig09 nmq=" + std::to_string(job.params.num_queries) + " " +
+      job.config.params.num_queries = static_cast<int>(nmq);
+      job.config.mode = mode;
+      job.steps = 8;
+      job.config.track_per_object_bytes = true;
+      job.label = "fig09 nmq=" + std::to_string(static_cast<int>(nmq)) + " " +
                   sim::SimModeName(mode);
       jobs.push_back(job);
     }

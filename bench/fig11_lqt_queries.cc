@@ -17,17 +17,14 @@ int main(int argc, char** argv) {
   for (double alpha : alphas) {
     series.push_back({"alpha=" + std::to_string(static_cast<int>(alpha)), {}});
   }
-  RunOptions options;
-  options.steps = 8;
-
   std::vector<SweepJob> jobs;
   for (double nmq : query_counts) {
     for (double alpha : alphas) {
       SweepJob job;
-      job.params.num_queries = static_cast<int>(nmq);
-      job.params.alpha = alpha;
-      job.options = options;
-      job.label = "fig11 nmq=" + std::to_string(job.params.num_queries) +
+      job.config.params.num_queries = static_cast<int>(nmq);
+      job.config.params.alpha = alpha;
+      job.steps = 8;
+      job.label = "fig11 nmq=" + std::to_string(job.config.params.num_queries) +
                   " alpha=" + std::to_string(alpha);
       jobs.push_back(job);
     }

@@ -18,16 +18,13 @@ int main(int argc, char** argv) {
   for (double alpha : alphas) {
     series.push_back({"alpha=" + std::to_string(static_cast<int>(alpha)), {}});
   }
-  RunOptions options;
-  options.steps = 8;
-
   std::vector<SweepJob> jobs;
   for (double factor : radius_factors) {
     for (double alpha : alphas) {
       SweepJob job;
-      job.params.radius_factor = factor;
-      job.params.alpha = alpha;
-      job.options = options;
+      job.config.params.radius_factor = factor;
+      job.config.params.alpha = alpha;
+      job.steps = 8;
       job.label = "fig12 factor=" + std::to_string(factor) +
                   " alpha=" + std::to_string(alpha);
       jobs.push_back(job);

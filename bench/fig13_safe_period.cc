@@ -18,9 +18,6 @@ int main(int argc, char** argv) {
                                 {"safe-period", {}},
                                 {"evals/step/obj (sp)", {}},
                                 {"skips/step/obj (sp)", {}}};
-  RunOptions options;
-  options.steps = 8;
-
   core::MobiEyesOptions plain;
   plain.enable_safe_period = false;
   core::MobiEyesOptions with_sp;
@@ -31,9 +28,9 @@ int main(int argc, char** argv) {
   for (double alpha : alphas) {
     for (bool safe_period : {false, true}) {
       SweepJob job;
-      job.params.alpha = alpha;
-      job.options = options;
-      job.mobieyes = safe_period ? with_sp : plain;
+      job.config.params.alpha = alpha;
+      job.steps = 8;
+      job.config.mobieyes = safe_period ? with_sp : plain;
       job.label = "fig13 alpha=" + std::to_string(alpha) +
                   (safe_period ? " safe-period" : " no-safe-period");
       jobs.push_back(job);

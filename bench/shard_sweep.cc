@@ -36,20 +36,22 @@ constexpr int kWarmupSteps = 2;
 
 SweepJob MakeJob(int objects, int shards) {
   SweepJob job;
-  job.params.num_objects = objects;
-  job.params.num_queries = objects / 100;
-  job.params.velocity_changes_per_step = objects / 10;
-  job.mode = sim::SimMode::kMobiEyesEager;
-  job.options.steps = kMeasuredSteps;
-  job.options.warmup_steps = kWarmupSteps;
+  sim::SimulationConfig& config = job.config;
+  config.params.num_objects = objects;
+  config.params.num_queries = objects / 100;
+  config.params.velocity_changes_per_step = objects / 10;
+  config.mode = sim::SimMode::kMobiEyesEager;
+  config.warmup_steps = kWarmupSteps;
   // Per-step checkpoints keep the per-shard image encoding in the measured
   // step phase.
-  job.options.checkpoint_stride = 1;
-  job.faults.harden = true;
-  job.mobieyes.sharding.num_shards = shards;
+  config.checkpoint_stride = 1;
+  config.mobieyes =
+      core::HardenedOptions(config.mobieyes, config.params.time_step);
+  config.mobieyes.sharding.num_shards = shards;
+  job.steps = kMeasuredSteps;
   job.label = "shard_sweep objects=" + std::to_string(objects) +
               " shards=" + std::to_string(shards);
-  return ApplyFlagOverrides(job);
+  return WithBenchFlags(job);
 }
 
 double PerStep(double total, const sim::RunMetrics& m) {
@@ -80,7 +82,7 @@ int main(int argc, char** argv) {
     for (int shards : kShardCounts) jobs.push_back(MakeJob(objects, shards));
     // With --objects the cells collapse to the override value; keep the
     // sweep meaningful by labeling with the effective count.
-    const int effective_objects = jobs[0].params.num_objects;
+    const int effective_objects = jobs[0].config.params.num_objects;
     std::vector<SweepCellResult> cells = RunSweepObserved(jobs, 1, obs);
 
     const SweepCellResult& mono = cells[0];
@@ -99,7 +101,8 @@ int main(int argc, char** argv) {
     };
     for (size_t k = 0; k < cells.size(); ++k) {
       const sim::RunMetrics& m = cells[k].metrics;
-      xs.push_back(static_cast<double>(jobs[k].mobieyes.sharding.num_shards));
+      xs.push_back(
+          static_cast<double>(jobs[k].config.mobieyes.sharding.num_shards));
 
       timing[0].values.push_back(PerStep(m.server_step_seconds, m));
       timing[1].values.push_back(Speedup(mono_step, m.server_step_seconds));
@@ -146,7 +149,7 @@ int main(int argc, char** argv) {
         for (int shards : kShardCounts) {
           if (shards < 2) continue;
           SweepJob job = MakeJob(objects, shards);
-          job.options.shard_transport =
+          job.config.shard_transport =
               sim::SimulationConfig::ShardTransport::kProcess;
           job.label += " transport=process";
           process_jobs.push_back(std::move(job));
@@ -164,7 +167,7 @@ int main(int argc, char** argv) {
         for (size_t k = 0; k < process_cells.size(); ++k) {
           const sim::RunMetrics& m = process_cells[k].metrics;
           pxs.push_back(static_cast<double>(
-              process_jobs[k].mobieyes.sharding.num_shards));
+              process_jobs[k].config.mobieyes.sharding.num_shards));
           backplane[0].values.push_back(m.BackplaneRttMicros());
           backplane[1].values.push_back(m.BackplaneFramesPerStep());
           backplane[2].values.push_back(m.BackplaneBytesPerStep() / 1024.0);

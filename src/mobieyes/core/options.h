@@ -20,6 +20,8 @@ enum class PropagationMode {
 // shards in contiguous bands of grid rows (ShardMap).
 struct ShardingOptions {
   int num_shards = 1;
+
+  bool operator==(const ShardingOptions&) const = default;
 };
 
 // Toggles for the protocol variant run by both server and clients. Server
@@ -72,6 +74,8 @@ struct MobiEyesOptions {
   // Grid partitioning of the server state across shards (DESIGN.md §10).
   // Clients never see the shard layout; the wire protocol is unchanged.
   ShardingOptions sharding;
+
+  bool operator==(const MobiEyesOptions&) const = default;
 };
 
 // Canonical hardened configuration used by the fault-tolerance evaluation:

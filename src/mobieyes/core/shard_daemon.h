@@ -62,7 +62,7 @@ Status DecodeShardConfig(const uint8_t* data, size_t size,
 // --- Daemon ------------------------------------------------------------------
 
 struct ShardDaemonOptions {
-  std::string address;  // supervisor's backplane, "uds:..." or "tcp:..."
+  std::string address;  // supervisor's backplane, "uds:/path/to.sock"
   int shard_id = 0;
   uint64_t seed = 1;  // reconnect jitter stream
   // Give up (exit nonzero) when the supervisor stays unreachable this long.

@@ -24,6 +24,31 @@ constexpr uint64_t kRpcTypeHeartbeat = 1;
 constexpr uint64_t kRpcTypeSync = 2;
 constexpr uint64_t kRpcTypeScan = 3;
 
+// Backplane tuning (DESIGN.md §13).
+// Steps between liveness probes on an otherwise idle link.
+constexpr int kHeartbeatStride = 4;
+// Virtual-step RPC deadline: a frame unacked this many steps after it was
+// sent marks the daemon dead (killed and rescheduled) once it is also past
+// the wall budget kAuthorityTimeoutMicros, so a live daemon that was
+// descheduled is not taken for dead.
+constexpr int kTimeoutSteps = 4;
+// Respawn backoff for a dead daemon, in steps: base doubles per
+// consecutive failure up to max, plus seeded jitter in [0, base).
+constexpr int kRespawnBaseSteps = 1;
+constexpr int kRespawnMaxSteps = 16;
+// Bounded per-peer send queue; a frame that would exceed this is dropped
+// and the peer declared dead (it is not consuming).
+constexpr size_t kMaxQueueBytes = 4u << 20;
+// Step-batch frames buffered per peer for rejoin replay; past this the log
+// is discarded and a rejoin takes a fresh full sync instead.
+constexpr size_t kMaxReplayFrames = 256;
+// Wall-clock budget for Start()'s initial spawn-and-handshake.
+constexpr int kStartTimeoutMs = 15000;
+// Wall-clock deadline for one blocking authority scan, and the wall budget
+// of any unacked RPC: past it the daemon is declared dead (a scan then
+// fails over to the local mirror within the same step).
+constexpr int64_t kAuthorityTimeoutMicros = 250'000;
+
 bool Executable(const std::string& path) {
   return !path.empty() && access(path.c_str(), X_OK) == 0;
 }
@@ -61,10 +86,17 @@ int64_t ShardSupervisor::NowMicros() {
       .count();
 }
 
-ShardSupervisor::ShardSupervisor(const SupervisorOptions& options)
+ShardSupervisor::ShardSupervisor(const SupervisorOptions& options,
+                                 bool authority,
+                                 const net::BackplaneFaultPlan& fault,
+                                 uint64_t seed)
     : options_(options),
-      rng_(options.seed * 7919 + 17),
-      chaos_rng_(options.fault.seed * 6364136223846793005ull + 1442695040888963407ull) {}
+      authority_(authority),
+      fault_(fault),
+      seed_(seed),
+      rng_(seed * 7919 + 17),
+      chaos_rng_(fault.seed * 6364136223846793005ull +
+                 1442695040888963407ull) {}
 
 ShardSupervisor::~ShardSupervisor() { Shutdown(); }
 
@@ -94,9 +126,9 @@ Status ShardSupervisor::SpawnDaemon(Peer* peer) {
   char shard_arg[32], seed_arg[48], timeout_arg[48];
   std::snprintf(shard_arg, sizeof(shard_arg), "--shard=%d", peer->shard);
   std::snprintf(seed_arg, sizeof(seed_arg), "--seed=%llu",
-                static_cast<unsigned long long>(options_.seed));
+                static_cast<unsigned long long>(seed_));
   std::snprintf(timeout_arg, sizeof(timeout_arg),
-                "--connect-timeout-ms=%d", options_.start_timeout_ms);
+                "--connect-timeout-ms=%d", kStartTimeoutMs);
   std::string address_arg = "--address=" + backplane_.bound_address();
 
   pid_t pid = fork();
@@ -109,10 +141,6 @@ Status ShardSupervisor::SpawnDaemon(Peer* peer) {
   }
   peer->pid = pid;
   if (started_) ++stats_.restarts;
-  if (options_.verbose) {
-    std::fprintf(stderr, "supervisor: spawned shard %d as pid %d\n",
-                 peer->shard, static_cast<int>(pid));
-  }
   return Status::OK();
 }
 
@@ -146,7 +174,7 @@ Status ShardSupervisor::Start() {
       return st;
     }
   }
-  int64_t deadline = NowMicros() + int64_t{1000} * options_.start_timeout_ms;
+  int64_t deadline = NowMicros() + int64_t{1000} * kStartTimeoutMs;
   while (!AllAvailable()) {
     AcceptNewConnections();
     ReceiveAll();
@@ -253,15 +281,11 @@ void ShardSupervisor::RevokeAuthority(Peer* peer) {
   if (peer->authoritative) {
     peer->authoritative = false;
     ++stats_.failovers;
-    if (options_.verbose) {
-      std::fprintf(stderr, "supervisor: shard %d failover to local mirror\n",
-                   peer->shard);
-    }
   }
 }
 
 void ShardSupervisor::GrantAuthority() {
-  if (!options_.authority) return;
+  if (!authority_) return;
   for (auto& peer : peers_) {
     if (peer->authoritative || !peer->up || peer->need_sync ||
         !peer->rpcs.empty()) {
@@ -269,18 +293,10 @@ void ShardSupervisor::GrantAuthority() {
     }
     peer->authoritative = true;
     ++stats_.cutovers;
-    if (options_.verbose) {
-      std::fprintf(stderr, "supervisor: shard %d authority cutover\n",
-                   peer->shard);
-    }
   }
 }
 
-void ShardSupervisor::MarkDown(Peer* peer, const char* reason) {
-  if (options_.verbose && (peer->up || peer->link != nullptr)) {
-    std::fprintf(stderr, "supervisor: shard %d down (%s)\n", peer->shard,
-                 reason);
-  }
+void ShardSupervisor::MarkDown(Peer* peer) {
   RevokeAuthority(peer);
   peer->up = false;
   peer->link.reset();
@@ -301,9 +317,8 @@ void ShardSupervisor::MarkDown(Peer* peer, const char* reason) {
   }
   ++peer->respawn_attempts;
   peer->next_respawn_step =
-      step_ + RespawnBackoffSteps(peer->respawn_attempts,
-                                  options_.respawn_base_steps,
-                                  options_.respawn_max_steps, &rng_);
+      step_ + RespawnBackoffSteps(peer->respawn_attempts, kRespawnBaseSteps,
+                                  kRespawnMaxSteps, &rng_);
 }
 
 void ShardSupervisor::KillShard(int shard) {
@@ -316,7 +331,7 @@ void ShardSupervisor::KillShard(int shard) {
     waitpid(peer->pid, nullptr, 0);
     peer->pid = -1;
   }
-  MarkDown(peer, "SIGKILL fault injection");
+  MarkDown(peer);
 }
 
 void ShardSupervisor::AcceptNewConnections() {
@@ -331,7 +346,7 @@ void ShardSupervisor::AcceptNewConnections() {
 
 void ShardSupervisor::LogFrame(Peer* peer, const net::Frame& frame) {
   if (peer->log_overflow) return;
-  if (peer->frame_log.size() >= options_.max_replay_frames) {
+  if (peer->frame_log.size() >= kMaxReplayFrames) {
     // Past the replay budget a rejoin takes a fresh full sync instead.
     peer->frame_log.clear();
     peer->log_overflow = true;
@@ -348,10 +363,10 @@ bool ShardSupervisor::SendFrame(Peer* peer, const net::Frame& frame) {
   // Chaos only bites after the initial handshake (so a faulty plan cannot
   // starve Start() itself) and pauses during Quiesce (the settle phase has
   // no step clock to notice losses).
-  if (!started_ || quiescing_ || !options_.fault.active()) {
-    return peer->link->Send(frame, options_.max_queue_bytes);
+  if (!started_ || quiescing_ || !fault_.active()) {
+    return peer->link->Send(frame, kMaxQueueBytes);
   }
-  const net::BackplaneFaultPlan& plan = options_.fault;
+  const net::BackplaneFaultPlan& plan = fault_;
   if (chaos_rng_.NextDouble() < plan.drop_rate) {
     // Silently vanished: the RPC deadline is what notices, exactly like a
     // frame lost inside a real flaky transport.
@@ -391,7 +406,7 @@ bool ShardSupervisor::SendFrame(Peer* peer, const net::Frame& frame) {
     return true;
   }
   return peer->link->SendBytes(wire.data(), wire.size(),
-                               options_.max_queue_bytes);
+                               kMaxQueueBytes);
 }
 
 void ShardSupervisor::ReleaseDelayed(Peer* peer, bool force) {
@@ -403,7 +418,7 @@ void ShardSupervisor::ReleaseDelayed(Peer* peer, bool force) {
     }
     const HeldFrame& held = peer->held.front();
     peer->link->SendBytes(held.wire.data(), held.wire.size(),
-                          options_.max_queue_bytes);
+                          kMaxQueueBytes);
     peer->held.pop_front();
   }
 }
@@ -434,7 +449,7 @@ void ShardSupervisor::SendSync(Peer* peer) {
 
   if (!SendFrame(peer, config) || !SendFrame(peer, sync)) {
     ++stats_.send_drops;
-    MarkDown(peer, "send failed during sync");
+    MarkDown(peer);
     return;
   }
   stats_.frames_sent += 2;
@@ -457,7 +472,7 @@ void ShardSupervisor::SendSync(Peer* peer) {
   for (const LoggedFrame& logged : peer->frame_log) {
     if (!SendFrame(peer, logged.frame)) {
       ++stats_.send_drops;
-      MarkDown(peer, "send failed during replay");
+      MarkDown(peer);
       return;
     }
     ++stats_.frames_sent;
@@ -492,7 +507,7 @@ bool ShardSupervisor::FlushPendingBatch(Peer* peer) {
   rpc.sent_micros = NowMicros();
   if (!SendFrame(peer, frame)) {
     ++stats_.send_drops;
-    MarkDown(peer, "send queue full or closed");
+    MarkDown(peer);
     return false;
   }
   stats_.frames_sent += 1;
@@ -518,7 +533,7 @@ void ShardSupervisor::SendBatchOrHeartbeat(Peer* peer) {
     return;
   }
   if (connected && peer->up &&
-      step_ - peer->last_activity_step >= options_.heartbeat_stride) {
+      step_ - peer->last_activity_step >= kHeartbeatStride) {
     net::Frame frame;
     frame.kind = net::FrameKind::kHeartbeat;
     frame.shard = static_cast<uint8_t>(peer->shard);
@@ -529,7 +544,7 @@ void ShardSupervisor::SendBatchOrHeartbeat(Peer* peer) {
     rpc.sent_micros = NowMicros();
     if (!SendFrame(peer, frame)) {
       ++stats_.send_drops;
-      MarkDown(peer, "heartbeat send failed");
+      MarkDown(peer);
       return;
     }
     stats_.frames_sent += 1;
@@ -589,7 +604,7 @@ void ShardSupervisor::HandlePeerFrame(Peer* peer, const net::Frame& frame) {
 
 bool ShardSupervisor::AuthorityScan(int shard, const geo::CellCoord& cell,
                                     std::vector<QueryId>* out) {
-  if (!options_.authority || !started_) return false;
+  if (!authority_ || !started_) return false;
   if (shard < 0 || shard >= static_cast<int>(peers_.size())) return false;
   Peer* peer = peers_[shard].get();
   if (!peer->authoritative || !peer->up || peer->need_sync ||
@@ -619,7 +634,7 @@ bool ShardSupervisor::AuthorityScan(int shard, const geo::CellCoord& cell,
   scan_rpc.sent_micros = NowMicros();
   if (!SendFrame(peer, req)) {
     ++stats_.send_drops;
-    MarkDown(peer, "send failed during scan");
+    MarkDown(peer);
     ++stats_.scans_local;
     return false;
   }
@@ -633,8 +648,7 @@ bool ShardSupervisor::AuthorityScan(int shard, const geo::CellCoord& cell,
   // first; a SIGKILLed daemon surfaces as a fast EOF, and the deadline
   // only pays for a genuinely wedged one. Either way the scan fails over
   // to the local mirror before this step's dispatch continues.
-  const int64_t deadline =
-      scan_rpc.sent_micros + int64_t{1000} * options_.authority_timeout_ms;
+  const int64_t deadline = scan_rpc.sent_micros + kAuthorityTimeoutMicros;
   const uint64_t expected_digest = MirrorDigest(peer);
   bool got = false;
   bool ok = false;
@@ -687,13 +701,13 @@ bool ShardSupervisor::AuthorityScan(int shard, const geo::CellCoord& cell,
     }
     if (got) break;
     if (!alive) {
-      MarkDown(peer, "EOF during scan");
+      MarkDown(peer);
       ++stats_.scans_local;
       return false;
     }
     if (NowMicros() > deadline) {
       ++stats_.rpc_timeouts;
-      MarkDown(peer, "scan deadline exceeded");
+      MarkDown(peer);
       ++stats_.scans_local;
       return false;
     }
@@ -753,7 +767,7 @@ void ShardSupervisor::ReceiveAll() {
       // A link can die outside Receive (failed send, adopted-then-closed
       // socket): reap it here or the peer wedges — ReceiveAll would skip
       // it and RespawnDue treats any attached link as a live daemon.
-      MarkDown(peer.get(), "link lost outside receive");
+      MarkDown(peer.get());
       continue;
     }
     peer->link->Flush();
@@ -762,7 +776,7 @@ void ShardSupervisor::ReceiveAll() {
     for (const net::Frame& frame : frames) {
       HandlePeerFrame(peer.get(), frame);
     }
-    if (!alive) MarkDown(peer.get(), "socket EOF");
+    if (!alive) MarkDown(peer.get());
   }
 }
 
@@ -772,25 +786,18 @@ void ShardSupervisor::RespawnDue() {
     // Quiesce freezes the step clock, so backoff expressed in steps would
     // never elapse there — respawn immediately instead.
     if (!quiescing_ && step_ < peer->next_respawn_step) continue;
-    Status st = SpawnDaemon(peer.get());
-    if (!st.ok() && options_.verbose) {
-      std::fprintf(stderr, "supervisor: respawn shard %d failed: %s\n",
-                   peer->shard, st.ToString().c_str());
-    }
+    // A failed spawn leaves the peer without a pid; the next pass retries.
+    SpawnDaemon(peer.get());
   }
-}
-
-int64_t ShardSupervisor::RpcWallBudgetMicros() const {
-  return int64_t{1000} * std::max(options_.authority_timeout_ms, 250);
 }
 
 bool ShardSupervisor::AwaitOverdueAcks(Peer* peer) {
   std::vector<net::Frame> frames;
   std::vector<int> ready;
   while (!peer->rpcs.empty() &&
-         step_ - peer->rpcs.front().step >= options_.timeout_steps) {
+         step_ - peer->rpcs.front().step >= kTimeoutSteps) {
     const int64_t left =
-        peer->rpcs.front().sent_micros + RpcWallBudgetMicros() - NowMicros();
+        peer->rpcs.front().sent_micros + kAuthorityTimeoutMicros - NowMicros();
     if (left <= 0 || peer->link == nullptr || !peer->link->connected()) {
       return false;
     }
@@ -801,7 +808,7 @@ bool ShardSupervisor::AwaitOverdueAcks(Peer* peer) {
     bool alive = peer->link->Receive(&frames);
     for (const net::Frame& frame : frames) HandlePeerFrame(peer, frame);
     if (!alive) {
-      MarkDown(peer, "socket EOF");
+      MarkDown(peer);
       return true;
     }
   }
@@ -811,7 +818,7 @@ bool ShardSupervisor::AwaitOverdueAcks(Peer* peer) {
 void ShardSupervisor::PumpStep(int64_t step) {
   step_ = step;
   // Scheduled chaos SIGKILLs fire at the step boundary.
-  for (const auto& [kill_step, kill_shard] : options_.fault.kills) {
+  for (const auto& [kill_step, kill_shard] : fault_.kills) {
     if (kill_step == step) {
       ++stats_.chaos_kills;
       KillShard(kill_shard);
@@ -847,12 +854,12 @@ void ShardSupervisor::PumpStep(int64_t step) {
   // unscheduled for several steps.
   for (auto& peer : peers_) {
     if (peer->rpcs.empty() ||
-        step_ - peer->rpcs.front().step < options_.timeout_steps) {
+        step_ - peer->rpcs.front().step < kTimeoutSteps) {
       continue;
     }
     if (!AwaitOverdueAcks(peer.get())) {
       ++stats_.rpc_timeouts;
-      MarkDown(peer.get(), "RPC deadline exceeded");
+      MarkDown(peer.get());
     }
   }
 
@@ -872,9 +879,9 @@ Status ShardSupervisor::Quiesce(int timeout_ms) {
     for (auto& peer : peers_) {
       if (peer->rpcs.empty()) continue;
       if (NowMicros() - peer->rpcs.front().sent_micros >
-          RpcWallBudgetMicros()) {
+          kAuthorityTimeoutMicros) {
         ++stats_.rpc_timeouts;
-        MarkDown(peer.get(), "RPC wall deadline during quiesce");
+        MarkDown(peer.get());
       }
     }
     RespawnDue();
@@ -901,19 +908,6 @@ Status ShardSupervisor::Quiesce(int timeout_ms) {
       return Status::OK();
     }
     if (NowMicros() > deadline) {
-      if (options_.verbose) {
-        for (const auto& peer : peers_) {
-          std::fprintf(
-              stderr,
-              "supervisor: quiesce wedge shard %d up=%d pid=%d link=%d "
-              "rpcs=%zu pending=%d need_sync=%d held=%zu queued=%zu\n",
-              peer->shard, peer->up ? 1 : 0, static_cast<int>(peer->pid),
-              peer->link != nullptr ? 1 : 0, peer->rpcs.size(),
-              peer->pending.empty() ? 0 : 1, peer->need_sync ? 1 : 0,
-              peer->held.size(),
-              peer->link != nullptr ? peer->link->queued_bytes() : 0);
-        }
-      }
       quiescing_ = false;
       return Status::Internal("supervisor: quiesce timed out");
     }
@@ -928,7 +922,7 @@ void ShardSupervisor::Shutdown() {
       bye.kind = net::FrameKind::kShutdown;
       bye.shard = static_cast<uint8_t>(peer->shard);
       bye.step = step_;
-      peer->link->Send(bye, options_.max_queue_bytes);
+      peer->link->Send(bye, kMaxQueueBytes);
       peer->link->Flush();
     }
   }

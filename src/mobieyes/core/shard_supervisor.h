@@ -25,41 +25,11 @@ struct SupervisorOptions {
   // Daemon binary. Empty: $MOBIEYES_SHARDD, then mobieyes_shardd next to
   // the running binary or in a sibling tools/ directory.
   std::string shardd_path;
-  // Listen address ("uds:..." / "tcp:..."). Empty: a fresh UDS socket
-  // under a private temp directory, removed at shutdown.
+  // Listen address ("uds:/path/to.sock"). Empty: a fresh UDS socket under
+  // a private temp directory, removed at shutdown.
   std::string address;
-  // Steps between liveness probes on an otherwise idle link.
-  int heartbeat_stride = 4;
-  // Virtual-step RPC deadline: a frame unacked this many steps after it
-  // was sent marks the daemon dead (killed and rescheduled) — once it is
-  // also past the wall budget of max(authority_timeout_ms, 250) ms, so a
-  // live daemon that was merely descheduled is not taken for dead.
-  int timeout_steps = 4;
-  // Respawn backoff for a dead daemon, in steps: base doubles per
-  // consecutive failure up to max, plus seeded jitter in [0, base).
-  int respawn_base_steps = 1;
-  int respawn_max_steps = 16;
-  // Bounded per-peer send queue; a frame that would exceed this is dropped
-  // and the peer declared dead (it is not consuming).
-  size_t max_queue_bytes = 4u << 20;
-  // Step-batch frames buffered per peer for rejoin replay; past this the
-  // log is discarded and a rejoin takes a fresh full sync instead.
-  size_t max_replay_frames = 256;
-  // Wall-clock budget for Start()'s initial spawn-and-handshake.
-  int start_timeout_ms = 15000;
-  // Authority mode (DESIGN.md §14): daemons execute the RQI row reads and
-  // the router merges their digest-verified results; the local shard
-  // objects become the warm failover mirror instead of the serving copy.
-  bool authority = false;
-  // Wall-clock deadline for one blocking authority scan; past it the
-  // daemon is declared dead and the scan fails over to the local mirror
-  // within the same step.
-  int authority_timeout_ms = 250;
-  // Seeded backplane chaos applied to every outbound frame after startup,
-  // plus scheduled SIGKILLs fired at step boundaries.
-  net::BackplaneFaultPlan fault;
-  uint64_t seed = 1;
-  bool verbose = false;
+
+  bool operator==(const SupervisorOptions&) const = default;
 };
 
 struct SupervisorStats {
@@ -106,16 +76,17 @@ struct SupervisorStats {
 // keeps dispatching every uplink while a daemon is down; the rejoining
 // replica catches up from the image and the log.
 //
-// With options.authority set (DESIGN.md §14) the daemons additionally
-// execute the RQI row reads: the router's shard objects become a warm
-// standby mirror, scans go to the daemons as blocking digest-verified
-// RPCs, and a dead or diverged daemon fails over to the mirror within the
-// same virtual step. The seeded fault plan in options.fault layers
-// deterministic chaos (frame drops, delays, truncations, bit flips,
-// scheduled SIGKILLs) over the backplane.
+// With `authority` set (DESIGN.md §14) the daemons additionally execute
+// the RQI row reads: the router's shard objects become a warm standby
+// mirror, scans go to the daemons as blocking digest-verified RPCs, and a
+// dead or diverged daemon fails over to the mirror within the same virtual
+// step. The seeded plan `fault` layers deterministic chaos (frame drops,
+// delays, truncations, bit flips, scheduled SIGKILLs) over the backplane
+// after startup. `seed` seeds the respawn jitter and the daemons.
 class ShardSupervisor : public ShardTransport {
  public:
-  explicit ShardSupervisor(const SupervisorOptions& options);
+  ShardSupervisor(const SupervisorOptions& options, bool authority,
+                  const net::BackplaneFaultPlan& fault, uint64_t seed);
   ~ShardSupervisor() override;
 
   // Points the supervisor at the authoritative router and registers itself
@@ -241,7 +212,7 @@ class ShardSupervisor : public ShardTransport {
   };
 
   Status SpawnDaemon(Peer* peer);
-  void MarkDown(Peer* peer, const char* reason);
+  void MarkDown(Peer* peer);
   void CaptureSync(Peer* peer);
   void SendSync(Peer* peer);
   void SendBatchOrHeartbeat(Peer* peer);
@@ -268,8 +239,6 @@ class ShardSupervisor : public ShardTransport {
   // Flushes the peer's coalesced ops as a mid-step batch. False when the
   // send failed (peer marked down inside).
   bool FlushPendingBatch(Peer* peer);
-  // Wall time an unacked RPC gets before its daemon counts as dead.
-  int64_t RpcWallBudgetMicros() const;
   // Blocks on the peer's socket while its oldest RPC is past the step
   // deadline but inside the wall budget, handling whatever arrives. False
   // when that RPC is still unacked at the end of its budget; true when it
@@ -280,6 +249,9 @@ class ShardSupervisor : public ShardTransport {
   static int64_t NowMicros();
 
   SupervisorOptions options_;
+  bool authority_ = false;
+  net::BackplaneFaultPlan fault_;
+  uint64_t seed_ = 1;
   ShardRouter* router_ = nullptr;
   net::Backplane backplane_;
   std::vector<std::unique_ptr<Peer>> peers_;

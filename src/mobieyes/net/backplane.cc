@@ -1,10 +1,7 @@
 #include "mobieyes/net/backplane.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
@@ -29,54 +26,23 @@ bool SetNonBlocking(int fd) {
 // Backplane fds must not leak into spawned shard daemons.
 void SetCloExec(int fd) { fcntl(fd, F_SETFD, FD_CLOEXEC); }
 
-// Splits "uds:/path" / "tcp:host:port" into scheme + rest. Returns false
-// on an unknown scheme.
-bool ParseAddress(const std::string& address, bool* is_uds,
-                  std::string* rest) {
-  if (address.rfind("uds:", 0) == 0) {
-    *is_uds = true;
-    *rest = address.substr(4);
-    return true;
+// Resolves "uds:/path" into a Unix-domain socket address. The scheme is the
+// only one the backplane speaks; anything else is rejected.
+Status UdsSockaddr(const std::string& address, sockaddr_un* sun,
+                   socklen_t* len) {
+  if (address.rfind("uds:", 0) != 0) {
+    return Status::InvalidArgument("backplane: unknown address scheme: " +
+                                   address);
   }
-  if (address.rfind("tcp:", 0) == 0) {
-    *is_uds = false;
-    *rest = address.substr(4);
-    return true;
+  const std::string path = address.substr(4);
+  if (path.size() + 1 > sizeof(sun->sun_path)) {
+    return Status::InvalidArgument("backplane: UDS path too long: " + path);
   }
-  return false;
-}
-
-Status FillSockaddr(bool is_uds, const std::string& rest,
-                    sockaddr_storage* storage, socklen_t* len) {
-  memset(storage, 0, sizeof(*storage));
-  if (is_uds) {
-    auto* sun = reinterpret_cast<sockaddr_un*>(storage);
-    if (rest.size() + 1 > sizeof(sun->sun_path)) {
-      return Status::InvalidArgument("backplane: UDS path too long: " + rest);
-    }
-    sun->sun_family = AF_UNIX;
-    memcpy(sun->sun_path, rest.c_str(), rest.size() + 1);
-    *len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) +
-                                  rest.size() + 1);
-    return Status::OK();
-  }
-  size_t colon = rest.rfind(':');
-  if (colon == std::string::npos) {
-    return Status::InvalidArgument("backplane: tcp address needs host:port");
-  }
-  std::string host = rest.substr(0, colon);
-  int port = atoi(rest.c_str() + colon + 1);
-  if (port < 0 || port > 65535) {
-    return Status::InvalidArgument("backplane: bad tcp port in " + rest);
-  }
-  if (host == "localhost" || host.empty()) host = "127.0.0.1";
-  auto* sin = reinterpret_cast<sockaddr_in*>(storage);
-  sin->sin_family = AF_INET;
-  sin->sin_port = htons(static_cast<uint16_t>(port));
-  if (inet_pton(AF_INET, host.c_str(), &sin->sin_addr) != 1) {
-    return Status::InvalidArgument("backplane: bad tcp host in " + rest);
-  }
-  *len = sizeof(sockaddr_in);
+  memset(sun, 0, sizeof(*sun));
+  sun->sun_family = AF_UNIX;
+  memcpy(sun->sun_path, path.c_str(), path.size() + 1);
+  *len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) +
+                                path.size() + 1);
   return Status::OK();
 }
 
@@ -97,25 +63,15 @@ void Backplane::Close() {
 
 Status Backplane::Listen(const std::string& address) {
   Close();
-  bool is_uds = false;
-  std::string rest;
-  if (!ParseAddress(address, &is_uds, &rest)) {
-    return Status::InvalidArgument("backplane: unknown address scheme: " +
-                                   address);
-  }
-  sockaddr_storage storage;
+  sockaddr_un sun;
   socklen_t len = 0;
-  Status st = FillSockaddr(is_uds, rest, &storage, &len);
+  Status st = UdsSockaddr(address, &sun, &len);
   if (!st.ok()) return st;
 
-  if (is_uds) unlink(rest.c_str());  // stale socket from a dead run
-  int fd = socket(is_uds ? AF_UNIX : AF_INET, SOCK_STREAM, 0);
+  unlink(sun.sun_path);  // stale socket from a dead run
+  int fd = socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) return Status::Internal("backplane: socket() failed");
-  if (!is_uds) {
-    int one = 1;
-    setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  }
-  if (bind(fd, reinterpret_cast<sockaddr*>(&storage), len) != 0) {
+  if (bind(fd, reinterpret_cast<sockaddr*>(&sun), len) != 0) {
     close(fd);
     return Status::Internal("backplane: bind(" + address +
                             ") failed: " + strerror(errno));
@@ -130,18 +86,8 @@ Status Backplane::Listen(const std::string& address) {
   }
   SetCloExec(fd);
   fd_ = fd;
-  if (is_uds) {
-    uds_path_ = rest;
-    bound_address_ = address;
-  } else {
-    sockaddr_in bound;
-    socklen_t blen = sizeof(bound);
-    getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &blen);
-    char buf[64];
-    snprintf(buf, sizeof(buf), "tcp:%s:%d", inet_ntoa(bound.sin_addr),
-             static_cast<int>(ntohs(bound.sin_port)));
-    bound_address_ = buf;
-  }
+  uds_path_ = sun.sun_path;
+  bound_address_ = address;
   return Status::OK();
 }
 
@@ -154,27 +100,17 @@ int Backplane::Accept() {
 
 Status BackplaneConnect(const std::string& address, int timeout_ms,
                         int retry_sleep_ms, int* fd_out) {
-  bool is_uds = false;
-  std::string rest;
-  if (!ParseAddress(address, &is_uds, &rest)) {
-    return Status::InvalidArgument("backplane: unknown address scheme: " +
-                                   address);
-  }
-  sockaddr_storage storage;
+  sockaddr_un sun;
   socklen_t len = 0;
-  Status st = FillSockaddr(is_uds, rest, &storage, &len);
+  Status st = UdsSockaddr(address, &sun, &len);
   if (!st.ok()) return st;
 
   int waited = 0;
   for (;;) {
-    int fd = socket(is_uds ? AF_UNIX : AF_INET, SOCK_STREAM, 0);
+    int fd = socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd < 0) return Status::Internal("backplane: socket() failed");
-    if (connect(fd, reinterpret_cast<sockaddr*>(&storage), len) == 0) {
+    if (connect(fd, reinterpret_cast<sockaddr*>(&sun), len) == 0) {
       SetCloExec(fd);
-      if (!is_uds) {
-        int one = 1;
-        setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      }
       *fd_out = fd;
       return Status::OK();
     }

@@ -12,9 +12,8 @@
 namespace mobieyes::net {
 
 // Real inter-process transport for the shard backplane (DESIGN.md §13):
-// a listener plus per-peer framed links over Unix-domain or TCP sockets.
-// Addresses are "uds:/path/to.sock" or "tcp:host:port" (port 0 binds an
-// ephemeral port; bound_address() reports the resolved one).
+// a listener plus per-peer framed links over Unix-domain sockets.
+// Addresses are "uds:/path/to.sock"; any other scheme is rejected.
 //
 // The supervisor side is fully non-blocking: sends queue into a bounded
 // per-peer buffer flushed opportunistically, reads drain whatever the
@@ -30,8 +29,7 @@ class Backplane {
   Backplane& operator=(const Backplane&) = delete;
 
   Status Listen(const std::string& address);
-  // Address a peer can connect to; for "tcp:host:0" the bound port is
-  // substituted in.
+  // Address a peer can connect to.
   const std::string& bound_address() const { return bound_address_; }
   int fd() const { return fd_; }
   // Accepts one pending connection without blocking; -1 when none.
@@ -129,6 +127,8 @@ struct BackplaneFaultPlan {
     return drop_rate > 0.0 || delay_rate > 0.0 || truncate_rate > 0.0 ||
            flip_rate > 0.0 || !kills.empty();
   }
+
+  bool operator==(const BackplaneFaultPlan&) const = default;
 };
 
 // Parses a chaos spec of comma-separated fields into *plan:

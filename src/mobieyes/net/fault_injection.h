@@ -97,6 +97,8 @@ struct FaultPlan {
            server_crash_step >= 0 || client_restart_rate > 0.0 ||
            forced_restart_oid != kInvalidObjectId;
   }
+
+  bool operator==(const FaultPlan&) const = default;
 };
 
 // WirelessNetwork that injects the faults described by a FaultPlan between

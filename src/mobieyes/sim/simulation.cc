@@ -139,12 +139,10 @@ Status Simulation::Setup() {
     if (config_.shard_transport ==
             SimulationConfig::ShardTransport::kProcess &&
         server_->num_shards() > 1) {
-      core::SupervisorOptions opts = config_.supervisor;
-      if (opts.seed == 1) opts.seed = params.seed;
-      opts.authority = config_.shard_authority;
-      opts.fault = config_.backplane_fault;
-      if (opts.fault.seed == 1) opts.fault.seed = params.seed;
-      supervisor_ = std::make_unique<core::ShardSupervisor>(opts);
+      net::BackplaneFaultPlan fault = config_.backplane_fault;
+      if (fault.seed == 1) fault.seed = params.seed;
+      supervisor_ = std::make_unique<core::ShardSupervisor>(
+          config_.supervisor, config_.shard_authority, fault, params.seed);
       if (lifecycle_) supervisor_->set_lifecycle(lifecycle_.get());
       supervisor_->AttachRouter(&server_->router());
       MOBIEYES_RETURN_NOT_OK(supervisor_->Start());

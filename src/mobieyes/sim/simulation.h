@@ -77,6 +77,8 @@ struct ObservabilityOptions {
     return enable_metrics || enable_trace || sample_stride > 0 ||
            enable_heatmap || enable_lifecycle;
   }
+
+  bool operator==(const ObservabilityOptions&) const = default;
 };
 
 struct SimulationConfig {
@@ -115,17 +117,17 @@ struct SimulationConfig {
   // exports are byte-identical to the in-process transport.
   enum class ShardTransport { kInProcess, kProcess };
   ShardTransport shard_transport = ShardTransport::kInProcess;
-  // Process-transport tuning (address, heartbeat stride, RPC deadline,
-  // respawn backoff, daemon binary path); kProcess only.
+  // Daemon binary and listen address; kProcess only.
   core::SupervisorOptions supervisor;
   // Authority mode (kProcess only, DESIGN.md §14): daemons execute the RQI
   // scans and the router merges their digest-verified results; the local
   // shards become the warm failover mirror. Both paths serve identical
   // bytes, so deterministic exports stay byte-identical to in-process —
-  // even across failovers. Sets supervisor.authority.
+  // even across failovers.
   bool shard_authority = false;
   // Seeded backplane chaos (kProcess only): frame drops/delays/truncations
-  // /bit-flips plus scheduled SIGKILLs. Sets supervisor.fault.
+  // /bit-flips plus scheduled SIGKILLs. Seed 1 (the default) takes the
+  // workload seed.
   net::BackplaneFaultPlan backplane_fault;
   // Fault event (kProcess only): SIGKILL the shard_kill_index daemon at sim
   // step shard_kill_step (counted like faults.server_crash_step: warmup
@@ -133,6 +135,9 @@ struct SimulationConfig {
   // supervisor respawns and resyncs it.
   int64_t shard_kill_step = -1;
   int shard_kill_index = 0;
+
+  // Field-wise, so tests can compare whole configs (config_flags_test).
+  bool operator==(const SimulationConfig&) const = default;
 };
 
 // One end-to-end simulation: a seeded workload, the mobility world, the

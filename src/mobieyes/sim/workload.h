@@ -63,6 +63,8 @@ struct SimulationParams {
 
   // Sanity checks; returns InvalidArgument describing the first problem.
   Status Validate() const;
+
+  bool operator==(const SimulationParams&) const = default;
 };
 
 // A moving query to be installed: the paper's (oid, region, filter) triple.

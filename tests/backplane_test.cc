@@ -104,6 +104,21 @@ TEST(BackplaneAddressTest, RejectsOverlongUdsPath) {
       << st.ToString();
 }
 
+TEST(BackplaneAddressTest, RejectsSchemesOtherThanUds) {
+  for (const char* address : {"tcp:127.0.0.1:0", "udp:/tmp/x", "/tmp/x"}) {
+    net::Backplane backplane;
+    Status st = backplane.Listen(address);
+    EXPECT_FALSE(st.ok()) << address;
+    EXPECT_NE(st.ToString().find("unknown address scheme"), std::string::npos)
+        << st.ToString();
+    int fd = -1;
+    EXPECT_FALSE(net::BackplaneConnect(address, /*timeout_ms=*/0,
+                                       /*retry_sleep_ms=*/0, &fd)
+                     .ok())
+        << address;
+  }
+}
+
 TEST(BackplaneFaultSpecTest, ParsesEveryField) {
   net::BackplaneFaultPlan plan;
   ASSERT_TRUE(net::ParseBackplaneFaultSpec(

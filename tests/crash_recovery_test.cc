@@ -540,21 +540,23 @@ TEST(SimulationCrashTest, WalReplayIsThreadCountInvariant) {
   std::vector<bench::SweepJob> jobs;
   for (int stride : {1, 4}) {
     bench::SweepJob job;
-    job.params.num_objects = 200;
-    job.params.num_queries = 20;
-    job.params.velocity_changes_per_step = 20;
-    job.params.area_square_miles = 10000.0;
-    job.params.seed = 23;
-    job.mode = sim::SimMode::kMobiEyesEager;
-    job.options.steps = 16;
-    job.options.warmup_steps = 2;
-    job.options.measure_error = true;
-    job.options.checkpoint_stride = stride;
-    job.options.wal_limit = 64;
-    job.faults.plan.server_crash_step = 8;
-    job.faults.plan.server_recovery_steps = 2;
-    job.faults.plan.client_restart_rate = 0.01;
-    job.faults.harden = true;
+    sim::SimulationConfig& config = job.config;
+    config.params.num_objects = 200;
+    config.params.num_queries = 20;
+    config.params.velocity_changes_per_step = 20;
+    config.params.area_square_miles = 10000.0;
+    config.params.seed = 23;
+    config.mode = sim::SimMode::kMobiEyesEager;
+    config.warmup_steps = 2;
+    config.measure_error = true;
+    config.checkpoint_stride = stride;
+    config.wal_limit = 64;
+    config.faults.server_crash_step = 8;
+    config.faults.server_recovery_steps = 2;
+    config.faults.client_restart_rate = 0.01;
+    config.mobieyes =
+        core::HardenedOptions(config.mobieyes, config.params.time_step);
+    job.steps = 16;
     jobs.push_back(job);
   }
   bench::SweepObsOptions obs;

@@ -16,24 +16,23 @@ namespace {
 
 std::vector<SweepJob> SmallSweep() {
   std::vector<SweepJob> jobs;
-  RunOptions options;
-  options.steps = 4;
-  options.warmup_steps = 1;
-  options.measure_error = true;
   for (double alpha : {5.0, 10.0}) {
     for (sim::SimMode mode :
          {sim::SimMode::kMobiEyesEager, sim::SimMode::kMobiEyesLazy,
           sim::SimMode::kNaive, sim::SimMode::kCentralOptimal}) {
       SweepJob job;
-      job.params.num_objects = 200;
-      job.params.num_queries = 20;
-      job.params.velocity_changes_per_step = 20;
-      job.params.area_square_miles = 10000.0;  // 100 x 100
-      job.params.alpha = alpha;
-      job.params.base_station_side = 20.0;
-      job.params.seed = 7 + static_cast<uint64_t>(alpha);
-      job.mode = mode;
-      job.options = options;
+      sim::SimulationParams& params = job.config.params;
+      params.num_objects = 200;
+      params.num_queries = 20;
+      params.velocity_changes_per_step = 20;
+      params.area_square_miles = 10000.0;  // 100 x 100
+      params.alpha = alpha;
+      params.base_station_side = 20.0;
+      params.seed = 7 + static_cast<uint64_t>(alpha);
+      job.config.mode = mode;
+      job.config.warmup_steps = 1;
+      job.config.measure_error = true;
+      job.steps = 4;
       jobs.push_back(job);
     }
   }
@@ -85,8 +84,8 @@ TEST(SweepDeterminismTest, SerialAndParallelSweepsAgree) {
   for (size_t k = 0; k < jobs.size(); ++k) {
     ExpectDeterministicFieldsEqual(
         serial[k], parallel[k],
-        "job " + std::to_string(k) + " (" + sim::SimModeName(jobs[k].mode) +
-            ")");
+        "job " + std::to_string(k) + " (" +
+            sim::SimModeName(jobs[k].config.mode) + ")");
     // The cells do real work; a zero-message result would mean a silently
     // failed setup rather than a determinism win.
     EXPECT_GT(serial[k].network.total_messages(), 0u);
@@ -109,19 +108,23 @@ TEST(SweepDeterminismTest, RepeatedParallelSweepsAgree) {
 TEST(SweepDeterminismTest, FaultySweepsAreThreadCountInvariant) {
   std::vector<SweepJob> jobs = SmallSweep();
   for (size_t k = 0; k < jobs.size(); ++k) {
-    if (jobs[k].mode != sim::SimMode::kMobiEyesEager &&
-        jobs[k].mode != sim::SimMode::kMobiEyesLazy) {
+    sim::SimulationConfig& config = jobs[k].config;
+    if (config.mode != sim::SimMode::kMobiEyesEager &&
+        config.mode != sim::SimMode::kMobiEyesLazy) {
       continue;  // fault plans target the MobiEyes protocol paths
     }
-    jobs[k].faults.plan.uplink_drop_rate = 0.15;
-    jobs[k].faults.plan.downlink_drop_rate = 0.15;
-    jobs[k].faults.plan.delay_rate = 0.1;
-    jobs[k].faults.plan.max_delay_steps = 2;
-    jobs[k].faults.plan.duplicate_rate = 0.05;
-    jobs[k].faults.plan.disconnect_rate = 0.2;
-    jobs[k].faults.plan.disconnect_period_steps = 4;
-    jobs[k].faults.plan.disconnect_duration_steps = 1;
-    jobs[k].faults.harden = k % 2 == 0;
+    config.faults.uplink_drop_rate = 0.15;
+    config.faults.downlink_drop_rate = 0.15;
+    config.faults.delay_rate = 0.1;
+    config.faults.max_delay_steps = 2;
+    config.faults.duplicate_rate = 0.05;
+    config.faults.disconnect_rate = 0.2;
+    config.faults.disconnect_period_steps = 4;
+    config.faults.disconnect_duration_steps = 1;
+    if (k % 2 == 0) {
+      config.mobieyes =
+          core::HardenedOptions(config.mobieyes, config.params.time_step);
+    }
   }
   std::vector<sim::RunMetrics> serial = RunSweep(jobs, 1);
   std::vector<sim::RunMetrics> parallel = RunSweep(jobs, 4);
@@ -130,7 +133,7 @@ TEST(SweepDeterminismTest, FaultySweepsAreThreadCountInvariant) {
     ExpectDeterministicFieldsEqual(
         serial[k], parallel[k],
         "faulty job " + std::to_string(k) + " (" +
-            sim::SimModeName(jobs[k].mode) + ")");
+            sim::SimModeName(jobs[k].config.mode) + ")");
     saw_faults = saw_faults || serial[k].network.total_dropped() > 0;
   }
   EXPECT_TRUE(saw_faults);
@@ -151,7 +154,7 @@ TEST(SweepDeterminismTest, MetricsReportsAreThreadCountInvariant) {
   ASSERT_EQ(parallel.size(), jobs.size());
   for (size_t k = 0; k < jobs.size(); ++k) {
     const std::string context = "job " + std::to_string(k) + " (" +
-                                sim::SimModeName(jobs[k].mode) + ")";
+                                sim::SimModeName(jobs[k].config.mode) + ")";
     ExpectDeterministicFieldsEqual(serial[k].metrics, parallel[k].metrics,
                                    context);
     EXPECT_FALSE(serial[k].metrics_json.empty()) << context;
@@ -193,15 +196,17 @@ TEST(SweepDeterminismTest, ObservabilityDoesNotPerturbResults) {
 std::vector<SweepJob> ShardedSweep(int num_shards) {
   std::vector<SweepJob> jobs;
   for (SweepJob& job : SmallSweep()) {
-    if (job.mode != sim::SimMode::kMobiEyesEager &&
-        job.mode != sim::SimMode::kMobiEyesLazy) {
+    sim::SimulationConfig& config = job.config;
+    if (config.mode != sim::SimMode::kMobiEyesEager &&
+        config.mode != sim::SimMode::kMobiEyesLazy) {
       continue;
     }
-    job.mobieyes.sharding.num_shards = num_shards;
-    job.options.checkpoint_stride = 2;  // exercise per-shard chunk encoding
-    job.faults.plan.uplink_drop_rate = 0.1;
-    job.faults.plan.downlink_drop_rate = 0.1;
-    job.faults.harden = true;
+    config.mobieyes =
+        core::HardenedOptions(config.mobieyes, config.params.time_step);
+    config.mobieyes.sharding.num_shards = num_shards;
+    config.checkpoint_stride = 2;  // exercise per-shard chunk encoding
+    config.faults.uplink_drop_rate = 0.1;
+    config.faults.downlink_drop_rate = 0.1;
     jobs.push_back(job);
   }
   return jobs;

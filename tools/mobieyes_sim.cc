@@ -3,66 +3,52 @@
 // metrics report (server load, messaging cost, LQT sizes, result error,
 // per-object power), plus the analytic alpha-model prediction.
 //
-// Usage:
-//   mobieyes_sim [--mode=eqp|lqp|object-index|query-index|naive|
-//                        central-optimal]
-//                [--objects=N] [--queries=N] [--nmo=N] [--alpha=F]
-//                [--area=F] [--alen=F] [--steps=N] [--warmup=N] [--seed=N]
-//                [--delta=F] [--radius-factor=F] [--selectivity=F]
-//                [--safe-period] [--no-grouping] [--no-error] [--no-bytes]
-//                [--hotspots] [--histogram] [--trace=PATH]
-//                [--metrics-json=PATH] [--sample-stride=N]
-//                [--heatmap=PATH] [--report=PATH]
-//                [--drop-rate=F] [--delay-steps=N] [--delay-rate=F]
-//                [--dup-rate=F] [--outage=P:D] [--disconnect=R:P:D]
-//                [--fault-seed=N] [--harden]
-//                [--server-crash=S:R] [--client-restart-rate=F]
-//                [--checkpoint-stride=N]
-//                [--shards=N]
+// `mobieyes_sim --help` lists every flag. The flags that shape the
+// simulation (workload, mode, faults, crash recovery, shards) come from the
+// table in src/mobieyes/sim/config_flags.cc, which the benches share; this
+// file owns only the run length and the output flags. --heatmap=PATH writes
+// the per-cell heat maps as deterministic JSON, byte-identical across shard
+// counts for the same seed; --report=PATH turns on every observability
+// component and writes one self-contained HTML report (DESIGN.md §12).
 //
-// The fault flags configure the net::FaultyNetwork (see
-// src/mobieyes/net/fault_injection.h); --harden switches the MobiEyes
-// protocol to the hardened variant (uplink acks + retries, soft-state
-// leases, periodic reconciliation). The crash-recovery flags kill the
-// server at step S and restore it from its checkpoint+WAL R steps later,
-// cold-restart clients at the given per-step rate, and set the server
-// checkpoint stride (DESIGN.md §9). The sharding flags split the server
-// into grid-partitioned shards behind a routing coordinator (DESIGN.md
-// §10); results and wireless traffic are identical for any shard count.
-//
-// --heatmap=PATH writes the per-cell heat maps (uplinks, RQI scan work,
-// installs, residency) as deterministic JSON — byte-identical across
-// shard counts for the same seed. --report=PATH turns on every
-// observability component and writes a single self-contained HTML report
-// (sparklines, heat-map grids, latency tables; DESIGN.md §12).
-//
-// Unknown flags are an error (exit 2), so typos never silently run the
-// default configuration.
+// Unknown flags and malformed values are an error (exit 2), so typos never
+// silently run the default configuration.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include "mobieyes/net/backplane.h"
 #include "mobieyes/net/energy.h"
 #include "mobieyes/obs/report_html.h"
 #include "mobieyes/obs/trace_recorder.h"
 #include "mobieyes/sim/alpha_model.h"
+#include "mobieyes/sim/config_flags.h"
 #include "mobieyes/sim/simulation.h"
 
 using namespace mobieyes;  // NOLINT(build/namespaces)
 
 namespace {
 
+// Usage of the flags this file owns; the config flags follow from the table.
+constexpr char kUsage[] =
+    "usage: mobieyes_sim [flags]\n"
+    "  --steps=N                   measured steps (default 20)\n"
+    "  --histogram                 print the per-message-type traffic mix\n"
+    "  --trace=PATH                Chrome/Perfetto trace of the run\n"
+    "  --metrics-json=PATH         metrics, series and lifecycle report\n"
+    "  --sample-stride=N           per-step sampling stride (default 1 with\n"
+    "                              --metrics-json or --report)\n"
+    "  --heatmap=PATH              per-cell heat maps as deterministic JSON\n"
+    "  --report=PATH               HTML report of every channel\n"
+    "  --help                      this text\n";
+
 struct CliOptions {
   sim::SimulationConfig config;
   int steps = 20;
-  bool show_alpha_model = true;
+  bool show_help = false;
   bool show_histogram = false;
-  bool harden = false;
-  double delay_rate = -1.0;  // <0: default to 0.2 when --delay-steps is set
   std::string trace_path;
   std::string metrics_path;
   std::string heatmap_path;
@@ -82,245 +68,56 @@ bool WriteFileOrComplain(const std::string& path, const std::string& data) {
   return true;
 }
 
-void PrintUsage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--mode=eqp|lqp|object-index|query-index|naive|"
-               "central-optimal]\n"
-               "          [--objects=N] [--queries=N] [--nmo=N] [--alpha=F]\n"
-               "          [--area=F] [--alen=F] [--steps=N] [--warmup=N]\n"
-               "          [--seed=N] [--delta=F] [--radius-factor=F]\n"
-               "          [--selectivity=F] [--safe-period] [--no-grouping]\n"
-               "          [--no-error] [--no-bytes] [--hotspots]\n"
-               "          [--histogram]\n"
-               "          [--trace=PATH] [--metrics-json=PATH]\n"
-               "          [--sample-stride=N]\n"
-               "          [--heatmap=PATH] [--report=PATH]\n"
-               "          [--drop-rate=F] [--delay-steps=N] [--delay-rate=F]\n"
-               "          [--dup-rate=F] [--outage=P:D] [--disconnect=R:P:D]\n"
-               "          [--fault-seed=N] [--harden]\n"
-               "          [--server-crash=S:R] [--client-restart-rate=F]\n"
-               "          [--checkpoint-stride=N]\n"
-               "          [--shards=N]\n"
-               "          [--shard-transport=inproc|process] [--shardd=PATH]\n"
-               "          [--backplane-timeout-steps=N]\n"
-               "          [--heartbeat-stride=N] [--shard-kill=S:K]\n"
-               "          [--shard-authority] "
-               "[--backplane-fault=drop=F,delay=F:N,trunc=F,flip=F,"
-               "kill=S:K,seed=N]\n",
-               argv0);
-}
-
-// Parses "--key=value" into key/value; returns false for non-options.
-bool SplitFlag(const char* arg, std::string* key, std::string* value) {
-  if (std::strncmp(arg, "--", 2) != 0) return false;
-  const char* eq = std::strchr(arg, '=');
-  if (eq == nullptr) {
-    *key = arg + 2;
-    value->clear();
-  } else {
-    key->assign(arg + 2, eq);
-    value->assign(eq + 1);
-  }
-  return true;
-}
-
-bool ParseMode(const std::string& value, sim::SimMode* mode) {
-  if (value == "eqp") *mode = sim::SimMode::kMobiEyesEager;
-  else if (value == "lqp") *mode = sim::SimMode::kMobiEyesLazy;
-  else if (value == "object-index") *mode = sim::SimMode::kObjectIndex;
-  else if (value == "query-index") *mode = sim::SimMode::kQueryIndex;
-  else if (value == "naive") *mode = sim::SimMode::kNaive;
-  else if (value == "central-optimal") *mode = sim::SimMode::kCentralOptimal;
-  else return false;
-  return true;
-}
-
+// Handles this file's flags and hands every other argument to the config
+// flag table. Prints the problem and returns false on a bad argument.
 bool ParseArgs(int argc, char** argv, CliOptions* cli) {
   cli->config.measure_error = true;
   cli->config.track_per_object_bytes = true;
+  sim::ObservabilityOptions& obs = cli->config.obs;
+  std::vector<std::string> config_flags;
   for (int k = 1; k < argc; ++k) {
-    std::string key;
-    std::string value;
-    if (!SplitFlag(argv[k], &key, &value)) {
-      std::fprintf(stderr, "unexpected argument '%s'\n", argv[k]);
-      return false;
-    }
-    auto& params = cli->config.params;
-    if (key == "mode") {
-      if (!ParseMode(value, &cli->config.mode)) return false;
-    } else if (key == "objects") {
-      params.num_objects = std::atoi(value.c_str());
-    } else if (key == "queries") {
-      params.num_queries = std::atoi(value.c_str());
-    } else if (key == "nmo") {
-      params.velocity_changes_per_step = std::atoi(value.c_str());
-    } else if (key == "alpha") {
-      params.alpha = std::atof(value.c_str());
-    } else if (key == "area") {
-      params.area_square_miles = std::atof(value.c_str());
-    } else if (key == "alen") {
-      params.base_station_side = std::atof(value.c_str());
-    } else if (key == "steps") {
-      cli->steps = std::atoi(value.c_str());
-    } else if (key == "warmup") {
-      cli->config.warmup_steps = std::atoi(value.c_str());
-    } else if (key == "seed") {
-      params.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "delta") {
-      params.dead_reckoning_threshold = std::atof(value.c_str());
-    } else if (key == "radius-factor") {
-      params.radius_factor = std::atof(value.c_str());
-    } else if (key == "selectivity") {
-      params.query_selectivity = std::atof(value.c_str());
-    } else if (key == "safe-period") {
-      cli->config.mobieyes.enable_safe_period = true;
-    } else if (key == "no-grouping") {
-      cli->config.mobieyes.enable_query_grouping = false;
-    } else if (key == "no-error") {
-      cli->config.measure_error = false;
-    } else if (key == "no-bytes") {
-      cli->config.track_per_object_bytes = false;
-    } else if (key == "hotspots") {
-      params.object_distribution = sim::ObjectDistribution::kHotspot;
-    } else if (key == "histogram") {
+    const std::string_view arg = argv[k];
+    std::string_view value;
+    bool valid = true;
+    if (arg == "--help") {
+      cli->show_help = true;
+    } else if (sim::FlagValue(arg, "--steps=", &value)) {
+      valid = sim::ParseIntFlag(value, 1, &cli->steps);
+    } else if (arg == "--histogram") {
       cli->show_histogram = true;
-    } else if (key == "trace") {
+    } else if (sim::FlagValue(arg, "--trace=", &value)) {
       cli->trace_path = value;
-      cli->config.obs.enable_trace = true;
-    } else if (key == "metrics-json") {
+      obs.enable_trace = true;
+    } else if (sim::FlagValue(arg, "--metrics-json=", &value)) {
       cli->metrics_path = value;
-      cli->config.obs.enable_metrics = true;
+      obs.enable_metrics = true;
       // Lifecycle latency tables ride inside the metrics report, matching
       // the bench harness's --metrics-json behavior.
-      cli->config.obs.enable_lifecycle = true;
-      if (cli->config.obs.sample_stride == 0) cli->config.obs.sample_stride = 1;
-    } else if (key == "sample-stride") {
-      cli->config.obs.sample_stride = std::atoi(value.c_str());
-    } else if (key == "heatmap") {
+      obs.enable_lifecycle = true;
+      if (obs.sample_stride == 0) obs.sample_stride = 1;
+    } else if (sim::FlagValue(arg, "--sample-stride=", &value)) {
+      valid = sim::ParseIntFlag(value, 0, &obs.sample_stride);
+    } else if (sim::FlagValue(arg, "--heatmap=", &value)) {
       cli->heatmap_path = value;
-      cli->config.obs.enable_heatmap = true;
-    } else if (key == "report") {
+      obs.enable_heatmap = true;
+    } else if (sim::FlagValue(arg, "--report=", &value)) {
       // One flag turns on everything the HTML report can render.
       cli->report_path = value;
-      cli->config.obs.enable_metrics = true;
-      cli->config.obs.enable_heatmap = true;
-      cli->config.obs.enable_lifecycle = true;
-      if (cli->config.obs.sample_stride == 0) cli->config.obs.sample_stride = 1;
-    } else if (key == "drop-rate") {
-      cli->config.faults.uplink_drop_rate = std::atof(value.c_str());
-      cli->config.faults.downlink_drop_rate =
-          cli->config.faults.uplink_drop_rate;
-    } else if (key == "delay-steps") {
-      cli->config.faults.max_delay_steps = std::atoi(value.c_str());
-    } else if (key == "delay-rate") {
-      cli->delay_rate = std::atof(value.c_str());
-    } else if (key == "dup-rate") {
-      cli->config.faults.duplicate_rate = std::atof(value.c_str());
-    } else if (key == "outage") {
-      if (std::sscanf(value.c_str(), "%d:%d",
-                      &cli->config.faults.outage_period_steps,
-                      &cli->config.faults.outage_duration_steps) != 2) {
-        std::fprintf(stderr, "bad --outage value '%s' (want PERIOD:DURATION)\n",
-                     value.c_str());
-        return false;
-      }
-    } else if (key == "disconnect") {
-      if (std::sscanf(value.c_str(), "%lf:%d:%d",
-                      &cli->config.faults.disconnect_rate,
-                      &cli->config.faults.disconnect_period_steps,
-                      &cli->config.faults.disconnect_duration_steps) != 3) {
-        std::fprintf(
-            stderr, "bad --disconnect value '%s' (want RATE:PERIOD:DURATION)\n",
-            value.c_str());
-        return false;
-      }
-    } else if (key == "fault-seed") {
-      cli->config.faults.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "server-crash") {
-      long long crash_step = -1;
-      int recovery_steps = -1;
-      if (std::sscanf(value.c_str(), "%lld:%d", &crash_step,
-                      &recovery_steps) != 2 ||
-          crash_step < 0 || recovery_steps < 0) {
-        std::fprintf(stderr,
-                     "bad --server-crash value '%s' (want STEP:RECOVERY)\n",
-                     value.c_str());
-        return false;
-      }
-      cli->config.faults.server_crash_step = crash_step;
-      cli->config.faults.server_recovery_steps = recovery_steps;
-    } else if (key == "client-restart-rate") {
-      cli->config.faults.client_restart_rate = std::atof(value.c_str());
-    } else if (key == "checkpoint-stride") {
-      cli->config.checkpoint_stride = std::atoi(value.c_str());
-    } else if (key == "shards") {
-      cli->config.mobieyes.sharding.num_shards = std::atoi(value.c_str());
-      if (cli->config.mobieyes.sharding.num_shards < 1) {
-        std::fprintf(stderr, "bad --shards value '%s'\n", value.c_str());
-        return false;
-      }
-    } else if (key == "shard-transport") {
-      if (value == "inproc") {
-        cli->config.shard_transport =
-            sim::SimulationConfig::ShardTransport::kInProcess;
-      } else if (value == "process") {
-        cli->config.shard_transport =
-            sim::SimulationConfig::ShardTransport::kProcess;
-      } else {
-        std::fprintf(
-            stderr,
-            "bad --shard-transport value '%s' (want inproc|process)\n",
-            value.c_str());
-        return false;
-      }
-    } else if (key == "shardd") {
-      cli->config.supervisor.shardd_path = value;
-    } else if (key == "backplane-timeout-steps") {
-      cli->config.supervisor.timeout_steps = std::atoi(value.c_str());
-      if (cli->config.supervisor.timeout_steps < 1) {
-        std::fprintf(stderr, "bad --backplane-timeout-steps value '%s'\n",
-                     value.c_str());
-        return false;
-      }
-    } else if (key == "heartbeat-stride") {
-      cli->config.supervisor.heartbeat_stride = std::atoi(value.c_str());
-      if (cli->config.supervisor.heartbeat_stride < 1) {
-        std::fprintf(stderr, "bad --heartbeat-stride value '%s'\n",
-                     value.c_str());
-        return false;
-      }
-    } else if (key == "shard-authority") {
-      cli->config.shard_authority = true;
-    } else if (key == "backplane-fault") {
-      Status st = net::ParseBackplaneFaultSpec(value,
-                                               &cli->config.backplane_fault);
-      if (!st.ok()) {
-        std::fprintf(stderr, "bad --backplane-fault value '%s': %s\n",
-                     value.c_str(), st.ToString().c_str());
-        return false;
-      }
-    } else if (key == "shard-kill") {
-      long long kill_step = -1;
-      int kill_shard = -1;
-      if (std::sscanf(value.c_str(), "%lld:%d", &kill_step, &kill_shard) !=
-              2 ||
-          kill_step < 0 || kill_shard < 0) {
-        std::fprintf(stderr, "bad --shard-kill value '%s' (want STEP:SHARD)\n",
-                     value.c_str());
-        return false;
-      }
-      cli->config.shard_kill_step = kill_step;
-      cli->config.shard_kill_index = kill_shard;
-    } else if (key == "harden") {
-      cli->harden = true;
-    } else if (key == "help") {
-      return false;
+      obs.enable_metrics = true;
+      obs.enable_heatmap = true;
+      obs.enable_lifecycle = true;
+      if (obs.sample_stride == 0) obs.sample_stride = 1;
     } else {
-      std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
+      config_flags.emplace_back(arg);
+    }
+    if (!valid) {
+      std::fprintf(stderr, "bad value in %s\n", argv[k]);
       return false;
     }
   }
-  return true;
+  Status st = sim::ApplyConfigFlags(config_flags, &cli->config);
+  if (!st.ok()) std::fprintf(stderr, "%s\n", st.message().c_str());
+  return st.ok();
 }
 
 }  // namespace
@@ -328,16 +125,12 @@ bool ParseArgs(int argc, char** argv, CliOptions* cli) {
 int main(int argc, char** argv) {
   CliOptions cli;
   if (!ParseArgs(argc, argv, &cli)) {
-    PrintUsage(argv[0]);
+    std::fprintf(stderr, "see %s --help\n", argv[0]);
     return 2;
   }
-  if (cli.config.faults.max_delay_steps > 0 && cli.delay_rate < 0.0) {
-    cli.delay_rate = 0.2;  // a bare --delay-steps should delay something
-  }
-  if (cli.delay_rate >= 0.0) cli.config.faults.delay_rate = cli.delay_rate;
-  if (cli.harden) {
-    cli.config.mobieyes = core::HardenedOptions(cli.config.mobieyes,
-                                                cli.config.params.time_step);
+  if (cli.show_help) {
+    std::printf("%s%s", kUsage, sim::ConfigFlagUsage(false).c_str());
+    return 0;
   }
 
   auto simulation = sim::Simulation::Make(cli.config);
@@ -557,9 +350,8 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(row.bytes));
     }
   }
-  if (cli.show_alpha_model &&
-      (cli.config.mode == sim::SimMode::kMobiEyesEager ||
-       cli.config.mode == sim::SimMode::kMobiEyesLazy)) {
+  if (cli.config.mode == sim::SimMode::kMobiEyesEager ||
+      cli.config.mode == sim::SimMode::kMobiEyesLazy) {
     sim::AlphaCostModel model(cli.config.params);
     std::printf("\n-- analytic alpha model --------------------------------\n");
     std::printf("predicted msgs/second      %.4g at alpha=%.3g\n",
