@@ -383,6 +383,7 @@ void MobiEyesClient::SendReconcile(bool cold_start) {
 
 void MobiEyesClient::Reset() {
   lqt_.clear();
+  ReleaseSpareLqtCapacity();
   SyncSignature();
   // The restart loses the tracked uplinks; their ack rounds are cancelled,
   // not left pending forever.
@@ -495,7 +496,10 @@ void MobiEyesClient::OnDownlink(const Message& message) {
           erased = true;
         }
       }
-      if (erased) SyncSignature();
+      if (erased) {
+        ReleaseSpareLqtCapacity();
+        SyncSignature();
+      }
       break;
     }
     case net::MessageType::kNewQueriesNotification: {
@@ -566,6 +570,7 @@ void MobiEyesClient::RemoveEntries(const std::vector<size_t>& indices) {
   for (auto it = indices.rbegin(); it != indices.rend(); ++it) {
     lqt_.erase(lqt_.begin() + *it);
   }
+  ReleaseSpareLqtCapacity();
   SyncSignature();
   if (!report.qids.empty()) {
     SendBitmapReport(std::move(report));

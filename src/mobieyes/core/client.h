@@ -185,6 +185,12 @@ class MobiEyesClient {
   void SyncSignature() {
     if (signature_slot_ != nullptr) *signature_slot_ = lqt_signature();
   }
+  // Called after every LQT erase: keeps capacity within 2 * size + 2, so a
+  // client's LQT does not keep the largest size it ever reached for the
+  // rest of the run.
+  void ReleaseSpareLqtCapacity() {
+    if (lqt_.capacity() > 2 * lqt_.size() + 2) lqt_.shrink_to_fit();
+  }
 
   const mobility::World* world_;
   ObjectId oid_;

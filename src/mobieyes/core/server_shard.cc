@@ -20,6 +20,25 @@ std::vector<typename Map::key_type> SortedKeys(const Map& map) {
   return keys;
 }
 
+// splitmix64's finalizer: a bijective 64-bit mix.
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+// One RQI row's term of StateDigest(): seeded with the flat cell index and
+// mixed entry by entry, so reordering a row or moving an entry to another
+// cell changes it. An empty row contributes 0, like a cell never touched.
+uint64_t RowHash(int64_t flat, const std::vector<QueryId>& row) {
+  if (row.empty()) return 0;
+  uint64_t h = Mix(static_cast<uint64_t>(flat) + 0x9e3779b97f4a7c15ull);
+  for (QueryId qid : row) h = Mix(h ^ static_cast<uint64_t>(qid));
+  return h;
+}
+
 }  // namespace
 
 ShardMap::ShardMap(const geo::Grid& grid, const ShardingOptions& options)
@@ -61,17 +80,26 @@ const SqtEntry* ServerShard::FindQuery(QueryId qid) const {
   return it == sqt_.end() ? nullptr : &it->second;
 }
 
+template <typename Edit>
+void ServerShard::EditRow(const geo::CellCoord& c, Edit&& edit) {
+  const int64_t flat = grid_->FlatIndex(c);
+  const std::vector<QueryId>& row = rqi_.QueriesForCell(c);
+  digest_ -= RowHash(flat, row);
+  edit();
+  digest_ += RowHash(flat, row);
+}
+
 void ServerShard::RqiAdd(QueryId qid, const geo::CellRange& mon_region) {
   mon_region.ForEach([&](int32_t i, int32_t j) {
     geo::CellCoord c{i, j};
-    if (OwnsCell(c)) rqi_.AddCell(qid, c);
+    if (OwnsCell(c)) EditRow(c, [&] { rqi_.AddCell(qid, c); });
   });
 }
 
 void ServerShard::RqiRemove(QueryId qid, const geo::CellRange& mon_region) {
   mon_region.ForEach([&](int32_t i, int32_t j) {
     geo::CellCoord c{i, j};
-    if (OwnsCell(c)) rqi_.RemoveCell(qid, c);
+    if (OwnsCell(c)) EditRow(c, [&] { rqi_.RemoveCell(qid, c); });
   });
 }
 
@@ -195,31 +223,6 @@ ServerShard::ImageChunk ServerShard::EncodeSqtChunk() const {
   return chunk;
 }
 
-uint64_t ServerShard::StateDigest() const {
-  // FNV-1a over (flat cell index, row length, row entries) of every owned
-  // non-empty cell, row-major. Insertion order matters — it is part of the
-  // replicated state (broadcast order follows it).
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](uint64_t v) {
-    for (int k = 0; k < 8; ++k) {
-      h ^= (v >> (8 * k)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  for (int32_t j = 0; j < grid_->rows(); ++j) {
-    for (int32_t i = 0; i < grid_->columns(); ++i) {
-      geo::CellCoord c{i, j};
-      if (!OwnsCell(c)) continue;
-      const std::vector<QueryId>& row = rqi_.QueriesForCell(c);
-      if (row.empty()) continue;
-      mix(static_cast<uint64_t>(grid_->FlatIndex(c)));
-      mix(row.size());
-      for (QueryId qid : row) mix(static_cast<uint64_t>(qid));
-    }
-  }
-  return h;
-}
-
 void ServerShard::EncodeStateSync(std::vector<uint8_t>* out) const {
   net::ByteWriter w(out);
   ImageChunk fot = EncodeFotChunk();
@@ -291,11 +294,15 @@ Status ServerShard::LoadStateSync(const uint8_t* data, size_t size) {
   for (uint32_t k = 0; r.ok() && k < row_count; ++k) {
     geo::CellCoord c = r.Cell();
     uint32_t n = r.U32();
-    if (n > r.remaining() / 8 || !grid_->IsValid(c)) {
+    // EncodeStateSync writes owned rows only; a row for any other cell
+    // would sit outside the digest, so the image is refused instead.
+    if (n > r.remaining() / 8 || !grid_->IsValid(c) || !OwnsCell(c)) {
       r.Fail();
       break;
     }
-    for (uint32_t q = 0; q < n; ++q) rqi_.AddCell(r.I64(), c);
+    EditRow(c, [&] {
+      for (uint32_t q = 0; q < n; ++q) rqi_.AddCell(r.I64(), c);
+    });
   }
   uint64_t digest = r.U64();
   if (!r.ok() || r.remaining() != 0) {
@@ -313,6 +320,7 @@ void ServerShard::Clear() {
   fot_.clear();
   sqt_.clear();
   rqi_ = ReverseQueryIndex(*grid_);
+  digest_ = 0;
 }
 
 }  // namespace mobieyes::core

@@ -159,10 +159,13 @@ class ServerShard {
 
   // --- Process-transport replication (DESIGN.md §13) -----------------------
 
-  // FNV-1a digest of the RQI slice, row-major over owned cells. The RQI is
-  // the delta-replicated table of the process backplane, so agreement on
-  // this digest is what a shard daemon's step acks assert.
-  uint64_t StateDigest() const;
+  // Digest of the RQI slice: the wrapping sum over owned non-empty rows of
+  // a row hash seeded with the flat cell index and mixed entry by entry, so
+  // it is sensitive to each row's order. RqiAdd/RqiRemove keep it current
+  // at O(row length) per cell; reading it is O(1). The RQI is the
+  // delta-replicated table of the process backplane, so agreement on this
+  // digest is what a shard daemon's acks and scan replies assert.
+  uint64_t StateDigest() const { return digest_; }
 
   // Full-state image for a daemon (re)join: the checkpoint chunks (FOT,
   // SQT — the same per-entry encoding Checkpoint writes) plus the RQI rows
@@ -181,6 +184,11 @@ class ServerShard {
   Stats& stats() { return stats_; }
 
  private:
+  // Runs `edit` on the RQI row of owned cell `c` and moves digest_ by the
+  // change in that row's hash.
+  template <typename Edit>
+  void EditRow(const geo::CellCoord& c, Edit&& edit);
+
   int shard_id_;
   const geo::Grid* grid_;
   const ShardMap* map_;
@@ -188,6 +196,7 @@ class ServerShard {
   std::unordered_map<ObjectId, FotEntry> fot_;
   std::unordered_map<QueryId, SqtEntry> sqt_;
   ReverseQueryIndex rqi_;
+  uint64_t digest_ = 0;  // StateDigest(), kept current by every RQI edit
   Stats stats_;
 };
 

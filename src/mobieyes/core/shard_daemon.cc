@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -17,7 +18,6 @@ constexpr uint8_t kOpRqiRemove = 1;
 constexpr uint8_t kOpAdopt = 2;
 constexpr uint8_t kOpExtract = 3;
 
-constexpr uint32_t kHelloVersion = 4;  // v4: config without partition byte
 constexpr size_t kAckQueueBytes = 1u << 20;
 
 }  // namespace
@@ -141,6 +141,26 @@ Status DecodeShardConfig(const uint8_t* data, size_t size,
   config->sharding.num_shards = static_cast<int>(r.U32());
   if (!r.ok() || r.remaining() != 0) {
     return Status::InvalidArgument("shard config: malformed payload");
+  }
+  return Status::OK();
+}
+
+void EncodeHello(std::vector<uint8_t>* out) {
+  net::ByteWriter w(out);
+  w.U32(kHelloVersion);
+}
+
+Status CheckHello(const uint8_t* data, size_t size) {
+  net::ByteReader r(data, size);
+  uint32_t version = r.U32();
+  if (!r.ok() || r.remaining() != 0) {
+    return Status::InvalidArgument("malformed hello payload of " +
+                                   std::to_string(size) + " bytes");
+  }
+  if (version != kHelloVersion) {
+    return Status::InvalidArgument(
+        "daemon speaks backplane version " + std::to_string(version) +
+        ", this build speaks version " + std::to_string(kHelloVersion));
   }
   return Status::OK();
 }
@@ -269,8 +289,7 @@ bool ShardDaemon::ServeConnection(int fd) {
   net::Frame hello;
   hello.kind = net::FrameKind::kHello;
   hello.shard = static_cast<uint8_t>(options_.shard_id);
-  net::ByteWriter w(&hello.payload);
-  w.U32(kHelloVersion);
+  EncodeHello(&hello.payload);
   link.Send(hello, kAckQueueBytes);
 
   std::vector<net::Frame> frames;

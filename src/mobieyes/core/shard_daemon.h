@@ -59,6 +59,19 @@ void EncodeShardConfig(const ShardConfig& config, std::vector<uint8_t>* out);
 Status DecodeShardConfig(const uint8_t* data, size_t size,
                          ShardConfig* config);
 
+// --- Hello payload -----------------------------------------------------------
+// kHello carries the daemon's backplane version, one u32. It changes whenever
+// a frame layout or the state digest's definition does, so the supervisor
+// refuses a daemon built from other sources instead of failing every digest
+// check against it.
+
+inline constexpr uint32_t kHelloVersion = 5;  // v5: row-sum state digest
+
+void EncodeHello(std::vector<uint8_t>* out);
+// OK for a payload that is exactly this build's kHelloVersion; otherwise an
+// error naming the version received and this build's.
+Status CheckHello(const uint8_t* data, size_t size);
+
 // --- Daemon ------------------------------------------------------------------
 
 struct ShardDaemonOptions {

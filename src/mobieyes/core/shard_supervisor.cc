@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -103,7 +104,6 @@ ShardSupervisor::~ShardSupervisor() { Shutdown(); }
 void ShardSupervisor::AttachRouter(ShardRouter* router) {
   router_ = router;
   router_->set_transport(this);
-  for (auto& peer : peers_) peer->mirror_digest_valid = false;
 }
 
 uint64_t ShardSupervisor::RpcKey(const Peer& peer,
@@ -179,6 +179,10 @@ Status ShardSupervisor::Start() {
     AcceptNewConnections();
     ReceiveAll();
     if (AllAvailable()) break;
+    if (!hello_error_.ok()) {
+      Shutdown();
+      return hello_error_;
+    }
     if (NowMicros() > deadline) {
       Shutdown();
       return Status::Internal(
@@ -216,34 +220,23 @@ void ShardSupervisor::OnRqiOp(bool add, int shard, QueryId qid,
                               const geo::CellRange& mon_region) {
   if (shard < 0 || shard >= static_cast<int>(peers_.size())) return;
   peers_[shard]->pending.RqiOp(add, qid, mon_region);
-  peers_[shard]->mirror_digest_valid = false;
 }
 
 void ShardSupervisor::OnHandoff(int from_shard, int to_shard, ObjectId oid,
                                 const net::Message& message) {
   if (from_shard >= 0 && from_shard < static_cast<int>(peers_.size())) {
     peers_[from_shard]->pending.Extract(oid);
-    peers_[from_shard]->mirror_digest_valid = false;
   }
   if (to_shard >= 0 && to_shard < static_cast<int>(peers_.size())) {
     peers_[to_shard]->pending.Adopt(message);
-    peers_[to_shard]->mirror_digest_valid = false;
   }
-}
-
-uint64_t ShardSupervisor::MirrorDigest(Peer* peer) {
-  if (!peer->mirror_digest_valid) {
-    peer->mirror_digest = router_->shard(peer->shard).StateDigest();
-    peer->mirror_digest_valid = true;
-  }
-  return peer->mirror_digest;
 }
 
 void ShardSupervisor::CaptureSync(Peer* peer) {
   peer->sync_image.clear();
   const ServerShard& shard = router_->shard(peer->shard);
   shard.EncodeStateSync(&peer->sync_image);
-  peer->sync_digest = MirrorDigest(peer);
+  peer->sync_digest = shard.StateDigest();
   peer->frame_log.clear();
   peer->log_overflow = false;
 }
@@ -258,7 +251,6 @@ void ShardSupervisor::OnServerRestored() {
     // image below supersedes them.
     peer->pending.Finish();
     peer->need_sync = true;
-    peer->mirror_digest_valid = false;
     // Scans must come from the restored state; authority returns after
     // the resync, at the next step boundary.
     RevokeAuthority(peer.get());
@@ -354,7 +346,7 @@ void ShardSupervisor::LogFrame(Peer* peer, const net::Frame& frame) {
   }
   LoggedFrame logged;
   logged.frame = frame;
-  logged.digest = MirrorDigest(peer);
+  logged.digest = router_->shard(peer->shard).StateDigest();
   peer->frame_log.push_back(std::move(logged));
 }
 
@@ -503,7 +495,7 @@ bool ShardSupervisor::FlushPendingBatch(Peer* peer) {
   }
   PendingRpc rpc;
   rpc.step = step_;
-  rpc.expected_digest = MirrorDigest(peer);
+  rpc.expected_digest = router_->shard(peer->shard).StateDigest();
   rpc.sent_micros = NowMicros();
   if (!SendFrame(peer, frame)) {
     ++stats_.send_drops;
@@ -649,7 +641,7 @@ bool ShardSupervisor::AuthorityScan(int shard, const geo::CellCoord& cell,
   // only pays for a genuinely wedged one. Either way the scan fails over
   // to the local mirror before this step's dispatch continues.
   const int64_t deadline = scan_rpc.sent_micros + kAuthorityTimeoutMicros;
-  const uint64_t expected_digest = MirrorDigest(peer);
+  const uint64_t expected_digest = router_->shard(peer->shard).StateDigest();
   bool got = false;
   bool ok = false;
   std::vector<net::Frame> frames;
@@ -731,13 +723,29 @@ void ShardSupervisor::ReceiveAll() {
     std::vector<net::Frame> frames;
     bool alive = pending_links_[k]->Receive(&frames);
     int hello_shard = -1;
+    Status hello;
     for (const net::Frame& frame : frames) {
       ++stats_.frames_received;
       stats_.bytes_received +=
           net::kFrameHeaderBytes + frame.payload.size();
       if (frame.kind == net::FrameKind::kHello) {
         hello_shard = frame.shard;
+        hello = CheckHello(frame.payload.data(), frame.payload.size());
       }
+    }
+    if (hello_shard >= 0 && !hello.ok()) {
+      // A daemon of another version would fail every digest check and
+      // resync forever. Refuse it; the named shard's process is killed and
+      // respawned on the normal backoff, and Start() reports the cause.
+      hello_error_ = Status::Internal("supervisor: shard daemon " +
+                                      std::to_string(hello_shard) +
+                                      " refused: " + hello.message());
+      pending_links_.erase(pending_links_.begin() +
+                           static_cast<ptrdiff_t>(k));
+      if (hello_shard < static_cast<int>(peers_.size())) {
+        MarkDown(peers_[hello_shard].get());
+      }
+      continue;
     }
     if (hello_shard >= 0 && hello_shard < static_cast<int>(peers_.size()) &&
         alive) {

@@ -95,6 +95,8 @@ class ShardSupervisor : public ShardTransport {
   void AttachRouter(ShardRouter* router);
 
   // Listens, spawns every daemon and completes the config+sync handshake.
+  // Fails at once, naming both versions, when a daemon's hello carries a
+  // backplane version other than this build's kHelloVersion.
   Status Start();
 
   // One scheduler turn, called once per simulation step after all uplinks
@@ -204,11 +206,6 @@ class ShardSupervisor : public ShardTransport {
     int64_t last_activity_step = 0;  // last frame sent
     int64_t next_respawn_step = 0;
     int respawn_attempts = 0;
-    // Lazily computed digest of the local mirror, invalidated by every
-    // replicated op. StateDigest() walks the whole shard, and authority
-    // mode needs the digest per scan, not just per step.
-    uint64_t mirror_digest = 0;
-    bool mirror_digest_valid = false;
   };
 
   Status SpawnDaemon(Peer* peer);
@@ -244,8 +241,6 @@ class ShardSupervisor : public ShardTransport {
   // when that RPC is still unacked at the end of its budget; true when it
   // was acked or the link died (the peer is then already marked down).
   bool AwaitOverdueAcks(Peer* peer);
-  // The local mirror's state digest, cached until the next replicated op.
-  uint64_t MirrorDigest(Peer* peer);
   static int64_t NowMicros();
 
   SupervisorOptions options_;
@@ -264,6 +259,9 @@ class ShardSupervisor : public ShardTransport {
   SupervisorStats stats_;
   obs::LifecycleTracker* lifecycle_ = nullptr;
   bool started_ = false;
+  // Set when a daemon's hello is refused (wrong backplane version or a
+  // malformed payload); Start() fails with it instead of timing out.
+  Status hello_error_;
   // Set inside Quiesce: chaos injection pauses and recovery switches to
   // wall-clock pacing (virtual steps no longer advance there).
   bool quiescing_ = false;

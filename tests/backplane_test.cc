@@ -10,8 +10,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mobieyes/common/random.h"
@@ -337,6 +339,51 @@ TEST(ShardConfigCodecTest, RoundTripsAndRejectsMalformedPayloads) {
   payload.push_back(0);
   EXPECT_FALSE(
       core::DecodeShardConfig(payload.data(), payload.size(), &back).ok());
+}
+
+// A hello payload as the supervisor reads it: framed, sent, decoded.
+std::vector<uint8_t> OverTheWire(std::vector<uint8_t> payload) {
+  Frame hello;
+  hello.kind = FrameKind::kHello;
+  hello.shard = 1;
+  hello.payload = std::move(payload);
+  std::vector<uint8_t> wire;
+  net::EncodeFrame(hello, &wire);
+  FrameDecoder decoder;
+  std::vector<Frame> frames;
+  decoder.Feed(wire.data(), wire.size(), &frames);
+  EXPECT_EQ(frames.size(), 1u);
+  if (frames.empty()) return {};
+  EXPECT_EQ(frames[0].kind, FrameKind::kHello);
+  return frames[0].payload;
+}
+
+TEST(HelloCheckTest, AcceptsOnlyThisBuildsVersion) {
+  std::vector<uint8_t> current;
+  core::EncodeHello(&current);
+  ASSERT_EQ(current.size(), sizeof(core::kHelloVersion));
+  std::vector<uint8_t> payload = OverTheWire(current);
+  EXPECT_TRUE(core::CheckHello(payload.data(), payload.size()).ok());
+
+  // A daemon from the previous digest definition names both versions.
+  const uint32_t old_version = core::kHelloVersion - 1;
+  std::vector<uint8_t> old(sizeof(old_version));
+  std::memcpy(old.data(), &old_version, sizeof(old_version));
+  old = OverTheWire(old);
+  Status st = core::CheckHello(old.data(), old.size());
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find(std::to_string(old_version)), std::string::npos)
+      << st.message();
+  EXPECT_NE(st.message().find(std::to_string(core::kHelloVersion)),
+            std::string::npos)
+      << st.message();
+
+  EXPECT_FALSE(core::CheckHello(nullptr, 0).ok());
+  for (size_t len = 1; len < payload.size(); ++len) {
+    EXPECT_FALSE(core::CheckHello(payload.data(), len).ok()) << "len " << len;
+  }
+  payload.push_back(0);
+  EXPECT_FALSE(core::CheckHello(payload.data(), payload.size()).ok());
 }
 
 TEST(StateSyncTest, RoundTripPreservesDigest) {

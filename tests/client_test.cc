@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "mobieyes/net/message.h"
 #include "test_harness.h"
 
 namespace mobieyes::core {
@@ -171,6 +172,73 @@ TEST(ClientTest, ProcessingCountersTrackEvaluations) {
   deployment.client(1).ResetCounters();
   EXPECT_EQ(deployment.client(1).queries_evaluated(), 0u);
   EXPECT_EQ(deployment.client(1).processing_seconds(), 0.0);
+}
+
+// After any LQT erase the table's capacity is at most 2 * size + 2, on every
+// path that erases entries: otherwise each client keeps the largest LQT it
+// ever held, and a fleet's memory grows with the length of the run.
+TEST(ClientTest, EveryLqtErasePathGivesCapacityBack) {
+  MobiEyesOptions options;
+  options.lease_duration = 30.0;  // an unrefreshed entry lapses after 60 s
+  MiniDeployment deployment({{Point{55, 55}}, {Point{5, 5}}}, options);
+  MobiEyesClient& client = deployment.client(0);
+  const geo::CellRange everywhere{0, 9, 0, 9};
+  const geo::CellRange home{5, 5, 5, 5};  // object 0's cell only
+  constexpr int kBurst = 64;
+
+  QueryId next_qid = 1;
+  auto info_for = [](QueryId qid, const geo::CellRange& mon_region) {
+    net::QueryInfo info;
+    info.qid = qid;
+    info.focal_oid = 1;
+    info.region = geo::QueryRegion::MakeCircle(4.0);
+    info.mon_region = mon_region;
+    return info;
+  };
+  // Installs a burst of queries bound to object 1 through one broadcast.
+  auto install_burst = [&](const geo::CellRange& mon_region) {
+    net::QueryInstallBroadcast broadcast;
+    for (int k = 0; k < kBurst; ++k) {
+      broadcast.queries.push_back(info_for(next_qid++, mon_region));
+    }
+    client.OnDownlink(net::MakeMessage(broadcast));
+    ASSERT_GE(client.lqt().capacity(), static_cast<size_t>(kBurst));
+  };
+  auto expect_bound = [&](const char* path) {
+    EXPECT_LE(client.lqt().capacity(), 2 * client.lqt_size() + 2) << path;
+  };
+
+  install_burst(everywhere);  // qids 1..64
+  net::QueryRemoveBroadcast remove;
+  for (QueryId qid = 1; qid <= kBurst - 4; ++qid) remove.qids.push_back(qid);
+  client.OnDownlink(net::MakeMessage(remove));
+  ASSERT_EQ(client.lqt_size(), 4u);
+  expect_bound("remove broadcast");
+
+  install_burst(everywhere);  // qids 65..128
+  net::QueryUpdateBroadcast update;  // their regions moved off this cell
+  for (QueryId qid = kBurst + 1; qid <= 2 * kBurst; ++qid) {
+    update.queries.push_back(info_for(qid, geo::CellRange{0, 0, 0, 0}));
+  }
+  client.OnDownlink(net::MakeMessage(update));
+  ASSERT_EQ(client.lqt_size(), 4u);
+  expect_bound("stale update entries");
+
+  install_burst(home);  // qids 129..192
+  deployment.world().SetObjectState(0, Point{65, 55}, {});
+  client.OnTick();  // crosses into cell (6, 5)
+  ASSERT_EQ(client.lqt_size(), 4u);
+  expect_bound("cell crossing");
+
+  install_burst(everywhere);
+  deployment.TickN(2);  // 60 s without a refresh: every lease lapses
+  ASSERT_EQ(client.lqt_size(), 0u);
+  expect_bound("lease expiry");
+
+  install_burst(everywhere);
+  client.Reset();
+  ASSERT_EQ(client.lqt_size(), 0u);
+  expect_bound("reset");
 }
 
 }  // namespace
