@@ -1,9 +1,9 @@
 // Microbenchmarks for the mobility layer (google-benchmark): World::Step
 // (motion + velocity redraws + cell-index maintenance) and the visitor
 // iteration primitives, at 1k/10k/100k/1M objects, plus broadcast delivery
-// through the client fleet at 100k. These are the per-step hot paths every
-// simulation mode sits on top of; regressions here slow the entire bench
-// suite.
+// through the client fleet and the fleet's tick at 100k. These are the
+// per-step hot paths every simulation mode sits on top of; regressions here
+// slow the entire bench suite.
 
 #include <benchmark/benchmark.h>
 
@@ -21,12 +21,14 @@
 #include "mobieyes/mobility/world.h"
 #include "mobieyes/net/message.h"
 #include "mobieyes/net/network.h"
+#include "mobieyes/sim/simulation.h"
 
 #ifndef NDEBUG
 // Debug builds count global allocations so the steady-state-zero claims for
-// World::Step and broadcast delivery are asserted, not assumed (they would
-// be invisible in a timing run). Release builds keep the default operators:
-// the counter itself would perturb what the bench measures.
+// World::Step, broadcast delivery and the fleet tick are asserted, not
+// assumed (they would be invisible in a timing run). Release builds keep the
+// default operators: the counter itself would perturb what the bench
+// measures.
 namespace {
 uint64_t g_alloc_count = 0;
 }  // namespace
@@ -202,6 +204,33 @@ void BM_BroadcastDelivery(benchmark::State& state) {
 }
 BENCHMARK(BM_BroadcastDelivery)->ArgName("relevant")->Arg(0)->Arg(1)
     ->Unit(benchmark::kMicrosecond);
+
+// One ClientFleet::Tick over a warm 100k fleet at Table 1 density (the
+// universe above, 1,000 EQP queries, LQTs of ~1.8 rows), with the world
+// held still: no object crosses a cell and no containment flips, so the
+// pass is the fleet's walk and LQT evaluation only.
+void BM_FleetTick(benchmark::State& state) {
+  mobieyes::sim::SimulationConfig config;
+  config.params.num_objects = 100000;
+  auto made = mobieyes::sim::Simulation::Make(config);
+  if (!made.ok()) {
+    state.SkipWithError(made.status().ToString().c_str());
+    return;
+  }
+  mobieyes::core::ClientFleet& fleet = *(*made)->fleet();
+  fleet.Tick();  // compacts the slab and settles the results
+#ifndef NDEBUG
+  // A warm pass must not allocate: no per-client heap block holds rows.
+  const uint64_t allocs_before = g_alloc_count;
+  fleet.Tick();
+  if (g_alloc_count != allocs_before) {
+    state.SkipWithError("fleet tick allocated at steady state");
+  }
+#endif
+  for (auto _ : state) fleet.Tick();
+  state.SetItemsProcessed(state.iterations() * config.params.num_objects);
+}
+BENCHMARK(BM_FleetTick)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

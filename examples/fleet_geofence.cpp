@@ -71,7 +71,7 @@ int main() {
   Rng rng(2);
   for (int step = 1; step <= 10; ++step) {
     world->Step(30.0, 0, rng);
-    for (core::MobiEyesClient& client : fleet.clients()) client.OnTick();
+    fleet.Tick();  // every client's step, in oid order
     auto in_formation = server.QueryResult(*inner);
     auto in_range = server.QueryResult(*outer);
     std::printf("t=%4.0fs  leader x=%5.1f  formation ring: %zu  "

@@ -75,7 +75,7 @@ int main() {
   for (int step = 1; step <= 24; ++step) {  // 12 simulated minutes
     world->Step(30.0, 0, rng);
     server.AdvanceTime(world->now());
-    for (core::MobiEyesClient& client : fleet.clients()) client.OnTick();
+    fleet.Tick();  // every client's step, in oid order
 
     auto result = server.QueryResult(*qid);
     if (!result.ok()) {

@@ -83,7 +83,7 @@ int main() {
   std::unordered_set<ObjectId> final_result;
   for (int step = 1; step <= 6; ++step) {
     world->Step(/*dt=*/30.0, /*velocity_changes=*/0, rng);
-    for (core::MobiEyesClient& client : fleet.clients()) client.OnTick();
+    fleet.Tick();  // every client's step, in oid order
 
     auto result = server.QueryResult(*qid);
     if (!result.ok()) {

@@ -7,37 +7,15 @@
 #include <vector>
 
 #include "mobieyes/common/ids.h"
-#include "mobieyes/common/stopwatch.h"
 #include "mobieyes/common/units.h"
-#include "mobieyes/core/options.h"
+#include "mobieyes/core/lqt_slab.h"
 #include "mobieyes/geo/grid.h"
 #include "mobieyes/mobility/world.h"
 #include "mobieyes/net/message.h"
-#include "mobieyes/net/network.h"
-#include "mobieyes/obs/trace_recorder.h"
-
-namespace mobieyes::obs {
-class LifecycleTracker;
-}  // namespace mobieyes::obs
 
 namespace mobieyes::core {
 
-// LQT key signature (DESIGN.md §16): a 64-bit Bloom summary of the qids and
-// focal oids one LQT holds, two bits per key. A key whose bits are not all
-// set in the signature is provably absent from the LQT; a key whose bits
-// are all set may be present or may collide.
-inline uint64_t LqtKeyBits(uint64_t hash) {
-  return (uint64_t{1} << (hash >> 58)) | (uint64_t{1} << ((hash >> 52) & 63));
-}
-inline uint64_t LqtQidKey(QueryId qid) {
-  return LqtKeyBits(static_cast<uint64_t>(qid) * 0x9E3779B97F4A7C15ULL);
-}
-inline uint64_t LqtFocalKey(ObjectId focal_oid) {
-  return LqtKeyBits(static_cast<uint64_t>(focal_oid) * 0xC2B2AE3D27D4EB4FULL);
-}
-inline bool LqtMayHold(uint64_t signature, uint64_t key) {
-  return (signature & key) == key;
-}
+class ClientFleet;
 
 // The moving-object side of MobiEyes (paper §3): each object keeps a local
 // query table (LQT) of the moving queries whose monitoring region covers
@@ -45,9 +23,16 @@ inline bool LqtMayHold(uint64_t signature, uint64_t key) {
 // the focal object's position, and reports only containment *changes* to
 // the server. Focal objects additionally run dead reckoning on their own
 // trajectory and report significant velocity changes and cell crossings.
+//
+// Clients exist only inside a core::ClientFleet, which keeps their LQT rows
+// in one slab and their per-step state in dense arrays (DESIGN.md §16); a
+// client holds only its uplink state. No client method keeps a row pointer
+// or span across a send: an uplink can set off a nested broadcast that
+// inserts rows anywhere and moves the slab.
 class MobiEyesClient {
  public:
-  // LQT row (paper §3.2) plus the safe-period gate ptm (§4.2).
+  // One LQT row with its query state, as lqt() materializes it (paper
+  // §3.2, plus the safe-period gate ptm of §4.2 and the lease).
   struct LqtEntry {
     QueryId qid = kInvalidQueryId;
     ObjectId focal_oid = kInvalidObjectId;
@@ -57,26 +42,24 @@ class MobiEyesClient {
     geo::CellRange mon_region;
     double focal_max_speed = 0.0;
     bool is_target = false;
-    Seconds ptm = 0.0;  // next evaluation due at this time or later
-    // Soft-state lease (options.lease_duration > 0): the entry is dropped if
-    // no server broadcast refreshes it before this time, so queries removed
-    // while this object was unreachable cannot linger forever.
+    Seconds ptm = 0.0;
     Seconds lease_expires_at = std::numeric_limits<Seconds>::infinity();
   };
 
-  // `world` provides this object's own ground-truth state (a real device
-  // would read its GPS); `network` carries all communication. Both must
-  // outlive the client.
-  MobiEyesClient(const mobility::World& world, ObjectId oid,
-                 net::WirelessNetwork& network, MobiEyesOptions options);
+  // Built by the fleet, which must outlive the client.
+  MobiEyesClient(ClientFleet& fleet, ObjectId oid)
+      : fleet_(&fleet), oid_(oid) {}
 
   // Network entry point for downlink traffic (one-to-one and broadcast).
-  // core::ClientFleet wires it to the network and skips it for broadcasts
-  // it can prove change nothing; a direct call always runs in full.
+  // core::ClientFleet wires it to the network for one-to-one downlinks and
+  // handles broadcasts itself, skipping those it can prove change nothing;
+  // a direct call always runs in full.
   void OnDownlink(const net::Message& message);
 
   // Per-time-step processing, run after the world advanced: cell-crossing
   // handling, focal dead reckoning, and periodic LQT evaluation.
+  // ClientFleet::Tick runs it for every object; a direct call ticks this
+  // object alone.
   void OnTick();
 
   // Cold restart (crash recovery, DESIGN.md §9): drops all volatile
@@ -92,40 +75,28 @@ class MobiEyesClient {
   // --- Introspection --------------------------------------------------------
 
   ObjectId oid() const { return oid_; }
-  bool has_mq() const { return has_mq_; }
-  size_t lqt_size() const { return lqt_.size(); }
-  const std::vector<LqtEntry>& lqt() const { return lqt_; }
-  // Key signature of the current LQT, recomputed from its entries.
+  bool has_mq() const;
+  size_t lqt_size() const;
+  // A copy of the LQT in evaluation order.
+  std::vector<LqtEntry> lqt() const;
+  // Key signature of the current LQT, recomputed from its rows.
   uint64_t lqt_signature() const;
 
   // Last containment status this object computed for a query, or nullopt
   // when the query is not in the LQT.
   std::optional<bool> IsTargetOf(QueryId qid) const;
 
-  // Accumulated wall time spent evaluating the LQT (Fig. 13 metric).
-  double processing_seconds() const { return eval_watch_.total_seconds(); }
+  // Accumulated wall time spent evaluating the LQT (Fig. 13 metric); the
+  // flip reports an evaluation sends are not part of it.
+  double processing_seconds() const;
 
   // Number of per-query evaluations actually performed (safe-period skips
   // excluded) and of evaluations skipped by the safe period.
-  uint64_t queries_evaluated() const { return queries_evaluated_; }
-  uint64_t safe_period_skips() const { return safe_period_skips_; }
+  uint64_t queries_evaluated() const;
+  uint64_t safe_period_skips() const;
 
   // Clears the measurement counters (used after simulation warmup).
-  void ResetCounters() {
-    eval_watch_.Reset();
-    queries_evaluated_ = 0;
-    safe_period_skips_ = 0;
-  }
-
-  // Scoped-span tracing of LQT evaluation; null (the default) disables it.
-  // The recorder must outlive the client.
-  void set_trace_recorder(obs::TraceRecorder* trace) { trace_ = trace; }
-
-  // Lifecycle latency tap (uplink_ack rounds keyed by (oid, seq)); null
-  // (the default) disables it. The tracker must outlive the client.
-  void set_lifecycle(obs::LifecycleTracker* lifecycle) {
-    lifecycle_ = lifecycle;
-  }
+  void ResetCounters();
 
   // Tracked uplinks not yet acknowledged (reliable-uplink hardening).
   size_t pending_uplinks() const { return pending_.size(); }
@@ -145,18 +116,21 @@ class MobiEyesClient {
     int64_t retry_at = 0;  // tick of the next retransmission
   };
 
+  size_t index() const { return static_cast<size_t>(oid_); }
+  // The tick body, after the fleet advanced this object's tick clock.
+  void Step();
   void HandleCellCrossing(const geo::CellCoord& new_cell);
   void EvaluateQueries(const mobility::ObjectState& me);
   // This object's ground-truth kinematics now, as relayed to the server.
-  net::FocalState Kinematics() const {
-    return net::FocalState{world_->position(oid_), world_->velocity(oid_),
-                           world_->now()};
-  }
+  net::FocalState Kinematics() const;
   // Uplink send paths; with enable_reliable_uplink they stamp a sequence
   // number and track the message for ack/retry.
   void SendVelocityReport();
   void SendCellChangeReport(const geo::CellCoord& new_cell);
   void SendBitmapReport(net::ResultBitmapReport report);
+  // Reports the group of rows starting at `begin` (one focal object) with
+  // its full bitmap (§4.1), in reports of at most 64 queries each.
+  void SendGroupReports(size_t begin);
   void TrackUplink(net::Message& message, PendingUplink entry);
   void RetryPendingUplinks();
   net::Message RebuildPending(const PendingUplink& pending);
@@ -165,54 +139,18 @@ class MobiEyesClient {
   // Periodic LQT/result reconciliation uplink, staggered by object id.
   void MaybeReconcile();
   void SendReconcile(bool cold_start);
-  Seconds LeaseExpiry(Seconds now) const {
-    return options_.lease_duration > 0.0
-               ? now + 2.0 * options_.lease_duration
-               : std::numeric_limits<Seconds>::infinity();
-  }
-  // Installs or refreshes a query if this object lies in its monitoring
-  // region, satisfies the filter and is not the query's own focal object.
-  void InstallIfApplicable(const net::QueryInfo& info);
-  // Removes LQT entries at the given indices (sorted ascending), reporting
-  // a containment flip to false for entries that were targets.
+  // Removes LQT rows at the given indices (sorted ascending), reporting a
+  // containment flip to false for rows that were targets.
   void RemoveEntries(const std::vector<size_t>& indices);
-  void SendFlipReports(const std::vector<size_t>& dirty_groups);
-  LqtEntry* FindEntry(QueryId qid);
-  // Insertion position keeping lqt_ sorted by (focal_oid, radius desc, qid).
-  size_t InsertPosition(const LqtEntry& entry) const;
-  // Rewrites the fleet's signature slot; called after every LQT insert,
-  // erase and clear so the fleet's relevance check never misses a key.
-  void SyncSignature() {
-    if (signature_slot_ != nullptr) *signature_slot_ = lqt_signature();
-  }
-  // Called after every LQT erase: keeps capacity within 2 * size + 2, so a
-  // client's LQT does not keep the largest size it ever reached for the
-  // rest of the run.
-  void ReleaseSpareLqtCapacity() {
-    if (lqt_.capacity() > 2 * lqt_.size() + 2) lqt_.shrink_to_fit();
-  }
+  // Tracked-uplink bookkeeping the fleet's tick reads densely.
+  void SyncPending();
 
-  const mobility::World* world_;
+  ClientFleet* fleet_;
   ObjectId oid_;
-  net::WirelessNetwork* network_;
-  MobiEyesOptions options_;
-
-  std::vector<LqtEntry> lqt_;
-  // The fleet's dense copy of lqt_signature(); null outside a fleet.
-  uint64_t* signature_slot_ = nullptr;
-  bool has_mq_ = false;
+  uint32_t next_seq_ = 0;
   net::FocalState last_relayed_;  // what others believe about this object
-  geo::CellCoord prev_cell_;
-
   // Reliable-uplink state (empty unless enable_reliable_uplink).
   std::vector<PendingUplink> pending_;
-  uint32_t next_seq_ = 0;
-  int64_t tick_ = 0;
-
-  // EvaluateQueries scratch (flip bookkeeping), reused across ticks so the
-  // per-tick LQT evaluation stays allocation-free at steady state.
-  std::vector<size_t> scratch_dirty_groups_;
-  std::vector<size_t> scratch_flipped_;
 
   // (oid, seq) lifecycle key for one tracked uplink's ack round.
   uint64_t AckKey(uint32_t seq) const {
@@ -221,12 +159,6 @@ class MobiEyesClient {
   // Cancels the ack round of a tracked uplink being abandoned (superseded,
   // evicted, retry budget spent, or client restart).
   void DropAckRound(uint32_t seq);
-
-  Stopwatch eval_watch_;
-  uint64_t queries_evaluated_ = 0;
-  uint64_t safe_period_skips_ = 0;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::LifecycleTracker* lifecycle_ = nullptr;
 };
 
 }  // namespace mobieyes::core

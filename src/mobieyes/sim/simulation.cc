@@ -110,10 +110,8 @@ Status Simulation::Setup() {
         });
 
     fleet_ = std::make_unique<core::ClientFleet>(*world_, *network_, options);
-    for (core::MobiEyesClient& client : fleet_->clients()) {
-      client.set_trace_recorder(trace_.get());
-      if (lifecycle_) client.set_lifecycle(lifecycle_.get());
-    }
+    fleet_->set_trace_recorder(trace_.get());
+    if (lifecycle_) fleet_->set_lifecycle(lifecycle_.get());
 
     for (const QuerySpec& spec : query_specs_) {
       auto qid = server_->InstallQuery(spec.focal_oid, spec.region,
@@ -258,7 +256,7 @@ void Simulation::ResetMeasurement() {
   metrics_.objects = static_cast<int64_t>(world_->object_count());
   network_->ResetStats();
   if (server_) server_->ResetLoadTimer();
-  for (core::MobiEyesClient& client : Clients()) client.ResetCounters();
+  if (fleet_) fleet_->ResetCounters();
   if (object_index_) object_index_->ResetLoadTimer();
   if (query_index_) query_index_->ResetLoadTimer();
   // Metrics cover the measured window, like RunMetrics; the trace is *not*
@@ -285,9 +283,7 @@ void Simulation::Run(int steps) {
     StepOnce();
     ++metrics_.steps;
     metrics_.simulated_seconds += config_.params.time_step;
-    for (const core::MobiEyesClient& client : Clients()) {
-      metrics_.lqt_size_sum += client.lqt_size();
-    }
+    if (fleet_) metrics_.lqt_size_sum += fleet_->live_rows();
     if (config_.measure_error) {
       ExactOracle::AccuracyStats accuracy = CurrentAccuracy();
       metrics_.error_sum += accuracy.missing;
@@ -362,13 +358,15 @@ void Simulation::RecordStepObservations(int64_t step) {
   uint64_t lqt_total = 0;
   uint64_t skips_total = 0;
   double client_seconds = 0.0;
-  for (const core::MobiEyesClient& client : Clients()) {
-    size_t lqt_size = client.lqt_size();
-    lqt_total += lqt_size;
-    skips_total += client.safe_period_skips();
-    client_seconds += client.processing_seconds();
+  if (fleet_) {
+    lqt_total = fleet_->live_rows();
+    skips_total = fleet_->safe_period_skips();
+    client_seconds = fleet_->processing_seconds();
     if (lqt_hist_ != nullptr) {
-      lqt_hist_->Observe(static_cast<double>(lqt_size));
+      for (size_t oid = 0; oid < world_->object_count(); ++oid) {
+        lqt_hist_->Observe(
+            static_cast<double>(fleet_->lqt_size(static_cast<ObjectId>(oid))));
+      }
     }
   }
   uint64_t skips = skips_total - cursor_.skips;
@@ -475,14 +473,15 @@ void Simulation::StepOnce() {
       if (faulty_ != nullptr &&
           (config_.faults.client_restart_rate > 0.0 ||
            config_.faults.forced_restart_oid != kInvalidObjectId)) {
-        for (core::MobiEyesClient& client : Clients()) {
-          if (faulty_->ShouldRestartClient(client.oid(), step)) {
-            client.Reset();
+        for (size_t k = 0; k < world_->object_count(); ++k) {
+          const auto oid = static_cast<ObjectId>(k);
+          if (faulty_->ShouldRestartClient(oid, step)) {
+            fleet_->client(oid).Reset();
             ++metrics_.client_restarts;
           }
         }
       }
-      for (core::MobiEyesClient& client : Clients()) client.OnTick();
+      fleet_->Tick();
       // Periodic checkpoint with the step's state settled.
       if (server_ && config_.checkpoint_stride > 0 &&
           (step + 1) % config_.checkpoint_stride == 0) {
@@ -618,10 +617,10 @@ RunMetrics Simulation::metrics() const {
   }
   if (object_index_) snapshot.server_seconds = object_index_->load_seconds();
   if (query_index_) snapshot.server_seconds = query_index_->load_seconds();
-  for (const core::MobiEyesClient& client : Clients()) {
-    snapshot.client_processing_seconds += client.processing_seconds();
-    snapshot.queries_evaluated += client.queries_evaluated();
-    snapshot.safe_period_skips += client.safe_period_skips();
+  if (fleet_) {
+    snapshot.client_processing_seconds = fleet_->processing_seconds();
+    snapshot.queries_evaluated = fleet_->queries_evaluated();
+    snapshot.safe_period_skips = fleet_->safe_period_skips();
   }
   return snapshot;
 }

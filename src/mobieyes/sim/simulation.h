@@ -2,7 +2,6 @@
 #define MOBIEYES_SIM_SIMULATION_H_
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "mobieyes/baseline/central_messaging.h"
@@ -241,11 +240,6 @@ class Simulation {
   // Window-boundary work shared by RecordHeatmap and FlushHeatmap: the
   // residency snapshot plus RollWindow, clearing the pending-step count.
   void RollHeatmapWindow();
-  // Every client of a MobiEyes mode; empty for the centralized baselines.
-  std::span<core::MobiEyesClient> Clients() const {
-    if (!fleet_) return {};
-    return fleet_->clients();
-  }
   // Reported result of installed query k under the current mode.
   const std::unordered_set<ObjectId>* ReportedResult(size_t k) const;
 

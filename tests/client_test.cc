@@ -174,17 +174,22 @@ TEST(ClientTest, ProcessingCountersTrackEvaluations) {
   EXPECT_EQ(deployment.client(1).processing_seconds(), 0.0);
 }
 
-// After any LQT erase the table's capacity is at most 2 * size + 2, on every
-// path that erases entries: otherwise each client keeps the largest LQT it
-// ever held, and a fleet's memory grows with the length of the run.
+// After any LQT erase, the next fleet tick leaves the LQT slab within twice
+// its live rows plus a fixed slack, and its buffers within a fixed multiple
+// of that, on every path that erases rows: otherwise the slab keeps room
+// for the largest LQTs the fleet ever held, and its memory grows with the
+// length of the run.
 TEST(ClientTest, EveryLqtErasePathGivesCapacityBack) {
   MobiEyesOptions options;
   options.lease_duration = 30.0;  // an unrefreshed entry lapses after 60 s
   MiniDeployment deployment({{Point{55, 55}}, {Point{5, 5}}}, options);
   MobiEyesClient& client = deployment.client(0);
+  const LqtSlab& slab = deployment.fleet().slab();
   const geo::CellRange everywhere{0, 9, 0, 9};
   const geo::CellRange home{5, 5, 5, 5};  // object 0's cell only
-  constexpr int kBurst = 64;
+  // Large enough that neither the slack nor the capacity the slab keeps
+  // for a steady state can absorb a burst.
+  constexpr int kBurst = 16 * static_cast<int>(LqtSlab::kCompactionSlack);
 
   QueryId next_qid = 1;
   auto info_for = [](QueryId qid, const geo::CellRange& mon_region) {
@@ -202,20 +207,24 @@ TEST(ClientTest, EveryLqtErasePathGivesCapacityBack) {
       broadcast.queries.push_back(info_for(next_qid++, mon_region));
     }
     client.OnDownlink(net::MakeMessage(broadcast));
-    ASSERT_GE(client.lqt().capacity(), static_cast<size_t>(kBurst));
+    ASSERT_GE(slab.slab_capacity(), static_cast<size_t>(kBurst));
   };
   auto expect_bound = [&](const char* path) {
-    EXPECT_LE(client.lqt().capacity(), 2 * client.lqt_size() + 2) << path;
+    deployment.fleet().Tick();  // compaction runs between client turns
+    const size_t bound = 2 * slab.live_rows() + LqtSlab::kCompactionSlack;
+    EXPECT_LE(slab.slab_rows(), bound) << path;
+    EXPECT_LE(slab.slab_capacity(), 2 * LqtSlab::kKeptCapacity * bound)
+        << path;  // two buffers
   };
 
-  install_burst(everywhere);  // qids 1..64
+  install_burst(everywhere);  // qids 1..kBurst
   net::QueryRemoveBroadcast remove;
   for (QueryId qid = 1; qid <= kBurst - 4; ++qid) remove.qids.push_back(qid);
   client.OnDownlink(net::MakeMessage(remove));
   ASSERT_EQ(client.lqt_size(), 4u);
   expect_bound("remove broadcast");
 
-  install_burst(everywhere);  // qids 65..128
+  install_burst(everywhere);
   net::QueryUpdateBroadcast update;  // their regions moved off this cell
   for (QueryId qid = kBurst + 1; qid <= 2 * kBurst; ++qid) {
     update.queries.push_back(info_for(qid, geo::CellRange{0, 0, 0, 0}));
@@ -224,7 +233,7 @@ TEST(ClientTest, EveryLqtErasePathGivesCapacityBack) {
   ASSERT_EQ(client.lqt_size(), 4u);
   expect_bound("stale update entries");
 
-  install_burst(home);  // qids 129..192
+  install_burst(home);
   deployment.world().SetObjectState(0, Point{65, 55}, {});
   client.OnTick();  // crosses into cell (6, 5)
   ASSERT_EQ(client.lqt_size(), 4u);

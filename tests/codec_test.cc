@@ -343,6 +343,20 @@ TEST(CodecTest, DecodeRejectsOversizedBitmapCount) {
   EXPECT_FALSE(MessageCodec::Decode(wire).ok());
 }
 
+// A qid list longer than the bitmap encodes without shifting past bit 63
+// (the ninth bitmap byte is zero) and Decode rejects it like any count over
+// 64. Clients never send one: they split reports into 64-query chunks.
+TEST(CodecTest, OversizedBitmapListEncodesWithoutOverflow) {
+  ResultBitmapReport p;
+  p.oid = 4;
+  for (QueryId qid = 1; qid <= 65; ++qid) p.qids.push_back(qid);
+  p.bitmap = ~uint64_t{0};
+  std::vector<uint8_t> wire = MessageCodec::Encode(MakeMessage(p));
+  EXPECT_EQ(wire.size(), WireSizeBytes(MakeMessage(p)));
+  EXPECT_EQ(wire.back(), 0);
+  EXPECT_FALSE(MessageCodec::Decode(wire).ok());
+}
+
 // One representative of every message type: the decoder must reject every
 // truncation of every type (no assert, no crash) and survive arbitrary
 // single-byte mutations.

@@ -137,5 +137,48 @@ TEST(GroupingTest, SkewedQueryDistributionStillCorrect) {
   }
 }
 
+// A group larger than one 64-bit bitmap: every flip still reaches the
+// server, whether the client reports it from evaluation (one group, split
+// into 64-query chunks) or from dropping the entries on a cell crossing.
+TEST(GroupingTest, FlipsOfMoreThanSixtyFourQueriesAreAllReported) {
+  constexpr int kQueries = 65;
+  MiniDeployment deployment({
+      {Point{55, 55}},  // focal
+      {Point{57, 55}},  // object: distance 2, inside every region
+  });
+  std::vector<QueryId> qids;
+  for (int k = 0; k < kQueries; ++k) {
+    auto qid = deployment.server().InstallQuery(0, 3.0 + 0.01 * k, 1.0);
+    ASSERT_TRUE(qid.ok());
+    qids.push_back(*qid);
+  }
+  ASSERT_EQ(deployment.client(1).lqt_size(), static_cast<size_t>(kQueries));
+  auto count_containing = [&] {
+    int count = 0;
+    for (QueryId qid : qids) {
+      count += deployment.server().QueryResult(qid)->contains(1) ? 1 : 0;
+    }
+    return count;
+  };
+
+  deployment.Tick();
+  EXPECT_EQ(count_containing(), kQueries) << "entered";
+
+  // Still in the focal's cell, but outside every region.
+  deployment.world().SetObjectState(1, Point{59.9, 55}, {});
+  deployment.Tick();
+  EXPECT_EQ(count_containing(), 0) << "left by evaluation";
+
+  deployment.world().SetObjectState(1, Point{57, 55}, {});
+  deployment.Tick();
+  ASSERT_EQ(count_containing(), kQueries) << "re-entered";
+
+  // Off the monitoring regions: the entries are dropped and reported.
+  deployment.world().SetObjectState(1, Point{85, 55}, {});
+  deployment.Tick();
+  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
+  EXPECT_EQ(count_containing(), 0) << "left by cell crossing";
+}
+
 }  // namespace
 }  // namespace mobieyes::core

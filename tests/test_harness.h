@@ -118,7 +118,7 @@ class MiniDeployment {
     world_->Step(dt, /*velocity_changes=*/0, rng_);
     if (faulty_ != nullptr) faulty_->AdvanceStep(step_++);
     server_->AdvanceTime(world_->now());
-    for (core::MobiEyesClient& client : fleet_->clients()) client.OnTick();
+    fleet_->Tick();
   }
 
   void TickN(int steps, Seconds dt = 30.0) {
