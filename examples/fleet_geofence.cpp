@@ -80,16 +80,10 @@ int main() {
                 in_range->size());
   }
 
-  uint64_t evaluated = 0;
-  uint64_t skipped = 0;
-  for (const core::MobiEyesClient& client : fleet.clients()) {
-    evaluated += client.queries_evaluated();
-    skipped += client.safe_period_skips();
-  }
   std::printf("\nsafe-period effect: %llu evaluations performed, "
               "%llu skipped\n",
-              static_cast<unsigned long long>(evaluated),
-              static_cast<unsigned long long>(skipped));
+              static_cast<unsigned long long>(fleet.queries_evaluated()),
+              static_cast<unsigned long long>(fleet.safe_period_skips()));
   std::printf("wireless traffic: %llu uplink / %llu downlink messages\n",
               static_cast<unsigned long long>(
                   network.stats().uplink_messages),

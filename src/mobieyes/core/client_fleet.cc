@@ -4,8 +4,12 @@
 #include <limits>
 #include <variant>
 
+#include "mobieyes/common/stopwatch.h"
+#include "mobieyes/geo/batch_kernels.h"
+
 namespace mobieyes::core {
 
+using net::kResultBitmapCapacity;
 using net::Message;
 using net::MessageType;
 using net::QueryInfo;
@@ -17,12 +21,8 @@ ClientFleet::ClientFleet(const mobility::World& world,
       options_(options),
       slab_(world.object_count()),
       due_(world.object_count(), std::numeric_limits<Seconds>::infinity()),
-      ticks_(world.object_count(), 0),
       has_mq_(world.object_count(), 0),
       has_pending_(world.object_count(), 0),
-      evaluated_(world.object_count(), 0),
-      skips_(world.object_count(), 0),
-      eval_seconds_(world.object_count(), 0.0),
       cell_i_(world.cell_is()),
       cell_j_(world.cell_js()),
       attr_(world.attrs()) {
@@ -49,44 +49,285 @@ void ClientFleet::Tick() {
   const Seconds now = world_->now();
   const bool reliable = options_.enable_reliable_uplink;
   const int64_t period = options_.reconcile_period_ticks;
+  const int64_t tick = ++round_;
   for (size_t k = 0; k < clients_.size(); ++k) {
-    const int64_t tick = ++ticks_[k];
-    // Each test mirrors one stage of the client's step; when all fail, the
-    // step would only count a safe-period skip for every row.
+    // Each test mirrors one stage of the step; when all fail, the step
+    // would only count a safe-period skip for every row.
     const bool due =
         due_[k] <= now || has_mq_[k] != 0 || prev_cell_[k].i != cell_i_[k] ||
         prev_cell_[k].j != cell_j_[k] || (reliable && has_pending_[k] != 0) ||
         (period > 0 && (tick + static_cast<int64_t>(k)) % period == 0);
     if (due) {
-      clients_[k].Step();
+      turn_ = k;
+      Step(k);
     } else {
-      skips_[k] += slab_.size(k);
+      safe_period_skips_ += slab_.size(k);
+    }
+  }
+  turn_ = kNoTurn;
+}
+
+void ClientFleet::Step(size_t k) {
+  const auto oid = static_cast<ObjectId>(k);
+  MobiEyesClient& client = clients_[k];
+  // Materialized once: the world does not move within a tick, so every
+  // stage below (uplinks and nested deliveries included) sees this state.
+  const mobility::ObjectState me = world_->object(oid);
+  const Seconds now = world_->now();
+
+  // 0. Hardening: drop LQT rows whose soft-state lease lapsed.
+  if (options_.lease_duration > 0.0) {
+    RemoveRows(k, [now](const LqtRow& row) {
+      return row.lease_expires_at <= now;
+    });
+  }
+
+  // 1. Grid-cell crossing (§3.5). Rows whose monitoring region no longer
+  // covers the object go: it is then provably outside their spatial
+  // region. Under eager propagation every object reports the crossing (the
+  // server replies with newly relevant queries); under lazy propagation
+  // only focal objects must, since the server tracks their current cell.
+  if (!(me.cell == prev_cell_[k])) {
+    RemoveRows(k, [this, &me](const LqtRow& row) {
+      return !slab_.version(row.version).mon_region.Contains(me.cell);
+    });
+    if (options_.propagation == PropagationMode::kEager || has_mq_[k] != 0) {
+      client.SendCellChangeReport(prev_cell_[k], me.cell);
+    }
+    prev_cell_[k] = me.cell;
+  }
+
+  // 2. Focal dead reckoning (§3.4).
+  if (has_mq_[k] != 0) client.RelayVelocityIfDrifted();
+
+  // 3. Periodic evaluation of the LQT (§3.6).
+  EvaluateQueries(k, me);
+
+  // 4. Hardening: retransmit unacked tracked uplinks and, periodically,
+  // reconcile the LQT with the server.
+  if (options_.enable_reliable_uplink && client.pending_uplinks() != 0) {
+    client.RetryPendingUplinks();
+  }
+  const int64_t period = options_.reconcile_period_ticks;
+  if (period > 0 && (round_ + static_cast<int64_t>(k)) % period == 0) {
+    SendReconcile(k, /*cold_start=*/false);
+  }
+}
+
+void ClientFleet::EvaluateQueries(size_t k, const mobility::ObjectState& me) {
+  if (slab_.size(k) == 0) {
+    due_[k] = std::numeric_limits<Seconds>::infinity();
+    return;
+  }
+  const Seconds now = world_->now();
+  const bool grouping = options_.enable_query_grouping;
+  const bool safe_period = options_.enable_safe_period;
+  std::vector<size_t>& dirty_groups = scratch_dirty_groups_;
+  std::vector<size_t>& flipped = scratch_flipped_;
+  dirty_groups.clear();
+  flipped.clear();
+  uint64_t evaluated = 0;
+  uint64_t skipped = 0;
+
+  // The Fig. 13 stopwatch covers the evaluation only: the flip reports
+  // below run the server's handling of them synchronously.
+  Stopwatch watch;
+  watch.Start();
+  {
+    TRACE_SPAN(trace_, "client.evaluate_queries");
+    // No send and no insert happens inside this block, so the span stays
+    // valid.
+    const std::span<LqtRow> rows = slab_.rows(k);
+    Seconds due = std::numeric_limits<Seconds>::infinity();
+    size_t begin = 0;
+    while (begin < rows.size()) {
+      const ObjectId focal_oid = slab_.version(rows[begin].version).focal_oid;
+      size_t end = begin + 1;
+      while (end < rows.size() &&
+             slab_.version(rows[end].version).focal_oid == focal_oid) {
+        ++end;
+      }
+
+      // One distance computation per group: groupable queries share a focal
+      // object, and velocity broadcasts keep their kinematics in sync.
+      double dist = -1.0;  // computed lazily
+      geo::Point focal_pos;
+      bool group_dirty = false;
+      bool outside_larger = false;  // outside some circumscribing radius seen
+      for (size_t i = begin; i < end; ++i) {
+        LqtRow& row = rows[i];
+        if (safe_period && row.ptm > now) {
+          ++skipped;
+          due = std::min(due, RowDue(row));
+          continue;
+        }
+        const QueryVersion& query = slab_.version(row.version);
+        const Miles reach = slab_.max_reach(row.version);
+        bool inside;
+        if (grouping && outside_larger) {
+          // Rows are sorted by circumscribing radius descending: outside a
+          // larger reach implies outside all smaller regions (§4.1) — no
+          // containment check needed.
+          inside = false;
+        } else {
+          if (dist < 0.0) {
+            focal_pos = query.focal.PredictPosition(now);
+            dist = geo::Distance(me.pos, focal_pos);
+          }
+          if (dist > reach) {
+            inside = false;
+            outside_larger = true;
+          } else {
+            // Same per-lane predicate the batched span kernels apply, so the
+            // client-side monitoring check and the oracle classify a point
+            // identically.
+            inside = geo::kernels::RegionLane(query.region, focal_pos.x,
+                                              focal_pos.y, me.pos.x,
+                                              me.pos.y);
+          }
+        }
+        ++evaluated;
+        if (inside != row.is_target) {
+          row.is_target = inside;
+          group_dirty = true;
+          if (!grouping) flipped.push_back(i);
+        }
+        if (safe_period && !inside && dist >= 0.0) {
+          // Worst case both objects approach head-on at their maximum
+          // speeds; subtract the dead-reckoning slack Δ since the focal
+          // position is only known to within Δ (§4.2, DESIGN.md). The
+          // circumscribing radius upper-bounds the region for any shape.
+          double closing_speed = me.max_speed + query.focal_max_speed;
+          double gap = dist - reach - options_.dead_reckoning_threshold;
+          if (gap > 0.0) {
+            double sp = closing_speed > 0.0
+                            ? gap / closing_speed
+                            : std::numeric_limits<double>::infinity();
+            row.ptm = now + sp;
+          }
+        }
+        due = std::min(due, RowDue(row));
+      }
+      if (group_dirty && grouping) dirty_groups.push_back(begin);
+      begin = end;
+    }
+    due_[k] = due;
+  }
+  watch.Stop();
+  processing_seconds_ += watch.total_seconds();
+  queries_evaluated_ += evaluated;
+  safe_period_skips_ += skipped;
+
+  // Reports go out by row index, re-read after every send.
+  if (grouping) {
+    for (size_t group : dirty_groups) SendGroupReports(k, group);
+  } else {
+    for (size_t i : flipped) {
+      const LqtRow& row = slab_.row(k, i);
+      net::ResultBitmapReport report;
+      report.oid = static_cast<ObjectId>(k);
+      report.qids.push_back(row.qid);
+      report.bitmap = row.is_target ? 1 : 0;
+      clients_[k].SendBitmapReport(std::move(report));
     }
   }
 }
 
-double ClientFleet::processing_seconds() const {
-  double total = 0.0;
-  for (double seconds : eval_seconds_) total += seconds;
-  return total;
+void ClientFleet::SendGroupReports(size_t k, size_t begin) {
+  auto in_group = [&](size_t i) {
+    return i < slab_.size(k) &&
+           slab_.version(slab_.row(k, i).version).focal_oid ==
+               slab_.version(slab_.row(k, begin).version).focal_oid;
+  };
+  size_t i = begin;
+  do {
+    net::ResultBitmapReport report;
+    report.oid = static_cast<ObjectId>(k);
+    for (; in_group(i) && report.qids.size() < kResultBitmapCapacity; ++i) {
+      const LqtRow& row = slab_.row(k, i);
+      if (row.is_target) report.bitmap |= uint64_t{1} << report.qids.size();
+      report.qids.push_back(row.qid);
+    }
+    clients_[k].SendBitmapReport(std::move(report));
+  } while (in_group(i));
 }
 
-uint64_t ClientFleet::queries_evaluated() const {
-  uint64_t total = 0;
-  for (uint64_t count : evaluated_) total += count;
-  return total;
+template <typename Pred>
+void ClientFleet::RemoveRows(size_t k, Pred&& stale) {
+  // Report a flip to "not a target" for rows that were in a result: once
+  // outside the monitoring region the object is provably outside the
+  // query's spatial region. Erasing back to front keeps the indices still
+  // to visit valid; the reports list qids in row order.
+  std::vector<QueryId> flipped;
+  for (size_t i = slab_.size(k); i-- > 0;) {
+    const LqtRow& row = slab_.row(k, i);
+    if (!stale(row)) continue;
+    if (row.is_target) flipped.push_back(row.qid);
+    slab_.Erase(k, i);
+  }
+  std::reverse(flipped.begin(), flipped.end());
+  for (size_t begin = 0; begin < flipped.size();) {
+    const size_t end = std::min(flipped.size(), begin + kResultBitmapCapacity);
+    net::ResultBitmapReport report;
+    report.oid = static_cast<ObjectId>(k);
+    report.qids.assign(flipped.begin() + begin, flipped.begin() + end);
+    clients_[k].SendBitmapReport(std::move(report));
+    begin = end;
+  }
 }
 
-uint64_t ClientFleet::safe_period_skips() const {
-  uint64_t total = 0;
-  for (uint64_t count : skips_) total += count;
-  return total;
+void ClientFleet::SendReconcile(size_t k, bool cold_start) {
+  net::LqtReconcileRequest request;
+  request.oid = static_cast<ObjectId>(k);
+  request.cell = world_->cell(request.oid);
+  request.cold_start = cold_start;
+  request.known_qids.reserve(slab_.size(k));
+  for (const LqtRow& row : slab_.rows(k)) {
+    request.known_qids.push_back(row.qid);
+    if (row.is_target) request.target_qids.push_back(row.qid);
+  }
+  clients_[k].SendReconcile(std::move(request));
+}
+
+void ClientFleet::Reset(ObjectId oid) {
+  const auto k = static_cast<size_t>(oid);
+  slab_.Clear(k);
+  due_[k] = std::numeric_limits<Seconds>::infinity();
+  has_mq_[k] = 0;
+  prev_cell_[k] = world_->cell(oid);
+  clients_[k].ResetUplinks();
+  // Kick off recovery immediately: one cold-start reconcile rebuilds the
+  // LQT via the server's diff path rather than waiting out the stagger.
+  if (options_.reconcile_period_ticks > 0) {
+    SendReconcile(k, /*cold_start=*/true);
+  }
 }
 
 void ClientFleet::ResetCounters() {
-  std::fill(evaluated_.begin(), evaluated_.end(), 0);
-  std::fill(skips_.begin(), skips_.end(), 0);
-  std::fill(eval_seconds_.begin(), eval_seconds_.end(), 0.0);
+  processing_seconds_ = 0.0;
+  queries_evaluated_ = 0;
+  safe_period_skips_ = 0;
+}
+
+std::vector<ClientFleet::LqtEntry> ClientFleet::lqt(ObjectId oid) const {
+  const auto k = static_cast<size_t>(oid);
+  std::vector<LqtEntry> entries;
+  for (size_t i = 0; i < slab_.size(k); ++i) {
+    const LqtRow& row = slab_.row(k, i);
+    const QueryVersion& query = slab_.version(row.version);
+    entries.push_back(LqtEntry{row.qid, query.focal_oid, query.focal,
+                               query.region, query.filter_threshold,
+                               query.mon_region, query.focal_max_speed,
+                               row.is_target, row.ptm, row.lease_expires_at});
+  }
+  return entries;
+}
+
+std::optional<bool> ClientFleet::IsTargetOf(ObjectId oid, QueryId qid) const {
+  const auto k = static_cast<size_t>(oid);
+  const ptrdiff_t i = FindRow(k, qid);
+  if (i < 0) return std::nullopt;
+  return slab_.row(k, i).is_target;
 }
 
 bool ClientFleet::AnyInstallable(std::span<const QueryInfo> queries,
@@ -174,6 +415,23 @@ void ClientFleet::OnBroadcast(const Message& message,
   });
 }
 
+void ClientFleet::OnDownlink(ObjectId oid, const Message& message) {
+  const auto k = static_cast<size_t>(oid);
+  if (message.type != MessageType::kFocalNotification) {
+    Deliver(k, message);
+    return;
+  }
+  const auto& note = std::get<net::FocalNotification>(message.payload);
+  if (note.qid == kInvalidQueryId) {
+    has_mq_[k] = 0;
+  } else if (has_mq_[k] == 0) {
+    has_mq_[k] = 1;
+    // Mirror what the server just recorded in the FOT: the state this
+    // object reported during the installation round trip.
+    clients_[k].NoteRelayed();
+  }
+}
+
 void ClientFleet::Deliver(size_t k, const Message& message) {
   switch (message.type) {
     case MessageType::kQueryInstallBroadcast: {
@@ -227,16 +485,12 @@ void ClientFleet::Deliver(size_t k, const Message& message) {
         }
       }
       if (stale_qids.empty()) break;
-      // Indices are taken only now: an install above may have shifted the
-      // rows, and a qid listed twice must not be removed twice.
-      std::vector<size_t> stale;
-      for (size_t i = 0; i < slab_.size(k); ++i) {
-        if (std::find(stale_qids.begin(), stale_qids.end(),
-                      slab_.row(k, i).qid) != stale_qids.end()) {
-          stale.push_back(i);
-        }
-      }
-      clients_[k].RemoveEntries(stale);
+      // Rows are matched only now: an install above may have shifted them,
+      // and a qid listed twice must not be removed twice.
+      RemoveRows(k, [&stale_qids](const LqtRow& row) {
+        return std::find(stale_qids.begin(), stale_qids.end(), row.qid) !=
+               stale_qids.end();
+      });
       break;
     }
     case MessageType::kQueryRemoveBroadcast: {

@@ -658,8 +658,10 @@ void ShardRouter::HandleResultBitmap(const net::ResultBitmapReport& report) {
     auto home_it = qid_home_.find(report.qids[k]);
     if (home_it == qid_home_.end()) continue;
     SqtEntry* entry = shards_[home_it->second]->FindQuery(report.qids[k]);
-    // Bits past the bitmap's 64 read as false (clients send at most 64).
-    bool is_target = k < 64 && ((report.bitmap >> k) & 1) != 0;
+    // Bits past the bitmap's capacity read as false (clients never send
+    // more queries than it holds).
+    bool is_target =
+        k < net::kResultBitmapCapacity && ((report.bitmap >> k) & 1) != 0;
     if (is_target) {
       entry->result.insert(report.oid);
       if (lifecycle_ != nullptr && !replaying_) {

@@ -38,11 +38,12 @@ struct EncodeBody {
     count = static_cast<uint16_t>(p.qids.size());
     w.I64(p.oid);
     for (QueryId qid : p.qids) w.I64(qid);
-    // ceil(n/8) bitmap bytes, little-endian bit order. The bitmap holds 64
-    // bits; bytes past them (a list Decode rejects) are written as zero
-    // rather than shifted out of range.
+    // ceil(n/8) bitmap bytes, little-endian bit order. The bitmap holds
+    // kResultBitmapCapacity bits; bytes past them (a list Decode rejects)
+    // are written as zero rather than shifted out of range.
     for (size_t byte = 0; byte < (p.qids.size() + 7) / 8; ++byte) {
-      w.U8(byte < 8 ? static_cast<uint8_t>(p.bitmap >> (8 * byte)) : 0);
+      const bool in_bitmap = 8 * byte < kResultBitmapCapacity;
+      w.U8(in_bitmap ? static_cast<uint8_t>(p.bitmap >> (8 * byte)) : 0);
     }
   }
   void operator()(const FocalNotification& p) {
@@ -211,10 +212,10 @@ Result<Message> MessageCodec::Decode(const std::vector<uint8_t>& buffer) {
       break;
     }
     case MessageType::kResultBitmapReport: {
-      // Clients split their reports into chunks of at most 64 queries (the
-      // bitmap capacity); a larger count would shift past the uint64
-      // below — reject it outright.
-      if (count > 64) {
+      // Clients split their reports into chunks of at most
+      // kResultBitmapCapacity queries; a larger count would shift past the
+      // uint64 below — reject it outright.
+      if (count > kResultBitmapCapacity) {
         return Status::InvalidArgument("bitmap report exceeds 64 queries");
       }
       ResultBitmapReport p;

@@ -85,6 +85,10 @@ struct CellChangeReport {
   geo::CellCoord new_cell;
 };
 
+// The most queries one ResultBitmapReport carries: one bit each in its
+// uint64 bitmap. Longer flip lists go out in several reports.
+inline constexpr size_t kResultBitmapCapacity = 64;
+
 // Differential result update: bit k of `bitmap` is the new containment
 // status for qids[k]. Grouped queries (§4.1) share one report; ungrouped
 // queries send a report with a single qid.

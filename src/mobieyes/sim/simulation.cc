@@ -476,7 +476,7 @@ void Simulation::StepOnce() {
         for (size_t k = 0; k < world_->object_count(); ++k) {
           const auto oid = static_cast<ObjectId>(k);
           if (faulty_->ShouldRestartClient(oid, step)) {
-            fleet_->client(oid).Reset();
+            fleet_->Reset(oid);
             ++metrics_.client_restarts;
           }
         }

@@ -42,9 +42,10 @@ using test::ObjectSpec;
 std::string Fingerprint(MiniDeployment& deployment, ObjectId oid) {
   std::ostringstream out;
   out.precision(17);
-  const MobiEyesClient& client = deployment.client(oid);
-  out << client.has_mq() << '|' << client.pending_uplinks() << '|';
-  for (const MobiEyesClient::LqtEntry& e : client.lqt()) {
+  const ClientFleet& fleet = deployment.fleet();
+  const size_t pending = deployment.client(oid).pending_uplinks();
+  out << fleet.has_mq(oid) << '|' << pending << '|';
+  for (const ClientFleet::LqtEntry& e : fleet.lqt(oid)) {
     out << e.qid << ',' << e.focal_oid << ',' << e.is_target << ',';
     out << e.focal.pos.x << ',' << e.focal.pos.y << ',';
     out << e.focal.vel.x << ',' << e.focal.vel.y << ',' << e.focal.tm << ',';
@@ -74,10 +75,15 @@ class FullDelivery : public net::BroadcastReceiver {
   ClientFleet* fleet_;
 };
 
+// The fleet's signatures against a fresh recomputation from each LQT.
 void ExpectSignaturesExact(MiniDeployment& deployment, const char* path) {
-  for (const MobiEyesClient& client : deployment.fleet().clients()) {
-    EXPECT_EQ(deployment.fleet().lqt_signature(client.oid()),
-              client.lqt_signature())
+  ClientFleet& fleet = deployment.fleet();
+  for (const MobiEyesClient& client : fleet.clients()) {
+    uint64_t recomputed = 0;
+    for (const ClientFleet::LqtEntry& entry : fleet.lqt(client.oid())) {
+      recomputed |= LqtQidKey(entry.qid) | LqtFocalKey(entry.focal_oid);
+    }
+    EXPECT_EQ(fleet.lqt_signature(client.oid()), recomputed)
         << "after " << path << ", object " << client.oid();
   }
 }
@@ -242,7 +248,7 @@ TEST(ClientFleetTest, SkippedReceptionsAreExactNoOps) {
       ExpectSignaturesExact(deployment, "a tick");
     }
     if (round % 50 == 49) {
-      deployment.client(everyone[rng.NextUint64(everyone.size())]).Reset();
+      deployment.fleet().Reset(everyone[rng.NextUint64(everyone.size())]);
       ExpectSignaturesExact(deployment, "Reset");
     }
   }
@@ -301,7 +307,7 @@ TEST(ClientFleetTest, InstallabilityBoundariesDecideDelivery) {
   eager.focal_oid = 0;
   EXPECT_FALSE(fleet.MayAffect(MakeMessage(eager), 1));
   deployment.client(1).OnDownlink(install(info));
-  ASSERT_EQ(deployment.client(1).lqt_size(), 1u);
+  ASSERT_EQ(deployment.fleet().lqt_size(1), 1u);
   EXPECT_TRUE(fleet.MayAffect(MakeMessage(eager), 1));
   const Message remove_held = MakeMessage(net::QueryRemoveBroadcast{{7}});
   const Message remove_other = MakeMessage(net::QueryRemoveBroadcast{{8}});
@@ -322,7 +328,7 @@ TEST(ClientFleetTest, SignatureTracksEveryMutationPath) {
 
   auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);
   ASSERT_TRUE(qid.ok());
-  ASSERT_EQ(deployment.client(1).lqt_size(), 1u);
+  ASSERT_EQ(deployment.fleet().lqt_size(1), 1u);
   EXPECT_NE(fleet.lqt_signature(1), 0u);
   ExpectSignaturesExact(deployment, "install");
   const QueryInfo info = InfoFor(deployment, *qid);
@@ -332,15 +338,15 @@ TEST(ClientFleetTest, SignatureTracksEveryMutationPath) {
   moved.mon_region = CellRange{0, 0, 0, 0};
   deployment.client(1).OnDownlink(
       MakeMessage(net::QueryUpdateBroadcast{{moved}}));
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
   ExpectSignaturesExact(deployment, "update-stale removal");
 
   deployment.client(1).OnDownlink(
       MakeMessage(net::QueryInstallBroadcast{{info}}));
-  ASSERT_EQ(deployment.client(1).lqt_size(), 1u);
+  ASSERT_EQ(deployment.fleet().lqt_size(1), 1u);
   deployment.client(1).OnDownlink(
       MakeMessage(net::QueryRemoveBroadcast{{*qid}}));
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
   ExpectSignaturesExact(deployment, "remove broadcast");
 
   // Cell crossing out of the monitoring region.
@@ -348,7 +354,7 @@ TEST(ClientFleetTest, SignatureTracksEveryMutationPath) {
       MakeMessage(net::QueryInstallBroadcast{{info}}));
   deployment.world().SetObjectState(1, Point{85, 85}, Vec2{});
   deployment.Tick();
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
   ExpectSignaturesExact(deployment, "cell crossing");
 
   // Lease expiry: a query the server never heard of is never refreshed.
@@ -356,12 +362,12 @@ TEST(ClientFleetTest, SignatureTracksEveryMutationPath) {
   orphan.qid = 4242;
   deployment.client(2).OnDownlink(
       MakeMessage(net::QueryInstallBroadcast{{orphan}}));
-  ASSERT_TRUE(deployment.client(2).IsTargetOf(4242).has_value());
+  ASSERT_TRUE(deployment.fleet().IsTargetOf(2, 4242).has_value());
   deployment.TickN(3);
-  EXPECT_FALSE(deployment.client(2).IsTargetOf(4242).has_value());
+  EXPECT_FALSE(deployment.fleet().IsTargetOf(2, 4242).has_value());
   ExpectSignaturesExact(deployment, "lease expiry");
 
-  deployment.client(2).Reset();
+  fleet.Reset(2);
   EXPECT_EQ(fleet.lqt_signature(2), 0u);
   ExpectSignaturesExact(deployment, "Reset");
 }
@@ -386,7 +392,7 @@ size_t NestedInstallScenario(bool deliver_to_every_receiver) {
   auto first = deployment.server().InstallQuery(0, 4.0, 1.0);
   EXPECT_TRUE(first.ok());
   deployment.Tick();  // object 1 becomes a target of the first query
-  EXPECT_EQ(deployment.client(1).IsTargetOf(*first), std::optional(true));
+  EXPECT_EQ(deployment.fleet().IsTargetOf(1, *first), std::optional(true));
 
   // Object 1's stale-removal report makes the server install a query of
   // focal 3, whose install broadcast reaches object 2 nested inside the
@@ -401,7 +407,7 @@ size_t NestedInstallScenario(bool deliver_to_every_receiver) {
           auto qid = deployment.server().InstallQuery(3, 4.0, 1.0);
           EXPECT_TRUE(qid.ok());
           EXPECT_EQ(*qid, nested_qid);
-          EXPECT_EQ(deployment.client(2).lqt_size(), 1u);
+          EXPECT_EQ(deployment.fleet().lqt_size(2), 1u);
         }
       });
   // The outer broadcast moves both queries' monitoring regions away from
@@ -418,9 +424,9 @@ size_t NestedInstallScenario(bool deliver_to_every_receiver) {
   net::BaseStation station{99, geo::Circle{Point{66, 55}, 15.0}};
   deployment.network().Broadcast(station, update);
   EXPECT_TRUE(installed);
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
   ExpectSignaturesExact(deployment, "nested delivery");
-  return deployment.client(2).lqt_size();
+  return deployment.fleet().lqt_size(2);
 }
 
 TEST(ClientFleetTest, NestedDeliveryReachesLaterReceiverOfSameBroadcast) {
@@ -494,7 +500,7 @@ std::vector<StepRecord> RunRecorded(const sim::SimulationConfig& config,
     };
     for (const MobiEyesClient& client : sim.fleet()->clients()) {
       const ObjectId oid = client.oid();
-      record.lqt_sizes.push_back(client.lqt_size());
+      record.lqt_sizes.push_back(sim.fleet()->lqt_size(oid));
       record.object_bytes.push_back(bytes_of(stats.rx_bytes_per_object, oid));
       record.object_bytes.push_back(bytes_of(stats.tx_bytes_per_object, oid));
     }

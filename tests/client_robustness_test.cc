@@ -37,13 +37,13 @@ TEST(ClientRobustnessTest, DuplicateInstallBroadcastIsIdempotent) {
   MiniDeployment deployment({{Point{55, 55}}, {Point{57, 55}}});
   auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);
   ASSERT_TRUE(qid.ok());
-  ASSERT_EQ(deployment.client(1).lqt_size(), 1u);
+  ASSERT_EQ(deployment.fleet().lqt_size(1), 1u);
 
   net::QueryInstallBroadcast duplicate;
   duplicate.queries.push_back(InfoFor(deployment, *qid));
   deployment.client(1).OnDownlink(MakeMessage(duplicate));
   deployment.client(1).OnDownlink(MakeMessage(duplicate));
-  EXPECT_EQ(deployment.client(1).lqt_size(), 1u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 1u);
 }
 
 TEST(ClientRobustnessTest, VelocityBroadcastForUnknownFocalIsIgnored) {
@@ -52,7 +52,7 @@ TEST(ClientRobustnessTest, VelocityBroadcastForUnknownFocalIsIgnored) {
   broadcast.focal_oid = 999;  // never installed
   broadcast.state = net::FocalState{Point{1, 1}, Vec2{1, 1}, 0.0};
   deployment.client(0).OnDownlink(MakeMessage(broadcast));
-  EXPECT_EQ(deployment.client(0).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(0), 0u);
 }
 
 TEST(ClientRobustnessTest, UpdateBroadcastForUninstalledQueryInstallsIfDue) {
@@ -68,9 +68,9 @@ TEST(ClientRobustnessTest, UpdateBroadcastForUninstalledQueryInstallsIfDue) {
   net::QueryRemoveBroadcast forget;
   forget.qids.push_back(*qid);
   deployment.client(1).OnDownlink(MakeMessage(forget));
-  ASSERT_EQ(deployment.client(1).lqt_size(), 0u);
+  ASSERT_EQ(deployment.fleet().lqt_size(1), 0u);
   deployment.client(1).OnDownlink(MakeMessage(update));
-  EXPECT_EQ(deployment.client(1).lqt_size(), 1u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 1u);
 }
 
 TEST(ClientRobustnessTest, RemoveBroadcastForUnknownQueryIsIgnored) {
@@ -78,7 +78,7 @@ TEST(ClientRobustnessTest, RemoveBroadcastForUnknownQueryIsIgnored) {
   net::QueryRemoveBroadcast remove;
   remove.qids = {123, 456};
   deployment.client(0).OnDownlink(MakeMessage(remove));  // no crash
-  EXPECT_EQ(deployment.client(0).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(0), 0u);
 }
 
 TEST(ClientRobustnessTest, UplinkTypesOnDownlinkAreIgnored) {
@@ -88,8 +88,8 @@ TEST(ClientRobustnessTest, UplinkTypesOnDownlinkAreIgnored) {
       MakeMessage(net::CellChangeReport{0, {0, 0}, {1, 1}}));
   deployment.client(0).OnDownlink(
       MakeMessage(net::PositionReport{0, Point{1, 1}}));
-  EXPECT_EQ(deployment.client(0).lqt_size(), 0u);
-  EXPECT_FALSE(deployment.client(0).has_mq());
+  EXPECT_EQ(deployment.fleet().lqt_size(0), 0u);
+  EXPECT_FALSE(deployment.fleet().has_mq(0));
 }
 
 TEST(ClientRobustnessTest, InstallOutsideMonitoringRegionIsRejected) {
@@ -101,18 +101,18 @@ TEST(ClientRobustnessTest, InstallOutsideMonitoringRegionIsRejected) {
   net::QueryInstallBroadcast broadcast;
   broadcast.queries.push_back(InfoFor(deployment, *qid));
   deployment.client(1).OnDownlink(MakeMessage(broadcast));
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
 }
 
 TEST(ClientRobustnessTest, RepeatedFocalNotificationsAreStable) {
   MiniDeployment deployment({ObjectSpec(Point{55, 55})});
   deployment.client(0).OnDownlink(MakeMessage(net::FocalNotification{0, 5}));
-  EXPECT_TRUE(deployment.client(0).has_mq());
+  EXPECT_TRUE(deployment.fleet().has_mq(0));
   deployment.client(0).OnDownlink(MakeMessage(net::FocalNotification{0, 6}));
-  EXPECT_TRUE(deployment.client(0).has_mq());
+  EXPECT_TRUE(deployment.fleet().has_mq(0));
   deployment.client(0).OnDownlink(
       MakeMessage(net::FocalNotification{0, kInvalidQueryId}));
-  EXPECT_FALSE(deployment.client(0).has_mq());
+  EXPECT_FALSE(deployment.fleet().has_mq(0));
 }
 
 TEST(ClientRobustnessTest, AckForUnknownSequenceIsIgnored) {
@@ -128,7 +128,7 @@ TEST(ClientRobustnessTest, AckWithoutReliableUplinkIsIgnored) {
   MiniDeployment deployment({ObjectSpec(Point{55, 55})});
   deployment.client(0).OnDownlink(MakeMessage(net::UplinkAck{0, 1}));
   EXPECT_EQ(deployment.client(0).pending_uplinks(), 0u);
-  EXPECT_EQ(deployment.client(0).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(0), 0u);
 }
 
 TEST(ClientRobustnessTest, ReconcileRequestOnDownlinkIsIgnored) {
@@ -137,7 +137,7 @@ TEST(ClientRobustnessTest, ReconcileRequestOnDownlinkIsIgnored) {
   request.oid = 0;
   request.known_qids = {1, 2};
   deployment.client(0).OnDownlink(MakeMessage(request));  // uplink-only type
-  EXPECT_EQ(deployment.client(0).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(0), 0u);
 }
 
 TEST(ClientRobustnessTest, ServerIgnoresUnknownUplinks) {

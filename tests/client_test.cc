@@ -18,10 +18,10 @@ TEST(ClientTest, TargetFlipReportedOnEntry) {
   });
   auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);
   ASSERT_TRUE(qid.ok());
-  EXPECT_EQ(deployment.client(1).IsTargetOf(*qid), std::optional<bool>(false));
+  EXPECT_EQ(deployment.fleet().IsTargetOf(1, *qid), std::optional<bool>(false));
 
   deployment.Tick();  // x=59: inside radius 4
-  EXPECT_EQ(deployment.client(1).IsTargetOf(*qid), std::optional<bool>(true));
+  EXPECT_EQ(deployment.fleet().IsTargetOf(1, *qid), std::optional<bool>(true));
   EXPECT_TRUE(deployment.server().QueryResult(*qid)->contains(1));
 }
 
@@ -47,8 +47,8 @@ TEST(ClientTest, FilterBlocksInstallation) {
   });
   auto qid = deployment.server().InstallQuery(0, 4.0, 0.5);
   ASSERT_TRUE(qid.ok());
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
-  EXPECT_EQ(deployment.client(2).lqt_size(), 1u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(2), 1u);
   deployment.Tick();
   auto result = deployment.server().QueryResult(*qid);
   ASSERT_TRUE(result.ok());
@@ -117,13 +117,13 @@ TEST(ClientTest, LeavingMonitoringRegionDropsAndReports) {
   auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);
   ASSERT_TRUE(qid.ok());
   // Force an immediate in-region evaluation so the object is a target.
-  deployment.client(1).OnTick();
+  deployment.fleet().Tick();
   ASSERT_TRUE(deployment.server().QueryResult(*qid)->contains(1));
 
   // 0.2 mi/s * 30 s = 6 miles per tick; after 3 ticks x=74, cell (7,5) —
   // outside the monitoring region columns [4,6].
   deployment.TickN(3);
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
   EXPECT_FALSE(deployment.server().QueryResult(*qid)->contains(1));
 }
 
@@ -134,12 +134,12 @@ TEST(ClientTest, ReenteringRegionReinstallsEagerly) {
   });
   auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);
   ASSERT_TRUE(qid.ok());
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
 
   deployment.Tick();  // x=70.5, cell (7,5): still outside
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
   deployment.Tick();  // x=66, cell (6,5): inside region -> installed
-  EXPECT_EQ(deployment.client(1).lqt_size(), 1u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 1u);
   deployment.TickN(2);  // x=57: inside the circle
   EXPECT_TRUE(deployment.server().QueryResult(*qid)->contains(1));
 }
@@ -151,13 +151,13 @@ TEST(ClientTest, BoundaryContainmentIsInclusive) {
   });
   auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);
   ASSERT_TRUE(qid.ok());
-  deployment.client(1).OnTick();
-  EXPECT_EQ(deployment.client(1).IsTargetOf(*qid), std::optional<bool>(true));
+  deployment.fleet().Tick();
+  EXPECT_EQ(deployment.fleet().IsTargetOf(1, *qid), std::optional<bool>(true));
 }
 
 TEST(ClientTest, IsTargetOfUnknownQueryIsNullopt) {
   MiniDeployment deployment({ObjectSpec(Point{50, 50})});
-  EXPECT_EQ(deployment.client(0).IsTargetOf(99), std::nullopt);
+  EXPECT_EQ(deployment.fleet().IsTargetOf(0, 99), std::nullopt);
 }
 
 TEST(ClientTest, ProcessingCountersTrackEvaluations) {
@@ -167,11 +167,11 @@ TEST(ClientTest, ProcessingCountersTrackEvaluations) {
   });
   ASSERT_TRUE(deployment.server().InstallQuery(0, 4.0, 1.0).ok());
   deployment.TickN(4);
-  EXPECT_EQ(deployment.client(1).queries_evaluated(), 4u);
-  EXPECT_GT(deployment.client(1).processing_seconds(), 0.0);
-  deployment.client(1).ResetCounters();
-  EXPECT_EQ(deployment.client(1).queries_evaluated(), 0u);
-  EXPECT_EQ(deployment.client(1).processing_seconds(), 0.0);
+  EXPECT_EQ(deployment.fleet().queries_evaluated(), 4u);
+  EXPECT_GT(deployment.fleet().processing_seconds(), 0.0);
+  deployment.fleet().ResetCounters();
+  EXPECT_EQ(deployment.fleet().queries_evaluated(), 0u);
+  EXPECT_EQ(deployment.fleet().processing_seconds(), 0.0);
 }
 
 // After any LQT erase, the next fleet tick leaves the LQT slab within twice
@@ -183,8 +183,9 @@ TEST(ClientTest, EveryLqtErasePathGivesCapacityBack) {
   MobiEyesOptions options;
   options.lease_duration = 30.0;  // an unrefreshed entry lapses after 60 s
   MiniDeployment deployment({{Point{55, 55}}, {Point{5, 5}}}, options);
+  ClientFleet& fleet = deployment.fleet();
   MobiEyesClient& client = deployment.client(0);
-  const LqtSlab& slab = deployment.fleet().slab();
+  const LqtSlab& slab = fleet.slab();
   const geo::CellRange everywhere{0, 9, 0, 9};
   const geo::CellRange home{5, 5, 5, 5};  // object 0's cell only
   // Large enough that neither the slack nor the capacity the slab keeps
@@ -210,7 +211,7 @@ TEST(ClientTest, EveryLqtErasePathGivesCapacityBack) {
     ASSERT_GE(slab.slab_capacity(), static_cast<size_t>(kBurst));
   };
   auto expect_bound = [&](const char* path) {
-    deployment.fleet().Tick();  // compaction runs between client turns
+    fleet.Tick();  // compaction runs between object turns
     const size_t bound = 2 * slab.live_rows() + LqtSlab::kCompactionSlack;
     EXPECT_LE(slab.slab_rows(), bound) << path;
     EXPECT_LE(slab.slab_capacity(), 2 * LqtSlab::kKeptCapacity * bound)
@@ -221,7 +222,7 @@ TEST(ClientTest, EveryLqtErasePathGivesCapacityBack) {
   net::QueryRemoveBroadcast remove;
   for (QueryId qid = 1; qid <= kBurst - 4; ++qid) remove.qids.push_back(qid);
   client.OnDownlink(net::MakeMessage(remove));
-  ASSERT_EQ(client.lqt_size(), 4u);
+  ASSERT_EQ(fleet.lqt_size(0), 4u);
   expect_bound("remove broadcast");
 
   install_burst(everywhere);
@@ -230,23 +231,23 @@ TEST(ClientTest, EveryLqtErasePathGivesCapacityBack) {
     update.queries.push_back(info_for(qid, geo::CellRange{0, 0, 0, 0}));
   }
   client.OnDownlink(net::MakeMessage(update));
-  ASSERT_EQ(client.lqt_size(), 4u);
+  ASSERT_EQ(fleet.lqt_size(0), 4u);
   expect_bound("stale update entries");
 
   install_burst(home);
   deployment.world().SetObjectState(0, Point{65, 55}, {});
-  client.OnTick();  // crosses into cell (6, 5)
-  ASSERT_EQ(client.lqt_size(), 4u);
+  fleet.Tick();  // object 0 crosses into cell (6, 5)
+  ASSERT_EQ(fleet.lqt_size(0), 4u);
   expect_bound("cell crossing");
 
   install_burst(everywhere);
   deployment.TickN(2);  // 60 s without a refresh: every lease lapses
-  ASSERT_EQ(client.lqt_size(), 0u);
+  ASSERT_EQ(fleet.lqt_size(0), 0u);
   expect_bound("lease expiry");
 
   install_burst(everywhere);
-  client.Reset();
-  ASSERT_EQ(client.lqt_size(), 0u);
+  fleet.Reset(0);
+  ASSERT_EQ(fleet.lqt_size(0), 0u);
   expect_bound("reset");
 }
 

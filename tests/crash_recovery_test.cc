@@ -465,17 +465,19 @@ TEST(SimulationCrashTest, ClientRestartRebuildsLqt) {
   (*restart_sim)->Run(30);
   EXPECT_EQ((*restart_sim)->metrics().client_restarts, 1);
 
-  auto qids = [](core::MobiEyesClient* client) {
+  auto qids = [](sim::Simulation& run) {
     std::set<QueryId> out;
-    for (const auto& entry : client->lqt()) out.insert(entry.qid);
+    for (const auto& entry : run.fleet()->lqt(kRestarted)) {
+      out.insert(entry.qid);
+    }
     return out;
   };
-  std::set<QueryId> twin_qids = qids((*twin_sim)->client(kRestarted));
-  std::set<QueryId> restart_qids = qids((*restart_sim)->client(kRestarted));
+  std::set<QueryId> twin_qids = qids(**twin_sim);
+  std::set<QueryId> restart_qids = qids(**restart_sim);
   EXPECT_FALSE(twin_qids.empty());
   EXPECT_EQ(restart_qids, twin_qids);
-  EXPECT_EQ((*restart_sim)->client(kRestarted)->has_mq(),
-            (*twin_sim)->client(kRestarted)->has_mq());
+  EXPECT_EQ((*restart_sim)->fleet()->has_mq(kRestarted),
+            (*twin_sim)->fleet()->has_mq(kRestarted));
 }
 
 // When the WAL overflows (tiny budget, sparse checkpoints) the restore is

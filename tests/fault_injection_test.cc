@@ -203,8 +203,8 @@ TEST(FaultInjectionTest, HarmlessPlanMatchesPlainNetworkExactly) {
   EXPECT_EQ(b.delayed_messages, 0u);
   EXPECT_EQ(b.duplicated_messages, 0u);
   for (size_t k = 0; k < specs.size(); ++k) {
-    EXPECT_EQ(plain.client(static_cast<ObjectId>(k)).lqt_size(),
-              faulted.client(static_cast<ObjectId>(k)).lqt_size());
+    EXPECT_EQ(plain.fleet().lqt_size(static_cast<ObjectId>(k)),
+              faulted.fleet().lqt_size(static_cast<ObjectId>(k)));
   }
 }
 
@@ -284,6 +284,48 @@ TEST(FaultInjectionTest, RetryAttemptsAreBoundedByBudget) {
   EXPECT_EQ(deployment.client(0).pending_uplinks(), 0u);
 }
 
+// A flip report that covers some of a lost report's queries supersedes only
+// those: the lost report's other queries keep their retransmission.
+TEST(FaultInjectionTest, PartialFlipReportKeepsRetryOfTheOtherQueries) {
+  core::MobiEyesOptions options;  // grouping on; leases, reconciliation off
+  options.enable_reliable_uplink = true;
+  MiniDeployment deployment({{Point{59, 55}}, {Point{85, 55}}}, options);
+  auto qa = deployment.server().InstallQuery(0, 4.0, 1.0);   // cells 4-6
+  auto qb = deployment.server().InstallQuery(0, 12.0, 1.0);  // cells 3-7
+  ASSERT_TRUE(qa.ok());
+  ASSERT_TRUE(qb.ok());
+  // The server never hears object 1's first bitmap report.
+  bool dropped = false;
+  deployment.network().set_server_handler(
+      [&](ObjectId from, const Message& message) {
+        if (!dropped && from == 1 &&
+            message.type == MessageType::kResultBitmapReport) {
+          dropped = true;
+          return;
+        }
+        deployment.server().OnUplink(from, message);
+      });
+  auto in_result = [&](QueryId qid) {
+    return deployment.server().QueryResult(qid)->contains(1);
+  };
+
+  // Into cell 6 at distance 3: both queries install, and the group report
+  // {qb, qa} is lost.
+  deployment.world().SetObjectState(1, Point{62, 55}, {});
+  deployment.Tick();
+  ASSERT_TRUE(dropped);
+  ASSERT_EQ(deployment.fleet().lqt_size(1), 2u);
+  ASSERT_FALSE(in_result(*qb));
+
+  // Out of qa's monitoring region, still inside qb: the flip report {qa}
+  // must not cancel qb's retransmission.
+  deployment.world().SetObjectState(1, Point{70, 55}, {});
+  deployment.TickN(6);
+  EXPECT_FALSE(in_result(*qa));
+  EXPECT_TRUE(in_result(*qb));
+  EXPECT_EQ(deployment.client(1).pending_uplinks(), 0u);
+}
+
 TEST(FaultInjectionTest, ServerDedupsRetransmittedUplinks) {
   MiniDeployment deployment({{Point{55, 55}}, {Point{57, 55}}});
   ASSERT_TRUE(deployment.server().InstallQuery(0, 4.0, 1.0).ok());
@@ -317,18 +359,18 @@ TEST(FaultInjectionTest, LeaseRebroadcastRecoversLostInstall) {
   MiniDeployment deployment({{Point{55, 55}}, {Point{57, 55}}}, options);
   auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);
   ASSERT_TRUE(qid.ok());
-  ASSERT_EQ(deployment.client(1).lqt_size(), 1u);
+  ASSERT_EQ(deployment.fleet().lqt_size(1), 1u);
 
   // Simulate a lost install: wipe the entry behind the server's back.
   QueryRemoveBroadcast forget;
   forget.qids.push_back(*qid);
   deployment.client(1).OnDownlink(MakeMessage(forget));
-  ASSERT_EQ(deployment.client(1).lqt_size(), 0u);
+  ASSERT_EQ(deployment.fleet().lqt_size(1), 0u);
 
   // Within at most two lease periods the server's soft-state re-broadcast
   // reinstalls the query without any client-side action.
   deployment.TickN(5);
-  EXPECT_EQ(deployment.client(1).lqt_size(), 1u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 1u);
 }
 
 TEST(FaultInjectionTest, LeaseExpiryDropsUnrefreshedEntry) {
@@ -357,10 +399,10 @@ TEST(FaultInjectionTest, LeaseExpiryDropsUnrefreshedEntry) {
   QueryInstallBroadcast install;
   install.queries.push_back(info);
   deployment.client(1).OnDownlink(MakeMessage(install));
-  ASSERT_EQ(deployment.client(1).lqt_size(), 1u);
+  ASSERT_EQ(deployment.fleet().lqt_size(1), 1u);
 
   deployment.TickN(4);
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
 }
 
 TEST(FaultInjectionTest, ReconciliationRebuildsLqtAfterReconnect) {
@@ -378,14 +420,14 @@ TEST(FaultInjectionTest, ReconciliationRebuildsLqtAfterReconnect) {
   deployment.Tick();
   ASSERT_TRUE(deployment.faulty_network()->IsDisconnected(1, 0));
   ASSERT_TRUE(deployment.server().InstallQuery(0, 4.0, 1.0).ok());
-  ASSERT_EQ(deployment.client(1).lqt_size(), 0u);
+  ASSERT_EQ(deployment.fleet().lqt_size(1), 0u);
 
   // After the window closes, the next reconciliation round trip repairs the
   // LQT from the server's RQI.
   deployment.TickN(5);
   ASSERT_FALSE(
       deployment.faulty_network()->IsDisconnected(1, deployment.step() - 1));
-  EXPECT_EQ(deployment.client(1).lqt_size(), 1u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 1u);
   EXPECT_GT(deployment.network().stats().messages_by_type[static_cast<size_t>(
                 MessageType::kLqtReconcileRequest)],
             0u);

@@ -136,7 +136,7 @@ std::string Record(const SimulationConfig& config, std::string* heatmap) {
     sim.Run(1);
     uint64_t lqt_sum = 0;
     for (ObjectId oid = 0; oid < config.params.num_objects; ++oid) {
-      lqt_sum += sim.client(oid)->lqt_size();
+      lqt_sum += sim.fleet()->lqt_size(oid);
     }
     // The run's own LQT accounting must agree with the clients'.
     const uint64_t counted = sim.metrics().lqt_size_sum;

@@ -56,7 +56,7 @@ TEST(GroupingTest, BitmapReportCarriesWholeGroup) {
   ASSERT_TRUE(qid_small.ok());
   ASSERT_TRUE(qid_large.ok());
 
-  deployment.client(1).OnTick();  // evaluate at distance 3
+  deployment.fleet().Tick();  // evaluate at distance 3
   // Inside radius 4, outside radius 2 — one grouped report fixed both.
   EXPECT_TRUE(deployment.server().QueryResult(*qid_large)->contains(1));
   EXPECT_FALSE(deployment.server().QueryResult(*qid_small)->contains(1));
@@ -104,7 +104,7 @@ TEST(GroupingTest, LqtKeepsGroupsSortedByRadiusDescending) {
   ASSERT_TRUE(deployment.server().InstallQuery(0, 4.0, 1.0).ok());
   ASSERT_TRUE(deployment.server().InstallQuery(1, 3.0, 1.0).ok());
 
-  const auto& lqt = deployment.client(2).lqt();
+  const auto& lqt = deployment.fleet().lqt(2);
   ASSERT_EQ(lqt.size(), 4u);
   for (size_t k = 1; k < lqt.size(); ++k) {
     if (lqt[k].focal_oid == lqt[k - 1].focal_oid) {
@@ -152,7 +152,7 @@ TEST(GroupingTest, FlipsOfMoreThanSixtyFourQueriesAreAllReported) {
     ASSERT_TRUE(qid.ok());
     qids.push_back(*qid);
   }
-  ASSERT_EQ(deployment.client(1).lqt_size(), static_cast<size_t>(kQueries));
+  ASSERT_EQ(deployment.fleet().lqt_size(1), static_cast<size_t>(kQueries));
   auto count_containing = [&] {
     int count = 0;
     for (QueryId qid : qids) {
@@ -176,7 +176,7 @@ TEST(GroupingTest, FlipsOfMoreThanSixtyFourQueriesAreAllReported) {
   // Off the monitoring regions: the entries are dropped and reported.
   deployment.world().SetObjectState(1, Point{85, 55}, {});
   deployment.Tick();
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
   EXPECT_EQ(count_containing(), 0) << "left by cell crossing";
 }
 

@@ -58,16 +58,16 @@ TEST(LazyPropagationTest, MissedQueryInstalledOnVelocityBroadcast) {
       Lazy());
   auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);
   ASSERT_TRUE(qid.ok());
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
 
   deployment.Tick();  // object at 69: cell (6,5), inside region — but lazy:
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);  // not installed yet
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);  // not installed yet
 
   // The focal changes velocity; the expanded broadcast reaches the region
   // and the object finally installs the query.
   deployment.world().SetObjectState(0, Point{55, 55}, Vec2{0.01, 0.0});
   deployment.Tick();
-  EXPECT_EQ(deployment.client(1).lqt_size(), 1u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 1u);
 }
 
 TEST(LazyPropagationTest, MissedQueryInstalledOnFocalCellChange) {
@@ -82,7 +82,7 @@ TEST(LazyPropagationTest, MissedQueryInstalledOnFocalCellChange) {
   deployment.Tick();
   // Focal crossed into cell (6,5): the QueryUpdateBroadcast over the union
   // region lets the newcomer install.
-  EXPECT_EQ(deployment.client(1).lqt_size(), 1u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 1u);
 }
 
 TEST(LazyPropagationTest, LazyResultsEventuallyAgreeWithEager) {
@@ -123,7 +123,7 @@ TEST(LazyPropagationTest, LazyCanTransientlyMissTargets) {
   lazy.TickN(3);  // object at 55.5: well inside radius 6
   EXPECT_DOUBLE_EQ(lazy.world().object(1).pos.x, 55.5);
   // ...but it never installed the query, so the result misses it.
-  EXPECT_EQ(lazy.client(1).lqt_size(), 0u);
+  EXPECT_EQ(lazy.fleet().lqt_size(1), 0u);
   EXPECT_FALSE(lazy.server().QueryResult(*qid)->contains(1));
 }
 

@@ -41,13 +41,12 @@ TEST_P(ProtocolPropertyTest, LqtEntriesAreExactlyJustified) {
   auto simulation = Simulation::Make(Config());
   ASSERT_TRUE(simulation.ok()) << simulation.status().ToString();
   Simulation& sim = **simulation;
+  ASSERT_NE(sim.fleet(), nullptr);
   for (int round = 0; round < 6; ++round) {
     sim.Run(2);
     for (size_t oid = 0; oid < sim.world().object_count(); ++oid) {
       const auto& me = sim.world().object(static_cast<ObjectId>(oid));
-      const auto* client = sim.client(static_cast<ObjectId>(oid));
-      ASSERT_NE(client, nullptr);
-      for (const auto& entry : client->lqt()) {
+      for (const auto& entry : sim.fleet()->lqt(static_cast<ObjectId>(oid))) {
         const auto* sqt = sim.server()->FindQuery(entry.qid);
         ASSERT_NE(sqt, nullptr) << "LQT references dead query " << entry.qid;
         EXPECT_TRUE(entry.mon_region.Contains(me.cell))
@@ -72,8 +71,7 @@ TEST_P(ProtocolPropertyTest, ClientRegionsMatchServerUnderEager) {
   Simulation& sim = **simulation;
   sim.Run(10);
   for (size_t oid = 0; oid < sim.world().object_count(); ++oid) {
-    const auto* client = sim.client(static_cast<ObjectId>(oid));
-    for (const auto& entry : client->lqt()) {
+    for (const auto& entry : sim.fleet()->lqt(static_cast<ObjectId>(oid))) {
       const auto* sqt = sim.server()->FindQuery(entry.qid);
       ASSERT_NE(sqt, nullptr);
       EXPECT_EQ(entry.mon_region, sqt->mon_region)

@@ -19,7 +19,7 @@ TEST(QueryLifetimeTest, DefaultQueriesNeverExpire) {
   ASSERT_TRUE(qid.ok());
   deployment.TickN(50);
   EXPECT_NE(deployment.server().FindQuery(*qid), nullptr);
-  EXPECT_EQ(deployment.client(1).lqt_size(), 1u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 1u);
 }
 
 TEST(QueryLifetimeTest, QueryExpiresAfterDuration) {
@@ -33,12 +33,12 @@ TEST(QueryLifetimeTest, QueryExpiresAfterDuration) {
 
   deployment.TickN(2);  // t = 60: still live
   EXPECT_NE(deployment.server().FindQuery(*qid), nullptr);
-  EXPECT_TRUE(deployment.client(0).has_mq());
+  EXPECT_TRUE(deployment.fleet().has_mq(0));
 
   deployment.Tick();  // t = 90: expires
   EXPECT_EQ(deployment.server().FindQuery(*qid), nullptr);
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
-  EXPECT_FALSE(deployment.client(0).has_mq());
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
+  EXPECT_FALSE(deployment.fleet().has_mq(0));
   EXPECT_EQ(deployment.server().query_count(), 0u);
 }
 
@@ -64,20 +64,20 @@ TEST(QueryLifetimeTest, MixedLifetimesExpireIndependently) {
   ASSERT_TRUE(short_qid.ok());
   ASSERT_TRUE(long_qid.ok());
   ASSERT_TRUE(forever_qid.ok());
-  ASSERT_EQ(deployment.client(1).lqt_size(), 3u);
+  ASSERT_EQ(deployment.fleet().lqt_size(1), 3u);
 
   deployment.Tick();  // t = 30: short query gone
   EXPECT_EQ(deployment.server().FindQuery(*short_qid), nullptr);
   EXPECT_NE(deployment.server().FindQuery(*long_qid), nullptr);
-  EXPECT_EQ(deployment.client(1).lqt_size(), 2u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 2u);
   // The focal still has live queries: hasMQ stays set.
-  EXPECT_TRUE(deployment.client(0).has_mq());
+  EXPECT_TRUE(deployment.fleet().has_mq(0));
 
   deployment.TickN(3);  // t = 120: long query gone too
   EXPECT_EQ(deployment.server().FindQuery(*long_qid), nullptr);
   EXPECT_NE(deployment.server().FindQuery(*forever_qid), nullptr);
-  EXPECT_EQ(deployment.client(1).lqt_size(), 1u);
-  EXPECT_TRUE(deployment.client(0).has_mq());
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 1u);
+  EXPECT_TRUE(deployment.fleet().has_mq(0));
 }
 
 TEST(QueryLifetimeTest, RejectsNonPositiveDuration) {
@@ -99,7 +99,7 @@ TEST(QueryLifetimeTest, ExpiredQueryResultStopsUpdating) {
   // No stale LQT entries can resurrect the query.
   deployment.TickN(2);
   EXPECT_EQ(deployment.server().query_count(), 0u);
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
 }
 
 }  // namespace

@@ -159,7 +159,7 @@ TEST(RectQueryTest, SafePeriodSoundForRectangles) {
               plain.server().QueryResult(*qid_plain)->contains(1))
         << "step " << step;
   }
-  EXPECT_GT(safe.client(1).safe_period_skips(), 0u);
+  EXPECT_GT(safe.fleet().safe_period_skips(), 0u);
 }
 
 }  // namespace

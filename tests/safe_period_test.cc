@@ -32,8 +32,8 @@ TEST(SafePeriodTest, FarObjectSkipsEvaluations) {
   ASSERT_TRUE(deployment.server().InstallQuery(0, 4.0, 1.0).ok());
   deployment.TickN(10);
   // One real evaluation (the first), the rest skipped.
-  EXPECT_EQ(deployment.client(1).queries_evaluated(), 1u);
-  EXPECT_EQ(deployment.client(1).safe_period_skips(), 9u);
+  EXPECT_EQ(deployment.fleet().queries_evaluated(), 1u);
+  EXPECT_EQ(deployment.fleet().safe_period_skips(), 9u);
 }
 
 TEST(SafePeriodTest, NearObjectEvaluatesEveryStep) {
@@ -45,8 +45,8 @@ TEST(SafePeriodTest, NearObjectEvaluatesEveryStep) {
       WithSafePeriod(true), /*alpha=*/30.0);
   ASSERT_TRUE(deployment.server().InstallQuery(0, 4.0, 1.0).ok());
   deployment.TickN(5);
-  EXPECT_EQ(deployment.client(1).queries_evaluated(), 5u);
-  EXPECT_EQ(deployment.client(1).safe_period_skips(), 0u);
+  EXPECT_EQ(deployment.fleet().queries_evaluated(), 5u);
+  EXPECT_EQ(deployment.fleet().safe_period_skips(), 0u);
 }
 
 TEST(SafePeriodTest, NeverMissesContainmentChange) {
@@ -80,9 +80,9 @@ TEST(SafePeriodTest, NeverMissesContainmentChange) {
               baseline.server().QueryResult(*baseline_qid)->contains(1))
         << "divergence at step " << step;
   }
-  EXPECT_GT(deployment.client(1).safe_period_skips(), 0u);
-  EXPECT_LT(deployment.client(1).queries_evaluated(),
-            baseline.client(1).queries_evaluated());
+  EXPECT_GT(deployment.fleet().safe_period_skips(), 0u);
+  EXPECT_LT(deployment.fleet().queries_evaluated(),
+            baseline.fleet().queries_evaluated());
 }
 
 TEST(SafePeriodTest, StationaryObjectsSkipForever) {
@@ -96,8 +96,8 @@ TEST(SafePeriodTest, StationaryObjectsSkipForever) {
   deployment.TickN(20);
   // With zero closing speed the safe period is unbounded: one initial
   // evaluation, then skips.
-  EXPECT_EQ(deployment.client(1).queries_evaluated(), 1u);
-  EXPECT_EQ(deployment.client(1).safe_period_skips(), 19u);
+  EXPECT_EQ(deployment.fleet().queries_evaluated(), 1u);
+  EXPECT_EQ(deployment.fleet().safe_period_skips(), 19u);
 }
 
 TEST(SafePeriodTest, DisabledMeansNoSkips) {
@@ -109,8 +109,8 @@ TEST(SafePeriodTest, DisabledMeansNoSkips) {
       WithSafePeriod(false), /*alpha=*/100.0);
   ASSERT_TRUE(deployment.server().InstallQuery(0, 2.0, 1.0).ok());
   deployment.TickN(10);
-  EXPECT_EQ(deployment.client(1).safe_period_skips(), 0u);
-  EXPECT_EQ(deployment.client(1).queries_evaluated(), 10u);
+  EXPECT_EQ(deployment.fleet().safe_period_skips(), 0u);
+  EXPECT_EQ(deployment.fleet().queries_evaluated(), 10u);
 }
 
 TEST(SafePeriodTest, VelocityBroadcastDoesNotInvalidateSafety) {

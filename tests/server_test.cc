@@ -46,12 +46,12 @@ TEST(ServerTest, InstallQuerySetsClientState) {
   });
   auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);
   ASSERT_TRUE(qid.ok());
-  EXPECT_TRUE(deployment.client(0).has_mq());
+  EXPECT_TRUE(deployment.fleet().has_mq(0));
   // Nearby object installed the query; distant object did not; the focal
   // object never monitors its own query.
-  EXPECT_EQ(deployment.client(1).lqt_size(), 1u);
-  EXPECT_EQ(deployment.client(2).lqt_size(), 0u);
-  EXPECT_EQ(deployment.client(0).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 1u);
+  EXPECT_EQ(deployment.fleet().lqt_size(2), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(0), 0u);
 }
 
 TEST(ServerTest, InstallQueryRejectsNonPositiveRadius) {
@@ -113,13 +113,13 @@ TEST(ServerTest, RemoveQueryClearsServerAndClients) {
   MiniDeployment deployment({{Point{55, 55}}, {Point{57, 55}}});
   auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);
   ASSERT_TRUE(qid.ok());
-  ASSERT_EQ(deployment.client(1).lqt_size(), 1u);
+  ASSERT_EQ(deployment.fleet().lqt_size(1), 1u);
 
   ASSERT_TRUE(deployment.server().RemoveQuery(*qid).ok());
   EXPECT_EQ(deployment.server().FindQuery(*qid), nullptr);
   EXPECT_EQ(deployment.server().FindFocal(0), nullptr);
-  EXPECT_FALSE(deployment.client(0).has_mq());
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
+  EXPECT_FALSE(deployment.fleet().has_mq(0));
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
   EXPECT_TRUE(deployment.server().QueriesForCell(CellCoord{5, 5}).empty());
   EXPECT_EQ(deployment.server().RemoveQuery(*qid).code(),
             StatusCode::kNotFound);
@@ -143,7 +143,7 @@ TEST(ServerTest, VelocityChangeRelayedToMonitoringRegion) {
   ASSERT_NE(focal, nullptr);
   EXPECT_DOUBLE_EQ(focal->state.vel.x, 0.1);
   // ...and so does the monitoring object's LQT entry.
-  const auto& lqt = deployment.client(1).lqt();
+  const auto& lqt = deployment.fleet().lqt(1);
   ASSERT_EQ(lqt.size(), 1u);
   EXPECT_DOUBLE_EQ(lqt[0].focal.vel.x, 0.1);
 }
@@ -156,8 +156,8 @@ TEST(ServerTest, FocalCellChangeMovesMonitoringRegion) {
   });
   auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);
   ASSERT_TRUE(qid.ok());
-  EXPECT_EQ(deployment.client(1).lqt_size(), 1u);
-  EXPECT_EQ(deployment.client(2).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 1u);
+  EXPECT_EQ(deployment.fleet().lqt_size(2), 0u);
 
   deployment.Tick();  // focal reaches x=61: cell (6,5)
 
@@ -167,8 +167,8 @@ TEST(ServerTest, FocalCellChangeMovesMonitoringRegion) {
   EXPECT_EQ(entry->mon_region.i_lo, 5);
   EXPECT_EQ(entry->mon_region.i_hi, 7);
   // Object behind lost the query; the one ahead installed it.
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
-  EXPECT_EQ(deployment.client(2).lqt_size(), 1u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(2), 1u);
 }
 
 TEST(ServerTest, NonFocalCellChangeGetsNewQueriesEagerly) {
@@ -178,10 +178,10 @@ TEST(ServerTest, NonFocalCellChangeGetsNewQueriesEagerly) {
   });
   auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);
   ASSERT_TRUE(qid.ok());
-  EXPECT_EQ(deployment.client(1).lqt_size(), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
 
   deployment.Tick();  // object 1 at x=69: cell (6,5), inside the region
-  EXPECT_EQ(deployment.client(1).lqt_size(), 1u);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 1u);
 }
 
 TEST(ServerTest, ServerLoadTimerAccumulates) {

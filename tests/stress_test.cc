@@ -28,7 +28,7 @@ TEST(StressTest, LargeEagerDeploymentStaysConsistent) {
   // Spot-check protocol invariants over the full population at the end.
   for (size_t oid = 0; oid < sim.world().object_count(); ++oid) {
     const auto& me = sim.world().object(static_cast<ObjectId>(oid));
-    for (const auto& entry : sim.client(static_cast<ObjectId>(oid))->lqt()) {
+    for (const auto& entry : sim.fleet()->lqt(static_cast<ObjectId>(oid))) {
       ASSERT_TRUE(entry.mon_region.Contains(me.cell));
       ASSERT_NE(sim.server()->FindQuery(entry.qid), nullptr);
     }
