@@ -55,7 +55,7 @@ const ChaosSpec kSpecs[] = {
 SweepJob MakeJob(int shards) {
   SweepJob job;
   sim::SimulationConfig& config = job.config;
-  // fault_sweep's mid-size workload: big enough to exercise handoffs and
+  // fault_sweep's mid-size workload: big enough to exercise RQI edits and
   // reconciliation, small enough that six chaos cells finish quickly.
   config.params.num_objects = 2000;
   config.params.num_queries = 200;

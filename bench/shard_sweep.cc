@@ -1,13 +1,10 @@
-// Server sharding (DESIGN.md §10): server-side step-phase time and messaging
-// cost vs the shard count, at 10k and 100k objects. Every cell runs the same
-// hardened workload with per-step checkpoints, varying only --shards, and the
-// sweep reports:
-//
-//   - step phase s/step (measured wall time) and its measured speedup over
-//     the monolith,
-//   - wireless messaging and the cross-shard handoff rate,
-//   - an equivalence check: every multi-shard cell's final result sets must
-//     match the monolith cell's bit for bit (the sharding contract).
+// Server sharding (DESIGN.md §10): the RQI split into row-band slices vs the
+// shard count, at 10k and 100k objects. Every cell runs the same hardened
+// workload with per-step checkpoints, varying only --shards, and the sweep
+// reports wireless messaging and an equivalence check: every multi-shard
+// cell's final result sets must match the monolith cell's bit for bit (the
+// sharding contract). At 10k objects the multi-shard cells also run over the
+// process transport, whose backplane round trips are measured.
 //
 // Cells run strictly serially (never across a worker pool) so the wall
 // times are honest.
@@ -42,8 +39,8 @@ SweepJob MakeJob(int objects, int shards) {
   config.params.velocity_changes_per_step = objects / 10;
   config.mode = sim::SimMode::kMobiEyesEager;
   config.warmup_steps = kWarmupSteps;
-  // Per-step checkpoints keep the per-shard image encoding in the measured
-  // step phase.
+  // Per-step checkpoints: over the process transport every step also
+  // captures fresh daemon sync images.
   config.checkpoint_stride = 1;
   config.mobieyes =
       core::HardenedOptions(config.mobieyes, config.params.time_step);
@@ -56,11 +53,6 @@ SweepJob MakeJob(int objects, int shards) {
 
 double PerStep(double total, const sim::RunMetrics& m) {
   return m.steps > 0 ? total / static_cast<double>(m.steps) : 0.0;
-}
-
-// mono_step / value, guarded against ~0 denominators on tiny smoke runs.
-double Speedup(double mono_step, double value) {
-  return value > 1e-9 ? mono_step / value : 0.0;
 }
 
 }  // namespace
@@ -86,17 +78,10 @@ int main(int argc, char** argv) {
     std::vector<SweepCellResult> cells = RunSweepObserved(jobs, 1, obs);
 
     const SweepCellResult& mono = cells[0];
-    const double mono_step = mono.metrics.server_step_seconds;
 
     std::vector<double> xs;
-    std::vector<Series> timing = {
-        {"step s/step", {}},
-        {"measured speedup", {}},
-        {"server load s/step", {}},
-    };
     std::vector<Series> messaging = {
         {"wireless msgs/step", {}},
-        {"handoffs/step", {}},
         {"results match", {}},
     };
     for (size_t k = 0; k < cells.size(); ++k) {
@@ -104,14 +89,8 @@ int main(int argc, char** argv) {
       xs.push_back(
           static_cast<double>(jobs[k].config.mobieyes.sharding.num_shards));
 
-      timing[0].values.push_back(PerStep(m.server_step_seconds, m));
-      timing[1].values.push_back(Speedup(mono_step, m.server_step_seconds));
-      timing[2].values.push_back(PerStep(m.server_seconds, m));
-
       messaging[0].values.push_back(
           PerStep(static_cast<double>(m.network.total_messages()), m));
-      messaging[1].values.push_back(
-          PerStep(static_cast<double>(m.network.inter_shard_handoffs), m));
 
       // The sharding contract: identical result sets and wireless totals,
       // whatever the shard count.
@@ -119,7 +98,7 @@ int main(int argc, char** argv) {
           cells[k].query_results == mono.query_results &&
           m.network.uplink_bytes == mono.metrics.network.uplink_bytes &&
           m.network.downlink_bytes == mono.metrics.network.downlink_bytes;
-      messaging[2].values.push_back(match ? 1.0 : 0.0);
+      messaging[1].values.push_back(match ? 1.0 : 0.0);
       if (!match) {
         all_match = false;
         std::fprintf(stderr,
@@ -130,8 +109,6 @@ int main(int argc, char** argv) {
 
     const std::string suffix =
         " (" + std::to_string(effective_objects) + " objects)";
-    PrintTable("Shard sweep: server step phase" + suffix, "shards", xs,
-               timing);
     PrintTable("Shard sweep: messaging" + suffix, "shards", xs, messaging);
 
     // True backplane measurement (DESIGN.md §13): rerun the multi-shard

@@ -25,14 +25,14 @@ namespace mobieyes::core {
 // current. Query results are maintained differentially from the containment
 // flips reported by the objects themselves.
 //
-// Internally the server is a ShardRouter in front of N grid-partitioned
-// ServerShards (options.sharding; DESIGN.md §10). The default single shard
-// is the monolith; more shards change nothing a client can observe — only
-// how the server's own state is partitioned.
+// Internally the server is a ShardRouter that owns the FOT and SQT and
+// splits the RQI by grid row band over N ServerShards (options.sharding;
+// DESIGN.md §10). The default single shard is the monolith; more shards
+// change nothing a client can observe — only where the RQI rows live.
 class MobiEyesServer {
  public:
-  // The table-row types moved to server_shard.h with the sharding refactor;
-  // aliased here so existing call sites keep compiling unchanged.
+  // The table-row types live beside their owner in shard_router.h; aliased
+  // here so existing call sites keep compiling unchanged.
   using FotEntry = core::FotEntry;
   using SqtEntry = core::SqtEntry;
 
@@ -104,7 +104,7 @@ class MobiEyesServer {
   // Accumulated wall time spent in server-side logic ("server load", §5.2).
   double load_seconds() const { return router_.load_seconds(); }
   // Wall time of the step phase (expiry/lease scans and checkpoint
-  // encoding); the shard bench's comparison quantity.
+  // encoding).
   double step_seconds() const { return router_.step_seconds(); }
   void ResetLoadTimer() { router_.ResetLoadTimer(); }
 
@@ -138,8 +138,9 @@ class MobiEyesServer {
   // Serializes the full server state (FOT, SQT including monitoring regions,
   // result sets and lease deadlines, dedup rings, clock and id counter) into
   // the attached store's checkpoint image and truncates its WAL. No-op
-  // without an attached store. The image layout is shard-count-independent:
-  // shards encode sorted fragments that merge into one global sorted image.
+  // without an attached store. The image holds no shard layout: the tables
+  // are written in ascending key order, so any shard count writes the same
+  // bytes.
   void Checkpoint() { router_.Checkpoint(); }
 
   // Rebuilds this (freshly constructed) server from `store`: decodes the
@@ -150,7 +151,7 @@ class MobiEyesServer {
   // (optional) receives the number of WAL records applied. A store without
   // a checkpoint restores to a cold server plus whatever the WAL holds.
   // The restoring deployment may use a different shard count than the one
-  // that wrote the store — entries re-home under the current shard map.
+  // that wrote the store — the RQI rebuilds under the current shard map.
   Status Restore(const Snapshot& store, size_t* replayed = nullptr) {
     return router_.Restore(store, replayed);
   }

@@ -1,24 +1,12 @@
 #include "mobieyes/core/server_shard.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "mobieyes/net/codec.h"
 
 namespace mobieyes::core {
 
 namespace {
-
-// Hash-map keys in deterministic order, so two checkpoints of identical
-// logical state are byte-identical.
-template <typename Map>
-std::vector<typename Map::key_type> SortedKeys(const Map& map) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(map.size());
-  for (const auto& [key, value] : map) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
 
 // splitmix64's finalizer: a bijective 64-bit mix.
 uint64_t Mix(uint64_t x) {
@@ -60,26 +48,6 @@ std::vector<int> ShardMap::ShardsIntersecting(
   return shards;
 }
 
-FotEntry* ServerShard::FindFocal(ObjectId oid) {
-  auto it = fot_.find(oid);
-  return it == fot_.end() ? nullptr : &it->second;
-}
-
-const FotEntry* ServerShard::FindFocal(ObjectId oid) const {
-  auto it = fot_.find(oid);
-  return it == fot_.end() ? nullptr : &it->second;
-}
-
-SqtEntry* ServerShard::FindQuery(QueryId qid) {
-  auto it = sqt_.find(qid);
-  return it == sqt_.end() ? nullptr : &it->second;
-}
-
-const SqtEntry* ServerShard::FindQuery(QueryId qid) const {
-  auto it = sqt_.find(qid);
-  return it == sqt_.end() ? nullptr : &it->second;
-}
-
 template <typename Edit>
 void ServerShard::EditRow(const geo::CellCoord& c, Edit&& edit) {
   const int64_t flat = grid_->FlatIndex(c);
@@ -103,135 +71,8 @@ void ServerShard::RqiRemove(QueryId qid, const geo::CellRange& mon_region) {
   });
 }
 
-void ServerShard::CollectExpired(Seconds now,
-                                 std::vector<QueryId>* out) const {
-  for (const auto& [qid, entry] : sqt_) {
-    if (entry.expires_at <= now) out->push_back(qid);
-  }
-}
-
-void ServerShard::CollectLeaseDue(Seconds now,
-                                  std::vector<QueryId>* out) const {
-  for (const auto& [qid, entry] : sqt_) {
-    if (entry.lease_renew_at <= now) out->push_back(qid);
-  }
-}
-
-net::ShardHandoff ServerShard::ExtractFocal(ObjectId oid, int to_shard) {
-  net::ShardHandoff handoff;
-  handoff.from_shard = shard_id_;
-  handoff.to_shard = to_shard;
-  handoff.oid = oid;
-
-  auto fot_it = fot_.find(oid);
-  if (fot_it == fot_.end()) return handoff;
-  FotEntry focal = std::move(fot_it->second);
-  fot_.erase(fot_it);
-
-  handoff.state = focal.state;
-  handoff.max_speed = focal.max_speed;
-  handoff.cell = focal.cell;
-  handoff.queries.reserve(focal.queries.size());
-  for (QueryId qid : focal.queries) {
-    auto sqt_it = sqt_.find(qid);
-    if (sqt_it == sqt_.end()) continue;
-    SqtEntry entry = std::move(sqt_it->second);
-    sqt_.erase(sqt_it);
-    net::ShardQueryState q;
-    q.qid = entry.qid;
-    q.focal_oid = entry.focal_oid;
-    q.region = entry.region;
-    q.filter_threshold = entry.filter_threshold;
-    q.curr_cell = entry.curr_cell;
-    q.mon_region = entry.mon_region;
-    q.expires_at = entry.expires_at;
-    q.lease_renew_at = entry.lease_renew_at;
-    q.result.assign(entry.result.begin(), entry.result.end());
-    handoff.queries.push_back(std::move(q));
-  }
-  ++stats_.handoffs_out;
-  return handoff;
-}
-
-void ServerShard::AdoptFocal(net::ShardHandoff handoff) {
-  FotEntry focal;
-  focal.state = handoff.state;
-  focal.max_speed = handoff.max_speed;
-  focal.cell = handoff.cell;
-  focal.queries.reserve(handoff.queries.size());
-  for (net::ShardQueryState& q : handoff.queries) {
-    SqtEntry entry;
-    entry.qid = q.qid;
-    entry.focal_oid = q.focal_oid;
-    entry.region = q.region;
-    entry.filter_threshold = q.filter_threshold;
-    entry.curr_cell = q.curr_cell;
-    entry.mon_region = q.mon_region;
-    entry.expires_at = q.expires_at;
-    entry.lease_renew_at = q.lease_renew_at;
-    entry.result.insert(q.result.begin(), q.result.end());
-    focal.queries.push_back(q.qid);
-    sqt_.emplace(q.qid, std::move(entry));
-  }
-  fot_.emplace(handoff.oid, std::move(focal));
-  ++stats_.handoffs_in;
-}
-
-ServerShard::ImageChunk ServerShard::EncodeFotChunk() const {
-  ImageChunk chunk;
-  chunk.keys = SortedKeys(fot_);
-  chunk.offsets.reserve(chunk.keys.size() + 1);
-  net::ByteWriter w(&chunk.bytes);
-  chunk.offsets.push_back(0);
-  for (ObjectId oid : chunk.keys) {
-    const FotEntry& entry = fot_.at(oid);
-    w.I64(oid);
-    w.State(entry.state);
-    w.F64(entry.max_speed);
-    w.Cell(entry.cell);
-    // The bound-query list keeps its live order: broadcast order during
-    // velocity relays follows it.
-    w.U32(static_cast<uint32_t>(entry.queries.size()));
-    for (QueryId qid : entry.queries) w.I64(qid);
-    chunk.offsets.push_back(chunk.bytes.size());
-  }
-  return chunk;
-}
-
-ServerShard::ImageChunk ServerShard::EncodeSqtChunk() const {
-  ImageChunk chunk;
-  chunk.keys = SortedKeys(sqt_);
-  chunk.offsets.reserve(chunk.keys.size() + 1);
-  net::ByteWriter w(&chunk.bytes);
-  chunk.offsets.push_back(0);
-  for (QueryId qid : chunk.keys) {
-    const SqtEntry& entry = sqt_.at(qid);
-    w.I64(entry.qid);
-    w.I64(entry.focal_oid);
-    w.Region(entry.region);
-    w.F64(entry.filter_threshold);
-    w.Cell(entry.curr_cell);
-    w.Range(entry.mon_region);
-    w.F64(entry.expires_at);
-    w.F64(entry.lease_renew_at);
-    std::vector<ObjectId> result(entry.result.begin(), entry.result.end());
-    std::sort(result.begin(), result.end());
-    w.U32(static_cast<uint32_t>(result.size()));
-    for (ObjectId oid : result) w.I64(oid);
-    chunk.offsets.push_back(chunk.bytes.size());
-  }
-  return chunk;
-}
-
 void ServerShard::EncodeStateSync(std::vector<uint8_t>* out) const {
   net::ByteWriter w(out);
-  ImageChunk fot = EncodeFotChunk();
-  w.U32(static_cast<uint32_t>(fot.keys.size()));
-  out->insert(out->end(), fot.bytes.begin(), fot.bytes.end());
-  ImageChunk sqt = EncodeSqtChunk();
-  w.U32(static_cast<uint32_t>(sqt.keys.size()));
-  out->insert(out->end(), sqt.bytes.begin(), sqt.bytes.end());
-
   uint32_t row_count = 0;
   std::vector<uint8_t> rows;
   net::ByteWriter rw(&rows);
@@ -255,41 +96,6 @@ void ServerShard::EncodeStateSync(std::vector<uint8_t>* out) const {
 Status ServerShard::LoadStateSync(const uint8_t* data, size_t size) {
   net::ByteReader r(data, size);
   Clear();
-  uint32_t fot_count = r.U32();
-  for (uint32_t k = 0; r.ok() && k < fot_count; ++k) {
-    ObjectId oid = r.I64();
-    FotEntry entry;
-    entry.state = r.State();
-    entry.max_speed = r.F64();
-    entry.cell = r.Cell();
-    uint32_t nq = r.U32();
-    if (nq > r.remaining() / 8) {
-      r.Fail();
-      break;
-    }
-    entry.queries.reserve(nq);
-    for (uint32_t q = 0; q < nq; ++q) entry.queries.push_back(r.I64());
-    if (r.ok()) fot_.emplace(oid, std::move(entry));
-  }
-  uint32_t sqt_count = r.U32();
-  for (uint32_t k = 0; r.ok() && k < sqt_count; ++k) {
-    SqtEntry entry;
-    entry.qid = r.I64();
-    entry.focal_oid = r.I64();
-    entry.region = r.Region();
-    entry.filter_threshold = r.F64();
-    entry.curr_cell = r.Cell();
-    entry.mon_region = r.Range();
-    entry.expires_at = r.F64();
-    entry.lease_renew_at = r.F64();
-    uint32_t n = r.U32();
-    if (n > r.remaining() / 8) {
-      r.Fail();
-      break;
-    }
-    for (uint32_t q = 0; q < n; ++q) entry.result.insert(r.I64());
-    if (r.ok()) sqt_.emplace(entry.qid, std::move(entry));
-  }
   uint32_t row_count = r.U32();
   for (uint32_t k = 0; r.ok() && k < row_count; ++k) {
     geo::CellCoord c = r.Cell();
@@ -317,8 +123,6 @@ Status ServerShard::LoadStateSync(const uint8_t* data, size_t size) {
 }
 
 void ServerShard::Clear() {
-  fot_.clear();
-  sqt_.clear();
   rqi_ = ReverseQueryIndex(*grid_);
   digest_ = 0;
 }

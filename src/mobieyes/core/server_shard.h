@@ -3,53 +3,15 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "mobieyes/common/ids.h"
 #include "mobieyes/common/status.h"
-#include "mobieyes/common/units.h"
 #include "mobieyes/core/options.h"
 #include "mobieyes/core/rqi.h"
 #include "mobieyes/geo/grid.h"
-#include "mobieyes/net/message.h"
 
 namespace mobieyes::core {
-
-inline constexpr Seconds kNeverExpires =
-    std::numeric_limits<Seconds>::infinity();
-
-// FOT row (paper §3.2): last reported kinematics of a focal object plus
-// the queries bound to it.
-struct FotEntry {
-  net::FocalState state;
-  double max_speed = 0.0;  // miles/second, carried for safe periods
-  // Last known grid cell, kept current by cell-change reports. The
-  // recorded kinematics must stay untouched between velocity reports or
-  // dead-reckoning predictions downstream would diverge.
-  geo::CellCoord cell;
-  std::vector<QueryId> queries;
-};
-
-// SQT row (paper §3.2) plus the expiry time: the paper's example queries
-// are time-bounded ("during next 2 hours"), so a query may carry a
-// duration after which the server uninstalls it everywhere.
-struct SqtEntry {
-  QueryId qid = kInvalidQueryId;
-  ObjectId focal_oid = kInvalidObjectId;
-  geo::QueryRegion region;
-  double filter_threshold = 1.0;
-  geo::CellCoord curr_cell;
-  geo::CellRange mon_region;
-  Seconds expires_at = kNeverExpires;
-  // Soft-state lease (options.lease_duration > 0): when the deadline
-  // passes, the server re-broadcasts the query's monitoring-region state
-  // so clients that missed the original install or update recover.
-  Seconds lease_renew_at = std::numeric_limits<Seconds>::infinity();
-  std::unordered_set<ObjectId> result;
-};
 
 // Grid-to-shard partition (DESIGN.md §10): contiguous bands of grid rows,
 // shard k owning rows [k*band, (k+1)*band). A pure function of the grid
@@ -77,32 +39,16 @@ class ShardMap {
   int32_t band_rows_;  // rows per shard band
 };
 
-// One grid partition's slice of the server state: the FOT/SQT entries homed
-// on its cells and the RQI rows of the cells it owns. A shard is a passive
-// state container plus its step-phase scans — all orchestration (uplink
-// dispatch, broadcasts, cross-shard reads) lives in the ShardRouter, which
-// is what keeps a multi-shard run's observable behavior identical to the
-// monolith.
+// One row band's slice of the reverse query index: the RQI rows of the
+// cells the shard owns, plus their digest. The FOT and SQT are keyed by
+// object and query, not by cell, and live in the ShardRouter; a shard holds
+// exactly what its daemon mirrors, scans and verifies (DESIGN.md §13).
 class ServerShard {
  public:
-  // Per-shard operational counters, exported as shard_id-tagged gauges
-  // (timing-flagged: operational visibility, excluded from deterministic
-  // metric exports, which must not vary with the shard count).
   struct Stats {
-    uint64_t handoffs_in = 0;
-    uint64_t handoffs_out = 0;
-    // Step-phase wall time spent on this shard's scans and checkpoint
-    // chunks; the max across shards is the largest shard body.
+    // Always 0: nothing runs per shard in the step phase any more. Kept
+    // because stepbench's frozen snapshot code still reads it.
     uint64_t step_micros = 0;
-  };
-
-  // Checkpoint fragment: this shard's table entries, encoded per entry in
-  // ascending key order. The router k-way merges fragments from all shards
-  // into the global sorted-key image — byte-identical to the monolith's.
-  struct ImageChunk {
-    std::vector<int64_t> keys;    // ascending
-    std::vector<size_t> offsets;  // keys.size() + 1 offsets into bytes
-    std::vector<uint8_t> bytes;
   };
 
   ServerShard(int shard_id, const geo::Grid& grid, const ShardMap& map)
@@ -113,19 +59,7 @@ class ServerShard {
     return map_->ShardOf(cell) == shard_id_;
   }
 
-  // --- State tables (mutated only by the router, serially) -----------------
-
-  std::unordered_map<ObjectId, FotEntry>& fot() { return fot_; }
-  const std::unordered_map<ObjectId, FotEntry>& fot() const { return fot_; }
-  std::unordered_map<QueryId, SqtEntry>& sqt() { return sqt_; }
-  const std::unordered_map<QueryId, SqtEntry>& sqt() const { return sqt_; }
-
-  FotEntry* FindFocal(ObjectId oid);
-  const FotEntry* FindFocal(ObjectId oid) const;
-  SqtEntry* FindQuery(QueryId qid);
-  const SqtEntry* FindQuery(QueryId qid) const;
-
-  // --- RQI slice -----------------------------------------------------------
+  // --- RQI slice (mutated only by the router, serially) --------------------
   // Full-grid-shaped index populated only on owned cells. Registration is
   // filtered per cell, preserving the monolith's per-row insertion order
   // (rows are independent, so filtering cannot reorder within a row).
@@ -136,40 +70,17 @@ class ServerShard {
     return rqi_.QueriesForCell(c);
   }
 
-  // --- Step-phase scans (read-only; append matching query ids to *out) ----
-
-  void CollectExpired(Seconds now, std::vector<QueryId>* out) const;
-  void CollectLeaseDue(Seconds now, std::vector<QueryId>* out) const;
-
-  // --- Ownership handoff (DESIGN.md §10) -----------------------------------
-
-  // Detaches a focal object and every query bound to it into a handoff
-  // message for `to_shard`. RQI rows stay put — they are keyed by cell, not
-  // by owner, so a handoff moves table entries only.
-  net::ShardHandoff ExtractFocal(ObjectId oid, int to_shard);
-
-  // Installs a handoff's FOT row and SQT entries into this shard,
-  // preserving the binding order carried by the message.
-  void AdoptFocal(net::ShardHandoff handoff);
-
-  // --- Checkpointing -------------------------------------------------------
-
-  ImageChunk EncodeFotChunk() const;
-  ImageChunk EncodeSqtChunk() const;
-
   // --- Process-transport replication (DESIGN.md §13) -----------------------
 
   // Digest of the RQI slice: the wrapping sum over owned non-empty rows of
   // a row hash seeded with the flat cell index and mixed entry by entry, so
   // it is sensitive to each row's order. RqiAdd/RqiRemove keep it current
-  // at O(row length) per cell; reading it is O(1). The RQI is the
-  // delta-replicated table of the process backplane, so agreement on this
-  // digest is what a shard daemon's acks and scan replies assert.
+  // at O(row length) per cell; reading it is O(1). Agreement on this digest
+  // is what a shard daemon's acks and scan replies assert.
   uint64_t StateDigest() const { return digest_; }
 
-  // Full-state image for a daemon (re)join: the checkpoint chunks (FOT,
-  // SQT — the same per-entry encoding Checkpoint writes) plus the RQI rows
-  // of owned cells and the digest above. Appends to *out.
+  // Full-state image for a daemon (re)join: the RQI rows of owned cells and
+  // the digest above. Appends to *out.
   void EncodeStateSync(std::vector<uint8_t>* out) const;
 
   // Replaces this shard's state with a sync image produced by
@@ -181,7 +92,6 @@ class ServerShard {
   void Clear();
 
   const Stats& stats() const { return stats_; }
-  Stats& stats() { return stats_; }
 
  private:
   // Runs `edit` on the RQI row of owned cell `c` and moves digest_ by the
@@ -193,8 +103,6 @@ class ServerShard {
   const geo::Grid* grid_;
   const ShardMap* map_;
 
-  std::unordered_map<ObjectId, FotEntry> fot_;
-  std::unordered_map<QueryId, SqtEntry> sqt_;
   ReverseQueryIndex rqi_;
   uint64_t digest_ = 0;  // StateDigest(), kept current by every RQI edit
   Stats stats_;

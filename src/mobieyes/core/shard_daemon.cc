@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <string>
 #include <thread>
-#include <utility>
 
 #include "mobieyes/net/codec.h"
 
@@ -15,8 +14,6 @@ namespace {
 
 constexpr uint8_t kOpRqiAdd = 0;
 constexpr uint8_t kOpRqiRemove = 1;
-constexpr uint8_t kOpAdopt = 2;
-constexpr uint8_t kOpExtract = 3;
 
 constexpr size_t kAckQueueBytes = 1u << 20;
 
@@ -28,23 +25,6 @@ void StepBatchBuilder::RqiOp(bool add, QueryId qid,
   w.U8(add ? kOpRqiAdd : kOpRqiRemove);
   w.I64(qid);
   w.Range(mon_region);
-  ++count_;
-}
-
-void StepBatchBuilder::Adopt(const net::Message& handoff_message) {
-  net::ByteWriter w(&ops_);
-  w.U8(kOpAdopt);
-  std::vector<uint8_t> encoded;
-  net::MessageCodec::EncodeInto(handoff_message, &scratch_, &encoded);
-  w.U32(static_cast<uint32_t>(encoded.size()));
-  ops_.insert(ops_.end(), encoded.begin(), encoded.end());
-  ++count_;
-}
-
-void StepBatchBuilder::Extract(ObjectId oid) {
-  net::ByteWriter w(&ops_);
-  w.U8(kOpExtract);
-  w.I64(oid);
   ++count_;
 }
 
@@ -76,35 +56,6 @@ Status ApplyStepBatch(const uint8_t* data, size_t size, ServerShard* shard,
         } else {
           shard->RqiRemove(qid, region);
         }
-        ++applied;
-        break;
-      }
-      case kOpAdopt: {
-        uint32_t len = r.U32();
-        if (len > r.remaining()) {
-          r.Fail();
-          break;
-        }
-        std::vector<uint8_t> encoded(data + (size - r.remaining()),
-                                     data + (size - r.remaining()) + len);
-        r.Skip(len);
-        Result<net::Message> decoded = net::MessageCodec::Decode(encoded);
-        if (!decoded.ok() ||
-            decoded->type != net::MessageType::kShardHandoff) {
-          r.Fail();
-          break;
-        }
-        shard->AdoptFocal(
-            std::move(std::get<net::ShardHandoff>(decoded->payload)));
-        ++applied;
-        break;
-      }
-      case kOpExtract: {
-        ObjectId oid = r.I64();
-        if (!r.ok()) break;
-        // Discard the handoff: the destination shard's daemon adopts the
-        // encoded copy its own batch carries.
-        shard->ExtractFocal(oid, /*to_shard=*/-1);
         ++applied;
         break;
       }

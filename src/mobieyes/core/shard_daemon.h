@@ -17,17 +17,13 @@ namespace mobieyes::core {
 
 // --- Step-batch payload codec (DESIGN.md §13) -------------------------------
 //
-// One kStepBatch frame carries every op a shard replica must apply for one
-// simulation step, coalesced: u32 op count, then per op a u8 opcode and its
-// body. Opcodes: 0 rqi_add / 1 rqi_remove (qid i64 + mon_region 4xi32),
-// 2 adopt (u32 length + encoded kShardHandoff message — the migration's
-// destination side), 3 extract (oid i64 — the source side).
+// One kStepBatch frame carries every RQI edit a shard replica must apply
+// for one simulation step, coalesced: u32 op count, then per op a u8 opcode
+// (0 rqi_add, 1 rqi_remove) and its body (qid i64 + mon_region 4xi32).
 
 class StepBatchBuilder {
  public:
   void RqiOp(bool add, QueryId qid, const geo::CellRange& mon_region);
-  void Adopt(const net::Message& handoff_message);
-  void Extract(ObjectId oid);
 
   bool empty() const { return count_ == 0; }
   uint32_t op_count() const { return count_; }
@@ -37,7 +33,6 @@ class StepBatchBuilder {
  private:
   uint32_t count_ = 0;
   std::vector<uint8_t> ops_;
-  std::vector<uint8_t> scratch_;
 };
 
 // Applies a kStepBatch payload to `shard`. Fails atomically per op (a
@@ -65,7 +60,8 @@ Status DecodeShardConfig(const uint8_t* data, size_t size,
 // refuses a daemon built from other sources instead of failing every digest
 // check against it.
 
-inline constexpr uint32_t kHelloVersion = 5;  // v5: row-sum state digest
+// v6: step batches and sync images carry RQI rows only
+inline constexpr uint32_t kHelloVersion = 6;
 
 void EncodeHello(std::vector<uint8_t>* out);
 // OK for a payload that is exactly this build's kHelloVersion; otherwise an

@@ -2,6 +2,7 @@
 #define MOBIEYES_CORE_SHARD_ROUTER_H_
 
 #include <array>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -29,20 +30,50 @@ namespace mobieyes::core {
 
 class ShardTransport;
 
-// Coordinator in front of N grid-partitioned ServerShards (DESIGN.md §10).
-// The router owns the protocol: it dispatches every uplink serially in
-// arrival order (the in-process network is synchronous, so responses land
-// mid-tick and feed the same tick's client evaluations — reordering would
-// change observable behavior), resolves which shard homes each FOT/SQT
-// entry, migrates ownership with explicit ShardHandoff messages when a
-// focal object crosses a partition boundary, and funnels every downlink
-// through the wireless network in the exact order the monolith produced.
-// The step phase (expiry scans, lease scans, checkpoint-chunk encoding)
-// walks the shards in shard order and times each shard's slice.
-//
-// Invariant (co-location): a focal object's FOT row and every SQT entry
-// bound to it live on the shard owning the focal's current cell. RQI rows
-// are keyed by cell and never migrate.
+inline constexpr Seconds kNeverExpires =
+    std::numeric_limits<Seconds>::infinity();
+
+// FOT row (paper §3.2): last reported kinematics of a focal object plus
+// the queries bound to it.
+struct FotEntry {
+  net::FocalState state;
+  double max_speed = 0.0;  // miles/second, carried for safe periods
+  // Last known grid cell, kept current by cell-change reports. The
+  // recorded kinematics must stay untouched between velocity reports or
+  // dead-reckoning predictions downstream would diverge.
+  geo::CellCoord cell;
+  std::vector<QueryId> queries;
+};
+
+// SQT row (paper §3.2) plus the expiry time: the paper's example queries
+// are time-bounded ("during next 2 hours"), so a query may carry a
+// duration after which the server uninstalls it everywhere.
+struct SqtEntry {
+  QueryId qid = kInvalidQueryId;
+  ObjectId focal_oid = kInvalidObjectId;
+  geo::QueryRegion region;
+  double filter_threshold = 1.0;
+  geo::CellCoord curr_cell;
+  geo::CellRange mon_region;
+  Seconds expires_at = kNeverExpires;
+  // Soft-state lease (options.lease_duration > 0): when the deadline
+  // passes, the server re-broadcasts the query's monitoring-region state
+  // so clients that missed the original install or update recover.
+  Seconds lease_renew_at = std::numeric_limits<Seconds>::infinity();
+  std::unordered_set<ObjectId> result;
+};
+
+// The server's protocol engine (DESIGN.md §10). The router owns the FOT
+// and the SQT, keyed by focal object and by query as in the paper, and
+// the RQI is split by grid row band over N ServerShards. The router
+// dispatches every uplink serially in arrival order (the in-process
+// network is synchronous, so responses land mid-tick and feed the same
+// tick's client evaluations — reordering would change observable
+// behavior), fans RQI edits out to the shards owning the touched cells,
+// reads each RQI row from its owner, and funnels every downlink through
+// the wireless network in the order the monolith produced. Where an RQI
+// row lives is invisible to clients: rows are keyed by cell and never
+// move.
 class ShardRouter {
  public:
   ShardRouter(const geo::Grid& grid, const net::BaseStationLayout& layout,
@@ -62,7 +93,7 @@ class ShardRouter {
   Result<std::unordered_set<ObjectId>> QueryResult(QueryId qid) const;
   const SqtEntry* FindQuery(QueryId qid) const;
   const FotEntry* FindFocal(ObjectId oid) const;
-  size_t query_count() const { return qid_home_.size(); }
+  size_t query_count() const { return sqt_.size(); }
 
   // The RQI row of `cell`, read from the owning shard.
   const std::vector<QueryId>& QueriesForCell(const geo::CellCoord& cell) const;
@@ -71,22 +102,14 @@ class ShardRouter {
   const geo::Grid& grid() const { return *grid_; }
   const ShardMap& shard_map() const { return map_; }
   const ServerShard& shard(int k) const { return *shards_[k]; }
-  // Home shard of a query / focal object; -1 if unknown.
-  int ShardOfQuery(QueryId qid) const;
-  int ShardOfFocal(ObjectId oid) const;
-  // Cross-shard focal migrations so far (kShardHandoff messages delivered
-  // outside WAL replay); zero with one shard. Mirrored into
-  // NetworkStats::inter_shard_handoffs by the simulation.
-  uint64_t handoffs() const { return handoffs_; }
 
   double load_seconds() const { return load_timer_.total_seconds(); }
   // Wall time of the step phase (expiry scan, lease scan, checkpoint
-  // encode) — the quantity the shard bench compares across shard counts.
+  // encode).
   double step_seconds() const { return step_timer_.total_seconds(); }
   void ResetLoadTimer() {
     load_timer_.Reset();
     step_timer_.Reset();
-    for (auto& shard : shards_) shard->stats().step_micros = 0;
   }
 
   void set_trace_recorder(obs::TraceRecorder* trace) { trace_ = trace; }
@@ -108,8 +131,8 @@ class ShardRouter {
 
   // --- Process transport (DESIGN.md §13) -----------------------------------
   //
-  // When a transport is attached, every shard-state op is mirrored through
-  // it, so out-of-process replicas track the authoritative shards. Every
+  // When a transport is attached, every RQI edit is mirrored through it, so
+  // out-of-process replicas track the authoritative RQI slices. Every
   // uplink dispatches whether or not a daemon is up. Null (the default)
   // keeps the pure in-process behavior, byte for byte.
 
@@ -134,15 +157,6 @@ class ShardRouter {
   bool AckAndDedup(ObjectId from, uint32_t seq);
   void RenewLeases();
 
-  // Mutable entry lookups through the home indexes.
-  SqtEntry* MutableQuery(QueryId qid);
-  FotEntry* MutableFocal(ObjectId oid);
-
-  // Re-homes `oid` (and its bound queries) if its recorded cell moved into
-  // another shard's partition, by delivering a ShardHandoff message.
-  // Returns the (possibly new) home shard.
-  int MigrateIfNeeded(ObjectId oid);
-
   // RQI registration fanned out to every shard intersecting the region.
   void RqiAddAll(QueryId qid, const geo::CellRange& mon_region);
   void RqiRemoveAll(QueryId qid, const geo::CellRange& mon_region);
@@ -164,17 +178,9 @@ class ShardRouter {
   // are all gone).
   bool UplinkHeatCell(const net::Message& message, geo::CellCoord* cell) const;
 
-  net::QueryInfo BuildQueryInfo(const ServerShard& home,
-                                const SqtEntry& entry) const;
+  net::QueryInfo BuildQueryInfo(const SqtEntry& entry) const;
   void BroadcastToRegion(const geo::CellRange& region, net::Message message);
   void SendDownlink(ObjectId to, net::Message message);
-
-  // Runs fn(shard_index) for every shard in shard order, adding each
-  // call's wall time to that shard's Stats::step_micros, under a
-  // `span_name` trace span per shard when multi-shard. Const: it mutates
-  // no router state.
-  template <typename Fn>
-  void ForEachShard(const char* span_name, const Fn& fn) const;
 
   std::vector<uint8_t> EncodeImage() const;
   Status DecodeImage(const std::vector<uint8_t>& image);
@@ -187,10 +193,9 @@ class ShardRouter {
 
   ShardMap map_;
   std::vector<std::unique_ptr<ServerShard>> shards_;
-  // Home indexes: which shard currently owns each entry. Queries are always
-  // co-located with their focal object.
-  std::unordered_map<ObjectId, int> focal_home_;
-  std::unordered_map<QueryId, int> qid_home_;
+  // The FOT and the SQT (paper §3.2), keyed by focal object and by query.
+  std::unordered_map<ObjectId, FotEntry> fot_;
+  std::unordered_map<QueryId, SqtEntry> sqt_;
 
   QueryId next_qid_ = 0;
   Seconds now_ = 0.0;
@@ -213,7 +218,6 @@ class ShardRouter {
   bool replaying_ = false;    // inside Restore's WAL replay: suppress sends
   bool dispatching_ = false;  // inside OnUplink: the WAL already has this
 
-  uint64_t handoffs_ = 0;
   ShardTransport* transport_ = nullptr;
 
   // Per-step scratch, reused so the hot server phases allocate nothing at

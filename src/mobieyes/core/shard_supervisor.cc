@@ -222,16 +222,6 @@ void ShardSupervisor::OnRqiOp(bool add, int shard, QueryId qid,
   peers_[shard]->pending.RqiOp(add, qid, mon_region);
 }
 
-void ShardSupervisor::OnHandoff(int from_shard, int to_shard, ObjectId oid,
-                                const net::Message& message) {
-  if (from_shard >= 0 && from_shard < static_cast<int>(peers_.size())) {
-    peers_[from_shard]->pending.Extract(oid);
-  }
-  if (to_shard >= 0 && to_shard < static_cast<int>(peers_.size())) {
-    peers_[to_shard]->pending.Adopt(message);
-  }
-}
-
 void ShardSupervisor::CaptureSync(Peer* peer) {
   peer->sync_image.clear();
   const ServerShard& shard = router_->shard(peer->shard);

@@ -67,12 +67,13 @@ struct SupervisorStats {
 };
 
 // Runs one daemon process per shard and keeps each a faithful replica of
-// the router's shard state (DESIGN.md §13). The router stays the single
-// serial dispatcher — the supervisor mirrors its shard ops over the
+// its shard's RQI slice (DESIGN.md §13). The router stays the single
+// serial dispatcher — the supervisor mirrors its RQI edits over the
 // backplane as one coalesced frame per peer per step, verifies replica
 // agreement via digest-carrying acks, detects death by socket EOF, RPC
 // deadline or heartbeat miss, and restarts dead daemons from the stored
-// sync image (checkpoint chunks) plus the buffered frame log. The router
+// sync image (the owned RQI rows and their digest) plus the buffered
+// frame log. The router
 // keeps dispatching every uplink while a daemon is down; the rejoining
 // replica catches up from the image and the log.
 //
@@ -128,8 +129,6 @@ class ShardSupervisor : public ShardTransport {
   // --- ShardTransport ------------------------------------------------------
   void OnRqiOp(bool add, int shard, QueryId qid,
                const geo::CellRange& mon_region) override;
-  void OnHandoff(int from_shard, int to_shard, ObjectId oid,
-                 const net::Message& message) override;
   // Authority-mode scan: flushes the shard's coalesced ops (so the daemon
   // observes every mutation this dispatch already applied), then blocks on
   // a kScanRequest. The result is accepted only with the daemon's state

@@ -5,14 +5,13 @@
 
 #include "mobieyes/common/ids.h"
 #include "mobieyes/geo/grid.h"
-#include "mobieyes/net/message.h"
 
 namespace mobieyes::core {
 
-// Tap the ShardRouter drives when its shards are replicated out of process
-// (DESIGN.md §13). The router stays the single authoritative dispatcher —
-// the transport observes every state-changing shard op so it can mirror it
-// to the shard's daemon. Whether a daemon is up never changes what the
+// Tap the ShardRouter drives when its RQI slices are replicated out of
+// process (DESIGN.md §13). The router stays the single authoritative
+// dispatcher — the transport observes every RQI edit so it can mirror it to
+// the owning shard's daemon. Whether a daemon is up never changes what the
 // router dispatches.
 //
 // All hooks fire on the dispatch thread, outside WAL replay (a replayed op
@@ -24,12 +23,6 @@ class ShardTransport {
   // An RQI registration (add = true) or removal on `shard`'s slice.
   virtual void OnRqiOp(bool add, int shard, QueryId qid,
                        const geo::CellRange& mon_region) = 0;
-
-  // A focal-ownership migration: `message` is the encoded kShardHandoff.
-  // Fires before the router applies the adopt, with both shards' state
-  // still pre-handoff.
-  virtual void OnHandoff(int from_shard, int to_shard, ObjectId oid,
-                         const net::Message& message) = 0;
 
   // Authority mode (DESIGN.md §14): execute the RQI row read for `cell` on
   // `shard`'s authoritative executor, filling *out with the monitoring

@@ -1,7 +1,5 @@
 #include "mobieyes/net/codec.h"
 
-#include <algorithm>
-
 namespace mobieyes::net {
 
 namespace {
@@ -92,31 +90,6 @@ struct EncodeBody {
     for (QueryId qid : p.target_qids) w.I64(qid);
     for (QueryId qid : p.known_qids) w.I64(qid);
   }
-  void operator()(const ShardHandoff& p) {
-    count = static_cast<uint16_t>(p.queries.size());
-    w.I32(p.from_shard);
-    w.I32(p.to_shard);
-    w.I64(p.oid);
-    w.State(p.state);
-    w.F64(p.max_speed);
-    w.Cell(p.cell);
-    for (const ShardQueryState& q : p.queries) {
-      w.I64(q.qid);
-      w.I64(q.focal_oid);
-      w.Region(q.region);
-      w.F64(q.filter_threshold);
-      w.Cell(q.curr_cell);
-      w.Range(q.mon_region);
-      w.F64(q.expires_at);
-      w.F64(q.lease_renew_at);
-      // In-memory order comes from a hash set; sort a copy so the encoded
-      // bytes are deterministic.
-      std::vector<ObjectId> result = q.result;
-      std::sort(result.begin(), result.end());
-      w.U32(static_cast<uint32_t>(result.size()));
-      for (ObjectId oid : result) w.I64(oid);
-    }
-  }
 };
 
 }  // namespace
@@ -164,7 +137,7 @@ Result<Message> MessageCodec::Decode(const std::vector<uint8_t>& buffer) {
   if (body_size != buffer.size() - kHeaderBytes) {
     return Status::InvalidArgument("body length mismatch");
   }
-  if (raw_type > static_cast<uint8_t>(MessageType::kShardHandoff)) {
+  if (raw_type >= kNumMessageTypes) {
     return Status::InvalidArgument("unknown message type");
   }
   auto type = static_cast<MessageType>(raw_type);
@@ -313,38 +286,6 @@ Result<Message> MessageCodec::Decode(const std::vector<uint8_t>& buffer) {
         p.known_qids.push_back(r.I64());
       }
       payload = p;
-      break;
-    }
-    case MessageType::kShardHandoff: {
-      ShardHandoff p;
-      p.from_shard = r.I32();
-      p.to_shard = r.I32();
-      p.oid = r.I64();
-      p.state = r.State();
-      p.max_speed = r.F64();
-      p.cell = r.Cell();
-      for (uint16_t k = 0; k < count && r.ok(); ++k) {
-        ShardQueryState q;
-        q.qid = r.I64();
-        q.focal_oid = r.I64();
-        q.region = r.Region();
-        q.filter_threshold = r.F64();
-        q.curr_cell = r.Cell();
-        q.mon_region = r.Range();
-        q.expires_at = r.F64();
-        q.lease_renew_at = r.F64();
-        uint32_t results = r.U32();
-        // A result id costs kIdBytes on the wire; cap the loop by the bytes
-        // actually present so a lying count cannot balloon the allocation.
-        if (results > r.remaining() / kIdBytes) {
-          return Status::InvalidArgument("result count exceeds body");
-        }
-        for (uint32_t m = 0; m < results && r.ok(); ++m) {
-          q.result.push_back(r.I64());
-        }
-        p.queries.push_back(std::move(q));
-      }
-      payload = std::move(p);
       break;
     }
   }

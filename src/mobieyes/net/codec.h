@@ -256,7 +256,7 @@ class MessageCodec {
   // Encode variant that reuses caller-owned buffers: *out receives the
   // encoded message (cleared first, capacity kept) and *scratch holds the
   // body while the header is assembled. Batched encode loops (WAL
-  // serialization, checkpoint chunking) call this so steady-state encoding
+  // serialization) call this so steady-state encoding
   // allocates nothing once the buffers have warmed up.
   static void EncodeInto(const Message& message, std::vector<uint8_t>* scratch,
                          std::vector<uint8_t>* out);

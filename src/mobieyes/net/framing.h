@@ -12,8 +12,7 @@ namespace mobieyes::net {
 // Length-prefixed framing for the shard backplane (DESIGN.md §13-14). A
 // frame carries one batch of backplane work between the router process and a
 // shard daemon; its payload is opaque bytes encoded with ByteWriter (state
-// syncs, per-step op batches, scan results) or MessageCodec (embedded
-// handoff messages).
+// syncs, per-step op batches, scan results).
 //
 // Wire layout, little-endian, 24-byte header (version 2):
 //

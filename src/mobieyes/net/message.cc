@@ -51,9 +51,6 @@ struct TypeOf {
   MessageType operator()(const LqtReconcileRequest&) const {
     return MessageType::kLqtReconcileRequest;
   }
-  MessageType operator()(const ShardHandoff&) const {
-    return MessageType::kShardHandoff;
-  }
 };
 
 struct BodySize {
@@ -105,18 +102,6 @@ struct BodySize {
     return kIdBytes + kCellBytes + 2 +
            (r.known_qids.size() + r.target_qids.size()) * kIdBytes;
   }
-  size_t operator()(const ShardHandoff& h) const {
-    // Shard pair, FOT row, then each migrated SQT row with its result ids
-    // behind a u32 count.
-    size_t size = 2 * kSeqBytes + kIdBytes + kFocalStateBytes + kScalarBytes +
-                  kCellBytes;
-    for (const ShardQueryState& q : h.queries) {
-      size += 2 * kIdBytes + kRegionBytes + kScalarBytes + kCellBytes +
-              kCellRangeBytes + 2 * kTimeBytes + 4 +
-              q.result.size() * kIdBytes;
-    }
-    return size;
-  }
 };
 
 }  // namespace
@@ -162,8 +147,6 @@ const char* MessageTypeName(MessageType type) {
       return "UplinkAck";
     case MessageType::kLqtReconcileRequest:
       return "LqtReconcileRequest";
-    case MessageType::kShardHandoff:
-      return "ShardHandoff";
   }
   return "Unknown";
 }

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <variant>
 #include <vector>
 
@@ -177,41 +176,6 @@ struct LqtReconcileRequest {
   bool cold_start = false;
 };
 
-// --- Inter-shard backplane (DESIGN.md §10) ----------------------------------
-
-// One hosted query's full SQT row, as carried by a shard handoff. Mirrors
-// core SqtEntry field for field; the result set travels as a plain id list.
-struct ShardQueryState {
-  QueryId qid = kInvalidQueryId;
-  ObjectId focal_oid = kInvalidObjectId;
-  geo::QueryRegion region;
-  double filter_threshold = 1.0;
-  geo::CellCoord curr_cell;
-  geo::CellRange mon_region;
-  Seconds expires_at = std::numeric_limits<Seconds>::infinity();
-  Seconds lease_renew_at = std::numeric_limits<Seconds>::infinity();
-  // Current result membership. Order is unspecified in memory (it is drained
-  // from a hash set); the codec sorts on encode so wire bytes are
-  // deterministic.
-  std::vector<ObjectId> result;
-};
-
-// Server-internal handoff migrating a focal object — its FOT row and every
-// query bound to it — from one shard to the cell's new owner when the focal
-// crosses a partition boundary. Never traverses the wireless network: the
-// ShardRouter delivers it in memory (and mirrors it to the shard daemons
-// under the process transport), counting it in
-// NetworkStats::inter_shard_handoffs.
-struct ShardHandoff {
-  int32_t from_shard = 0;
-  int32_t to_shard = 0;
-  ObjectId oid = kInvalidObjectId;
-  FocalState state;
-  double max_speed = 0.0;
-  geo::CellCoord cell;
-  std::vector<ShardQueryState> queries;  // in FOT binding order
-};
-
 // ---------------------------------------------------------------------------
 // Message envelope
 // ---------------------------------------------------------------------------
@@ -232,19 +196,11 @@ enum class MessageType {
   kNewQueriesNotification,
   kUplinkAck,
   kLqtReconcileRequest,
-  // Server-internal (coordinator backplane) — never sent over the air.
-  kShardHandoff,
 };
-
-// Number of types that can traverse the wireless network. Per-type wireless
-// instrumentation (WirelessNetwork::AttachMetrics) sizes to this so the
-// deterministic metrics export is identical whatever the shard count.
-inline constexpr size_t kNumWirelessMessageTypes =
-    static_cast<size_t>(MessageType::kLqtReconcileRequest) + 1;
 
 // Number of MessageType alternatives; used to size per-type counter arrays.
 inline constexpr size_t kNumMessageTypes =
-    static_cast<size_t>(MessageType::kShardHandoff) + 1;
+    static_cast<size_t>(MessageType::kLqtReconcileRequest) + 1;
 
 using MessagePayload =
     std::variant<QueryInstallRequest, PositionReport, PositionVelocityReport,
@@ -252,8 +208,7 @@ using MessagePayload =
                  FocalNotification, PositionVelocityRequest,
                  QueryInstallBroadcast, VelocityChangeBroadcast,
                  QueryUpdateBroadcast, QueryRemoveBroadcast,
-                 NewQueriesNotification, UplinkAck, LqtReconcileRequest,
-                 ShardHandoff>;
+                 NewQueriesNotification, UplinkAck, LqtReconcileRequest>;
 
 struct Message {
   MessageType type;

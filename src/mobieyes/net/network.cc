@@ -51,11 +51,8 @@ void WirelessNetwork::AttachMetrics(obs::MetricsRegistry* registry) {
   }
   static constexpr const char* kDirectionNames[3] = {"uplink", "downlink",
                                                      "broadcast"};
-  // Only wireless types get eager counters: server-internal types (shard
-  // handoffs) never reach the medium, and registering their zero counters
-  // would perturb the deterministic metrics export by shard count.
   for (size_t d = 0; d < 3; ++d) {
-    for (size_t t = 0; t < kNumWirelessMessageTypes; ++t) {
+    for (size_t t = 0; t < kNumMessageTypes; ++t) {
       metrics_.msgs[d][t] = registry->GetCounter(
           std::string("net.msgs.") + kDirectionNames[d] + "." +
           MessageTypeName(static_cast<MessageType>(t)));
@@ -103,9 +100,6 @@ std::string NetworkStatsJson(const NetworkStats& stats) {
 
 void WirelessNetwork::RecordMetrics(Direction direction,
                                     const Message& message, size_t bytes) {
-  // Server-internal types have no eager counter (see AttachMetrics); they
-  // never reach the medium, but guard anyway rather than chase a null.
-  if (static_cast<size_t>(message.type) >= kNumWirelessMessageTypes) return;
   metrics_.msgs[static_cast<size_t>(direction)]
               [static_cast<size_t>(message.type)]
                   ->Increment();

@@ -65,10 +65,8 @@ struct NetworkStats {
   uint64_t duplicated_messages = 0;
   uint64_t disconnect_events = 0;  // objects entering a disconnect window
 
-  // Cross-shard focal handoffs of the partitioned server (DESIGN.md §10;
-  // always zero with one shard). Server-internal — a handoff never rides
-  // the wireless medium, so it is excluded from total_messages() and from
-  // the per-type wireless counters above.
+  // Always 0: the server no longer hands focal objects between shards.
+  // Kept because stepbench's frozen counter snapshots still read it.
   uint64_t inter_shard_handoffs = 0;
 
   // Transmissions on the medium by MessageType (all directions); summing

@@ -304,7 +304,6 @@ TEST(StepBatchTest, MalformedBatchFailsCleanly) {
   // Truncations of a valid batch must also fail, never crash.
   StepBatchBuilder builder;
   builder.RqiOp(true, 11, geo::CellRange{0, 2, 0, 2});
-  builder.Extract(42);
   std::vector<uint8_t> payload = builder.Finish();
   for (size_t len = 0; len < payload.size(); ++len) {
     core::ApplyStepBatch(payload.data(), len, pair.replica.get(), nullptr)

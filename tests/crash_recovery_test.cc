@@ -10,11 +10,13 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "mobieyes/core/server.h"
 #include "mobieyes/core/snapshot.h"
+#include "mobieyes/net/codec.h"
 #include "mobieyes/net/message.h"
 #include "mobieyes/sim/simulation.h"
 #include "test_harness.h"
@@ -253,6 +255,60 @@ TEST(ServerRestoreTest, RestoreRejectsTruncatedImages) {
   core::MobiEyesServer fresh(d.grid(), d.layout(), d.bmap(), d.network(),
                              options);
   EXPECT_FALSE(fresh.Restore(bad_magic).ok());
+}
+
+// A checkpoint naming a cell outside the grid, for a focal object or for a
+// query's current cell, is refused like a monitoring region outside it:
+// the heat map charges both cells without a bounds check.
+TEST(ServerRestoreTest, RestoreRejectsCellsOutsideTheGrid) {
+  std::vector<test::ObjectSpec> specs;
+  for (int k = 0; k < 6; ++k) {
+    specs.push_back(test::ObjectSpec({10.0 + 12.0 * k, 55.0}));
+  }
+  core::MobiEyesOptions options = HardenedTestOptions();
+  test::MiniDeployment d(specs, options);
+  core::Snapshot store;
+  d.server().set_durable_store(&store);
+  ASSERT_TRUE(d.server().InstallQuery(1, 14.0, 0.5).ok());
+  d.TickN(2);
+  d.server().Checkpoint();
+  const core::MobiEyesServer::FotEntry* focal = d.server().FindFocal(1);
+  const core::MobiEyesServer::SqtEntry* query = d.server().FindQuery(0);
+  ASSERT_NE(focal, nullptr);
+  ASSERT_NE(query, nullptr);
+  ASSERT_EQ(focal->queries.size(), 1u);
+
+  // Image layout: a 24-byte header and the FOT count, then the only FOT
+  // row (oid, 40 bytes of kinematics, max speed, cell, a one-query list),
+  // then the SQT count and the only SQT row (qid, focal oid, 17 bytes of
+  // region, filter threshold, current cell).
+  constexpr size_t kFocalCell = 28 + 8 + 40 + 8;
+  constexpr size_t kQueryCell = kFocalCell + 8 + 4 + 8 + 4 + 8 + 8 + 17 + 8;
+  auto cell_bytes = [](const geo::CellCoord& cell) {
+    std::vector<uint8_t> bytes;
+    net::ByteWriter(&bytes).Cell(cell);
+    return bytes;
+  };
+  for (const auto& [offset, live] :
+       {std::pair{kFocalCell, focal->cell},
+        std::pair{kQueryCell, query->curr_cell}}) {
+    const auto at = store.checkpoint.begin() + static_cast<ptrdiff_t>(offset);
+    ASSERT_EQ(std::vector<uint8_t>(at, at + 8), cell_bytes(live))
+        << "offset " << offset;
+    const std::vector<uint8_t> outside = cell_bytes({live.i, -1000});
+    for (int shards : {1, 4}) {
+      core::Snapshot corrupt;
+      corrupt.checkpoint = store.checkpoint;
+      std::copy(outside.begin(), outside.end(),
+                corrupt.checkpoint.begin() + static_cast<ptrdiff_t>(offset));
+      core::MobiEyesOptions restore_options = options;
+      restore_options.sharding.num_shards = shards;
+      core::MobiEyesServer fresh(d.grid(), d.layout(), d.bmap(), d.network(),
+                                 restore_options);
+      EXPECT_FALSE(fresh.Restore(corrupt).ok())
+          << "cell at offset " << offset << ", " << shards << " shards";
+    }
+  }
 }
 
 // --- Simulation-level recovery ---------------------------------------------

@@ -151,12 +151,11 @@ TEST(ShardDigestTest, StateSyncKeepsTheDigestAndRefusesAFlippedRowEntry) {
   EXPECT_EQ(loaded.StateDigest(), source.StateDigest());
   ExpectSameRows(g, source, loaded);
 
-  // No FOT or SQT entries, so the image is two zero counts, the row count
-  // and then the first row: cell (0,0), its length, and its first qid (21)
-  // at byte 24.
-  ASSERT_EQ(image[24], 21);
+  // The image is the row count and then the first row: cell (0,0), its
+  // length, and its first qid (21) at byte 16.
+  ASSERT_EQ(image[16], 21);
   std::vector<uint8_t> flipped = image;
-  flipped[24] ^= 0x01;
+  flipped[16] ^= 0x01;
   ServerShard refused = g.Shard();
   EXPECT_FALSE(refused.LoadStateSync(flipped.data(), flipped.size()).ok());
   EXPECT_EQ(refused.StateDigest(), g.Shard().StateDigest());

@@ -251,18 +251,6 @@ int main(int argc, char** argv) {
                   metrics.steps > 0 ? metrics.server_step_seconds /
                                           static_cast<double>(metrics.steps)
                                     : 0.0);
-      std::printf("handoffs                   %llu\n",
-                  static_cast<unsigned long long>(
-                      metrics.network.inter_shard_handoffs));
-      for (int s = 0; s < router.num_shards(); ++s) {
-        const core::ServerShard& shard = router.shard(s);
-        std::printf("shard %-2d                   %zu queries, %zu focals, "
-                    "%llu in / %llu out handoffs\n",
-                    s, shard.sqt().size(), shard.fot().size(),
-                    static_cast<unsigned long long>(shard.stats().handoffs_in),
-                    static_cast<unsigned long long>(
-                        shard.stats().handoffs_out));
-      }
     }
   }
   if (core::ShardSupervisor* supervisor = (*simulation)->supervisor()) {
