@@ -1,6 +1,7 @@
 #include "mobieyes/core/client.h"
 
 #include <algorithm>
+#include <array>
 
 #include "mobieyes/core/client_fleet.h"
 #include "mobieyes/obs/lifecycle.h"
@@ -125,10 +126,10 @@ void MobiEyesClient::TrackUplink(net::Message& message, PendingUplink entry) {
     fleet_->lifecycle()->Stamp(obs::LifecycleTracker::kUplinkAck,
                                AckKey(entry.seq));
   }
-  // Bound the tracking state: if the link is so lossy that 16 tracked
-  // uplinks pile up, the oldest is abandoned to the lease/reconciliation
-  // repair path.
-  if (pending_.size() >= 16) {
+  // Bound the tracking state: if the link is so lossy that
+  // kMaxPendingUplinks tracked uplinks pile up, the oldest is abandoned to
+  // the lease/reconciliation repair path.
+  if (pending_.size() >= kMaxPendingUplinks) {
     DropAckRound(pending_.front().seq);
     pending_.erase(pending_.begin());
   }
@@ -165,27 +166,34 @@ net::Message MobiEyesClient::RebuildPending(const PendingUplink& pending) {
 void MobiEyesClient::RetryPendingUplinks() {
   const MobiEyesOptions& options = fleet_->options();
   const int64_t tick = fleet_->tick(oid_);
-  for (size_t k = 0; k < pending_.size();) {
-    PendingUplink& p = pending_[k];
-    if (tick < p.retry_at) {
-      ++k;
-      continue;
-    }
-    if (p.retries >= options.uplink_max_retries) {
+  // The due entries are named by seq before anything is sent: a
+  // retransmission can be acknowledged inside its own send, and that ack
+  // (or a superseding report sent from a nested delivery) removes entries,
+  // so positions in pending_ do not survive a send.
+  std::array<uint32_t, kMaxPendingUplinks> due;
+  size_t num_due = 0;
+  for (const PendingUplink& p : pending_) {
+    if (tick >= p.retry_at) due[num_due++] = p.seq;
+  }
+  for (size_t k = 0; k < num_due; ++k) {
+    auto it = std::find_if(
+        pending_.begin(), pending_.end(),
+        [seq = due[k]](const PendingUplink& p) { return p.seq == seq; });
+    if (it == pending_.end()) continue;  // removed since the scan
+    if (it->retries >= options.uplink_max_retries) {
       // Retry budget spent: give up and leave repair to the lease
       // re-broadcast / reconciliation paths.
-      DropAckRound(p.seq);
-      pending_.erase(pending_.begin() + k);
+      DropAckRound(it->seq);
+      pending_.erase(it);
       continue;
     }
-    ++p.retries;
-    p.retry_at =
+    ++it->retries;
+    it->retry_at =
         tick + (static_cast<int64_t>(options.uplink_retry_backoff_ticks)
-                << p.retries);
-    net::Message message = RebuildPending(p);
-    message.seq = p.seq;
+                << it->retries);
+    net::Message message = RebuildPending(*it);
+    message.seq = it->seq;
     fleet_->network().SendUplink(oid_, std::move(message));
-    ++k;
   }
   SyncPending();
 }

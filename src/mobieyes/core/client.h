@@ -65,6 +65,9 @@ class MobiEyesClient {
   void ResetUplinks();
 
  private:
+  // Tracked uplinks kept awaiting an ack; past this the oldest is dropped.
+  static constexpr size_t kMaxPendingUplinks = 16;
+
   // One unacknowledged tracked uplink. Retransmissions regenerate the
   // payload from current state (stored here is only what cannot be
   // re-derived), so a retry never reintroduces stale data.

@@ -326,6 +326,52 @@ TEST(FaultInjectionTest, PartialFlipReportKeepsRetryOfTheOtherQueries) {
   EXPECT_EQ(deployment.client(1).pending_uplinks(), 0u);
 }
 
+// Two uplinks lost in one tick are both due on the next. Each retransmission
+// is acknowledged inside its own send, which removes its pending entry; the
+// other due entry must still go out in the same tick.
+TEST(FaultInjectionTest, RetryResendsEveryDueUplinkWhenAnAckLandsMidLoop) {
+  core::MobiEyesOptions options;  // leases and reconciliation off
+  options.enable_reliable_uplink = true;
+  options.uplink_retry_backoff_ticks = 1;
+  MiniDeployment deployment({{Point{55, 55}}, {Point{48, 55}}}, options);
+  auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);  // cells 4-6
+  ASSERT_TRUE(qid.ok());
+  deployment.Tick();
+  ASSERT_EQ(deployment.fleet().lqt_size(1), 1u);
+
+  bool link_down = true;
+  int lost = 0;
+  int resent = 0;
+  deployment.network().set_server_handler(
+      [&](ObjectId from, const Message& message) {
+        const bool tracked =
+            message.type == MessageType::kCellChangeReport ||
+            message.type == MessageType::kResultBitmapReport;
+        if (from == 1 && tracked) {
+          if (link_down) {
+            ++lost;
+            return;
+          }
+          ++resent;
+        }
+        deployment.server().OnUplink(from, message);
+      });
+
+  // Into the focal's cell, 3 miles from it: a cell change and a flip into
+  // the result, both lost.
+  deployment.world().SetObjectState(1, Point{52, 55}, {});
+  deployment.Tick();
+  ASSERT_EQ(lost, 2);
+  ASSERT_EQ(deployment.client(1).pending_uplinks(), 2u);
+  ASSERT_FALSE(deployment.server().QueryResult(*qid)->contains(1));
+
+  link_down = false;
+  deployment.Tick();
+  EXPECT_EQ(resent, 2);
+  EXPECT_TRUE(deployment.server().QueryResult(*qid)->contains(1));
+  EXPECT_EQ(deployment.client(1).pending_uplinks(), 0u);
+}
+
 TEST(FaultInjectionTest, ServerDedupsRetransmittedUplinks) {
   MiniDeployment deployment({{Point{55, 55}}, {Point{57, 55}}});
   ASSERT_TRUE(deployment.server().InstallQuery(0, 4.0, 1.0).ok());
