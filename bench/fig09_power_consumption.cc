@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
       job.config.params.num_queries = static_cast<int>(nmq);
       job.config.mode = mode;
       job.steps = 8;
-      job.config.track_per_object_bytes = true;
       job.label = "fig09 nmq=" + std::to_string(static_cast<int>(nmq)) + " " +
                   sim::SimModeName(mode);
       jobs.push_back(job);

@@ -150,7 +150,6 @@ void BM_BroadcastDelivery(benchmark::State& state) {
   Grid grid = MakeGrid();
   World world = MakeWorld(grid, kObjects, 7);
   net::WirelessNetwork network;
-  network.set_track_per_object_bytes(false);
   network.set_coverage_query(
       [&world](const Circle& circle,
                const std::function<void(ObjectId)>& fn) {

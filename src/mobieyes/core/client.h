@@ -59,9 +59,9 @@ class MobiEyesClient {
   void NoteRelayed() { last_relayed_ = Kinematics(); }
   // The uplink half of a cold restart (ClientFleet::Reset): drops the
   // pending uplinks and the relayed-vector memory, as a device reboot
-  // would. The sequence counter restarts ISN-style from the tick clock, so
-  // the server's dedup ring cannot mistake the new incarnation's uplinks
-  // for retransmissions of the old one's.
+  // would. The sequence counter restarts ISN-style from the tick clock,
+  // above every seq the old incarnation used: the server's dedup window
+  // slides up instead of taking new uplinks for old retransmissions.
   void ResetUplinks();
 
  private:

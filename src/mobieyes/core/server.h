@@ -136,11 +136,11 @@ class MobiEyesServer {
   Snapshot* durable_store() const { return router_.durable_store(); }
 
   // Serializes the full server state (FOT, SQT including monitoring regions,
-  // result sets and lease deadlines, dedup rings, clock and id counter) into
-  // the attached store's checkpoint image and truncates its WAL. No-op
-  // without an attached store. The image holds no shard layout: the tables
-  // are written in ascending key order, so any shard count writes the same
-  // bytes.
+  // result sets and lease deadlines, the per-object dedup windows, clock and
+  // id counter) into the attached store's checkpoint image and truncates its
+  // WAL. No-op without an attached store. The image holds no shard layout:
+  // the tables are written in ascending key or oid order, so any shard count
+  // writes the same bytes.
   void Checkpoint() { router_.Checkpoint(); }
 
   // Rebuilds this (freshly constructed) server from `store`: decodes the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -19,7 +20,9 @@ namespace {
 // for the wrong layer. The image is global and sorted-key — independent of
 // the shard count, so any deployment can restore any checkpoint.
 constexpr uint32_t kImageMagic = 0x4d6f4349;
-constexpr uint16_t kImageVersion = 1;
+constexpr uint16_t kImageVersion = 2;
+// One dedup window in the image: the top seq and the bitmap below it.
+constexpr size_t kWindowBytes = sizeof(uint32_t) + sizeof(uint64_t);
 
 // Hash-map keys in deterministic order, so two checkpoints of identical
 // logical state are byte-identical.
@@ -383,27 +386,31 @@ void ShardRouter::OnUplink(ObjectId from, const Message& message) {
 }
 
 bool ShardRouter::AckAndDedup(ObjectId from, uint32_t seq) {
-  auto [it, inserted] = seen_seqs_.try_emplace(from);
-  if (inserted) {
-    seen_order_.insert(
-        std::lower_bound(seen_order_.begin(), seen_order_.end(), from), from);
+  const auto k = static_cast<size_t>(from);
+  if (k >= top_seq_.size()) {
+    top_seq_.resize(k + 1);
+    below_top_.resize(k + 1);
   }
-  SeenSeqs& seen = it->second;
-  bool duplicate = false;
-  for (uint32_t s : seen.ring) {
-    if (s == seq) {
-      duplicate = true;
-      break;
-    }
-  }
-  if (!duplicate) {
-    seen.ring[seen.next] = seq;
-    seen.next = (seen.next + 1) % seen.ring.size();
+  uint32_t& top = top_seq_[k];
+  uint64_t& below = below_top_[k];
+  const uint32_t back = top - seq;  // how far below the top; wraps above it
+  bool skip = true;
+  if (seq > top) {
+    // The window slides up, the old top landing seq - top - 1 bits down. A
+    // cold restart's tick << 16 jump empties it.
+    below = seq - top > kSeqWindow ? 0 : (below << 1 | 1) << (seq - top - 1);
+    top = seq;
+    skip = false;
+  } else if (back > kSeqWindow) {
+    ++stale_uplinks_;  // too old to tell from a duplicate: never applied
+  } else if (back > 0) {
+    skip = (below >> (back - 1) & 1) != 0;
+    below |= uint64_t{1} << (back - 1);
   }
   // Always (re-)acknowledge: the previous ack may itself have been lost,
   // and only an ack stops the sender's retransmissions.
   SendDownlink(from, net::MakeMessage(net::UplinkAck{from, seq}));
-  return duplicate;
+  return skip;
 }
 
 void ShardRouter::HandleQueryInstallRequest(
@@ -713,7 +720,29 @@ void ShardRouter::Checkpoint() {
   store_->Install(EncodeImage());
 }
 
+Status ShardRouter::CheckWalRecord(const WalRecord& record) const {
+  const Message& m = record.message;
+  bool in_grid = true;
+  if (m.type == net::MessageType::kCellChangeReport) {
+    const auto& p = std::get<net::CellChangeReport>(m.payload);
+    in_grid = grid_->IsValid(p.prev_cell) && grid_->IsValid(p.new_cell);
+  } else if (m.type == net::MessageType::kLqtReconcileRequest) {
+    const auto& p = std::get<net::LqtReconcileRequest>(m.payload);
+    in_grid = grid_->IsValid(p.cell);
+  }
+  if (!in_grid) return Status::InvalidArgument("WAL: cell outside the grid");
+  if (!network_->HasClient(record.from)) {
+    return Status::InvalidArgument("WAL: record from an object with no client");
+  }
+  return Status::OK();
+}
+
 Status ShardRouter::Restore(const Snapshot& store, size_t* replayed) {
+  // Every record is checked before anything is decoded or replayed, so a
+  // refused store leaves the router as it was.
+  for (const WalRecord& record : store.wal) {
+    MOBIEYES_RETURN_NOT_OK(CheckWalRecord(record));
+  }
   if (store.has_checkpoint()) {
     MOBIEYES_RETURN_NOT_OK(DecodeImage(store.checkpoint));
   }
@@ -801,19 +830,13 @@ std::vector<uint8_t> ShardRouter::EncodeImage() const {
     for (ObjectId oid : result) w.I64(oid);
   }
 
-  // The dedup table, in ascending-oid order. It is most of the image, and
-  // the image stays in the store until the next checkpoint, so the buffer
-  // is sized exactly here rather than left with doubling's spare capacity.
-  constexpr size_t kSeenEntryBytes =
-      sizeof(int64_t) + sizeof(SeenSeqs::ring) + sizeof(uint8_t);
-  out.reserve(out.size() + sizeof(uint32_t) +
-              seen_order_.size() * kSeenEntryBytes);
-  w.U32(static_cast<uint32_t>(seen_seqs_.size()));
-  for (ObjectId oid : seen_order_) {
-    const SeenSeqs& seen = seen_seqs_.at(oid);
-    w.I64(oid);
-    for (uint32_t seq : seen.ring) w.U32(seq);
-    w.U8(static_cast<uint8_t>(seen.next));
+  // The dedup windows in oid order: most of the image, which the store
+  // keeps until the next checkpoint, so the buffer is sized exactly.
+  out.reserve(out.size() + sizeof(uint32_t) + top_seq_.size() * kWindowBytes);
+  w.U32(static_cast<uint32_t>(top_seq_.size()));
+  for (size_t k = 0; k < top_seq_.size(); ++k) {
+    w.U32(top_seq_[k]);
+    w.U64(below_top_[k]);
   }
   return out;
 }
@@ -823,16 +846,18 @@ Status ShardRouter::DecodeImage(const std::vector<uint8_t>& image) {
   if (r.U32() != kImageMagic) {
     return Status::InvalidArgument("checkpoint: bad magic number");
   }
-  if (r.U16() != kImageVersion) {
-    return Status::InvalidArgument("checkpoint: unsupported version");
+  const uint16_t version = r.U16();
+  if (version != kImageVersion) {
+    return Status::InvalidArgument(
+        "checkpoint: image version " + std::to_string(version) +
+        " is not supported; this build reads version " +
+        std::to_string(kImageVersion));
   }
   r.U16();  // reserved
 
   for (auto& shard : shards_) shard->Clear();
   fot_.clear();
   sqt_.clear();
-  seen_seqs_.clear();
-  seen_order_.clear();
 
   now_ = r.F64();
   next_qid_ = r.I64();
@@ -893,21 +918,17 @@ Status ShardRouter::DecodeImage(const std::vector<uint8_t>& image) {
     sqt_.emplace(entry.qid, std::move(entry));
   }
 
-  uint32_t seen_count = r.U32();
-  for (uint32_t k = 0; k < seen_count && r.ok(); ++k) {
-    ObjectId oid = r.I64();
-    SeenSeqs seen;
-    for (size_t s = 0; s < seen.ring.size(); ++s) seen.ring[s] = r.U32();
-    uint8_t next = r.U8();
-    if (next >= seen.ring.size()) {
-      return Status::InvalidArgument("checkpoint: dedup ring cursor range");
-    }
-    seen.next = next;
-    // The image stores the table in ascending-oid order, so appending keeps
-    // seen_order_ sorted.
-    if (r.ok() && seen_seqs_.emplace(oid, seen).second) {
-      seen_order_.push_back(oid);
-    }
+  const uint32_t windows = r.U32();
+  // Bounded by the bytes left before anything is allocated for it.
+  if (windows > r.remaining() / kWindowBytes) {
+    return Status::InvalidArgument(
+        "checkpoint: dedup table longer than the image");
+  }
+  top_seq_.resize(windows);
+  below_top_.resize(windows);
+  for (uint32_t k = 0; k < windows; ++k) {
+    top_seq_[k] = r.U32();
+    below_top_[k] = r.U64();
   }
 
   if (!r.ok() || r.remaining() != 0) {

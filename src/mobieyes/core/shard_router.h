@@ -1,7 +1,7 @@
 #ifndef MOBIEYES_CORE_SHARD_ROUTER_H_
 #define MOBIEYES_CORE_SHARD_ROUTER_H_
 
-#include <array>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <unordered_map>
@@ -98,6 +98,13 @@ class ShardRouter {
   // The RQI row of `cell`, read from the owning shard.
   const std::vector<QueryId>& QueriesForCell(const geo::CellCoord& cell) const;
 
+  // Tracked uplinks refused because their seq lay more than kSeqWindow
+  // below the highest seq seen from their sender. Each was still acked.
+  uint64_t stale_uplinks() const { return stale_uplinks_; }
+  // How far below an object's highest tracked seq the router still tells a
+  // first arrival from a duplicate (DESIGN.md §8).
+  static constexpr uint32_t kSeqWindow = 64;
+
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const geo::Grid& grid() const { return *grid_; }
   const ShardMap& shard_map() const { return map_; }
@@ -154,7 +161,12 @@ class ShardRouter {
   void HandleResultBitmap(const net::ResultBitmapReport& report);
   void HandleLqtReconcile(const net::LqtReconcileRequest& request);
 
+  // Acks a tracked uplink; true when it must not be applied: a duplicate,
+  // or a seq below the window.
   bool AckAndDedup(ObjectId from, uint32_t seq);
+  // InvalidArgument for a WAL record whose replay would index a table out
+  // of range: a cell outside the grid, or a sender with no client.
+  Status CheckWalRecord(const WalRecord& record) const;
   void RenewLeases();
 
   // RQI registration fanned out to every shard intersecting the region.
@@ -200,19 +212,12 @@ class ShardRouter {
   QueryId next_qid_ = 0;
   Seconds now_ = 0.0;
 
-  // Recently seen uplink sequence numbers per object (at-most-once dedup
-  // for the reliable-uplink hardening). A small ring suffices: a client
-  // tracks at most 16 uplinks and retires them in rough FIFO order.
-  struct SeenSeqs {
-    std::array<uint32_t, 8> ring{};
-    size_t next = 0;
-  };
-  std::unordered_map<ObjectId, SeenSeqs> seen_seqs_;
-  // Keys of seen_seqs_, kept sorted incrementally (an object enters once,
-  // on its first reliable uplink). Checkpoints write the dedup table in
-  // ascending-oid order; maintaining the order here turns the encoder's
-  // per-checkpoint key sort into a range walk.
-  std::vector<ObjectId> seen_order_;
+  // One anti-replay window per object, indexed by the sender's oid (grown
+  // on a sender's first tracked uplink): the highest seq applied, and bit k
+  // set when seq top - 1 - k was applied too (DESIGN.md §8).
+  std::vector<uint32_t> top_seq_;
+  std::vector<uint64_t> below_top_;
+  uint64_t stale_uplinks_ = 0;
 
   Snapshot* store_ = nullptr;
   bool replaying_ = false;    // inside Restore's WAL replay: suppress sends

@@ -27,12 +27,7 @@ NetworkStats& NetworkStats::operator+=(const NetworkStats& other) {
     messages_by_type[k] += other.messages_by_type[k];
     dropped_by_type[k] += other.dropped_by_type[k];
   }
-  for (const auto& [oid, bytes] : other.tx_bytes_per_object) {
-    tx_bytes_per_object[oid] += bytes;
-  }
-  for (const auto& [oid, bytes] : other.rx_bytes_per_object) {
-    rx_bytes_per_object[oid] += bytes;
-  }
+  reception_bytes += other.reception_bytes;
   return *this;
 }
 
@@ -119,9 +114,6 @@ void WirelessNetwork::SendUplink(ObjectId from, Message message) {
     // that reached the medium.
     lifecycle_->Stamp(obs::LifecycleTracker::kUplinkRoundTrip, from);
   }
-  if (track_per_object_bytes_) {
-    stats_.tx_bytes_per_object[from] += bytes;
-  }
   if (server_handler_) server_handler_(from, message);
 }
 
@@ -137,11 +129,8 @@ bool WirelessNetwork::SendDownlinkTo(ObjectId to, Message message) {
     // downlink with no open round is a no-op here, not an error.
     lifecycle_->ResolveIfPending(obs::LifecycleTracker::kUplinkRoundTrip, to);
   }
-  if (track_per_object_bytes_) {
-    stats_.rx_bytes_per_object[to] += bytes;
-  }
-  const auto k = static_cast<size_t>(to);
-  if (to < 0 || k >= clients_.size() || !clients_[k]) {
+  stats_.reception_bytes += bytes;
+  if (!HasClient(to)) {
     // The transmission happened (counted above) but nobody decodes it: an
     // observable routing failure rather than a silent no-op.
     ++stats_.undeliverable_downlinks;
@@ -150,7 +139,7 @@ bool WirelessNetwork::SendDownlinkTo(ObjectId to, Message message) {
     if (metrics_attached_) metrics_.undeliverable->Increment();
     return false;
   }
-  clients_[k](message);
+  clients_[static_cast<size_t>(to)](message);
   return true;
 }
 
@@ -178,11 +167,7 @@ void WirelessNetwork::Broadcast(const BaseStation& station,
   if (metrics_attached_) {
     metrics_.broadcast_receptions->Increment(receivers.size());
   }
-  if (track_per_object_bytes_) {
-    for (ObjectId oid : receivers) {
-      stats_.rx_bytes_per_object[oid] += bytes;
-    }
-  }
+  stats_.reception_bytes += bytes * receivers.size();
   if (broadcast_receiver_ != nullptr) {
     broadcast_receiver_->OnBroadcast(message, receivers);
   }

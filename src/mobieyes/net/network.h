@@ -90,10 +90,10 @@ struct NetworkStats {
     return uplink_messages + downlink_messages;
   }
 
-  // Per-object radio byte counters (indexed by ObjectId), for the energy
-  // model of Fig. 9.
-  std::unordered_map<ObjectId, uint64_t> tx_bytes_per_object;
-  std::unordered_map<ObjectId, uint64_t> rx_bytes_per_object;
+  // Bytes objects received, for the energy model of Fig. 9: each
+  // one-to-one downlink once, each broadcast once per covered object. The
+  // bytes objects sent are uplink_bytes.
+  uint64_t reception_bytes = 0;
 
   // Field-wise merge. The single maintained merge point for these stats:
   // any code combining runs (metrics snapshots, sweep aggregation) must use
@@ -175,6 +175,11 @@ class WirelessNetwork {
   // the table is indexed by oid). Broadcasts go to the broadcast receiver
   // instead. Not to be called from inside a handler.
   void RegisterClient(ObjectId oid, ClientHandler handler);
+  // True when a one-to-one handler is registered for `oid`.
+  bool HasClient(ObjectId oid) const {
+    const auto k = static_cast<size_t>(oid);
+    return oid >= 0 && k < clients_.size() && clients_[k];
+  }
   // Decodes every broadcast for the objects it covers; null (the default)
   // leaves broadcasts charged but undecoded. Must outlive the network's use.
   void set_broadcast_receiver(BroadcastReceiver* receiver) {
@@ -210,12 +215,6 @@ class WirelessNetwork {
 
   const NetworkStats& stats() const { return stats_; }
   void ResetStats() { stats_ = NetworkStats{}; }
-
-  // When false (default true), per-object byte maps are not maintained;
-  // useful for large sweeps that only need message counts.
-  void set_track_per_object_bytes(bool enabled) {
-    track_per_object_bytes_ = enabled;
-  }
 
   // Registers per-direction × per-MessageType counters and a message-bytes
   // histogram in `registry` (names "net.msgs.<direction>.<Type>",
@@ -253,7 +252,6 @@ class WirelessNetwork {
   CoverageQuery coverage_query_;
   Observer observer_;
   NetworkStats stats_;
-  bool track_per_object_bytes_ = true;
   WireMetrics metrics_;
   bool metrics_attached_ = false;
   obs::LifecycleTracker* lifecycle_ = nullptr;

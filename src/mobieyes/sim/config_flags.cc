@@ -140,8 +140,6 @@ constexpr ConfigFlag kFlags[] = {
      }},
     {"no-error", nullptr, "skip the per-step oracle comparison", false,
      [](Value, Config* c) { return Set(&c->measure_error, false); }},
-    {"no-bytes", nullptr, "skip the per-object byte counters", false,
-     [](Value, Config* c) { return Set(&c->track_per_object_bytes, false); }},
 
     // Fault injection and the hardened protocol (DESIGN.md §8).
     {"drop-rate", "F", "drop probability, both directions", true,

@@ -6,17 +6,10 @@ double RunMetrics::AveragePowerMilliwatts(
     const net::RadioEnergyModel& radio) const {
   if (objects <= 0 || simulated_seconds <= 0.0) return 0.0;
   // Total radio energy across the fleet over the measured window; note that
-  // broadcast receptions charge every covered object (already folded into
-  // rx_bytes_per_object by the network).
-  uint64_t tx_bytes = 0;
-  uint64_t rx_bytes = 0;
-  for (const auto& [oid, bytes] : network.tx_bytes_per_object) {
-    tx_bytes += bytes;
-  }
-  for (const auto& [oid, bytes] : network.rx_bytes_per_object) {
-    rx_bytes += bytes;
-  }
-  double joules = radio.EnergyJoules(tx_bytes, rx_bytes);
+  // broadcast receptions charge every covered object (folded into
+  // reception_bytes by the network).
+  double joules = radio.EnergyJoules(network.uplink_bytes,
+                                     network.reception_bytes);
   return joules / simulated_seconds / static_cast<double>(objects) * 1000.0;
 }
 

@@ -70,7 +70,6 @@ Status Simulation::Setup() {
   } else {
     network_ = std::make_unique<net::WirelessNetwork>();
   }
-  network_->set_track_per_object_bytes(config_.track_per_object_bytes);
   if (registry_) network_->AttachMetrics(registry_.get());
   if (lifecycle_) network_->set_lifecycle(lifecycle_.get());
   network_->set_coverage_query(

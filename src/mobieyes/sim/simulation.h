@@ -89,8 +89,6 @@ struct SimulationConfig {
   // Compare reported results against the oracle every step (Fig. 2). Adds
   // oracle evaluation cost; off by default.
   bool measure_error = false;
-  // Maintain per-object byte counters for the energy model (Fig. 9).
-  bool track_per_object_bytes = false;
   // Steps run before measurement starts; stats reset afterwards.
   int warmup_steps = 2;
   ObservabilityOptions obs;

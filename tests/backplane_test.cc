@@ -512,11 +512,13 @@ TEST(ProcessTransportTest, KilledDaemonRejoinsAndReconverges) {
 
   // After the run the backplane settles: every daemon up, queues empty.
   ASSERT_NE((*simulation)->supervisor(), nullptr);
+  EXPECT_TRUE((*simulation)->supervisor()->Quiesce(5000).ok());
   // The rejoin took one state sync beyond the four initial handshakes (log
   // replay on top is workload-dependent: the log is empty when no RQI op
-  // touched the shard since the last checkpoint capture).
+  // touched the shard since the last checkpoint capture). The respawned
+  // daemon rejoins in wall time, so its sync can go out after the last
+  // step; Quiesce is what waits for it.
   EXPECT_GE((*simulation)->supervisor()->stats().syncs_sent, 5u);
-  EXPECT_TRUE((*simulation)->supervisor()->Quiesce(5000).ok());
   EXPECT_TRUE((*simulation)->supervisor()->AllAvailable());
   EXPECT_EQ((*simulation)->supervisor()->down_shards(), 0);
 }

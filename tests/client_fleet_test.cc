@@ -448,9 +448,7 @@ TEST(ClientFleetTest, SkippedReceptionsAreStillCharged) {
   const net::NetworkStats& stats = deployment.network().stats();
   EXPECT_EQ(stats.broadcast_receptions, 3u);
   EXPECT_EQ(registry.GetCounter("net.broadcast_receptions")->value(), 3u);
-  for (ObjectId oid = 0; oid < 3; ++oid) {
-    EXPECT_EQ(stats.rx_bytes_per_object.at(oid), bytes) << oid;
-  }
+  EXPECT_EQ(stats.reception_bytes, 3 * bytes);
   // No handler ran: every covered object was skipped.
   EXPECT_EQ(deployment.fleet().skipped_receptions(), 3u);
 }
@@ -459,7 +457,9 @@ TEST(ClientFleetTest, SkippedReceptionsAreStillCharged) {
 
 struct StepRecord {
   std::string stats;
-  std::vector<uint64_t> object_bytes;  // rx then tx, per object
+  // Per object: one-to-one downlink bytes received, then uplink bytes sent.
+  // Broadcast receptions are in `stats`.
+  std::vector<uint64_t> object_bytes;
   std::vector<size_t> lqt_sizes;
   std::vector<std::vector<ObjectId>> results;
 };
@@ -472,6 +472,15 @@ std::vector<StepRecord> RunRecorded(const sim::SimulationConfig& config,
   sim::Simulation& sim = **made;
   FullDelivery full(*sim.fleet());
   if (reference) sim.network().set_broadcast_receiver(&full);
+  std::vector<uint64_t> rx_bytes(sim.fleet()->clients().size());
+  std::vector<uint64_t> tx_bytes(rx_bytes.size());
+  sim.network().set_observer(
+      [&](net::Direction direction, int64_t party, const Message& message) {
+        if (direction == net::Direction::kBroadcast) return;
+        auto& bytes =
+            direction == net::Direction::kUplink ? tx_bytes : rx_bytes;
+        bytes.at(static_cast<size_t>(party)) += net::WireSizeBytes(message);
+      });
   // Setup's install storm ran through the fleet in both runs.
   const uint64_t setup_skips = sim.fleet()->skipped_receptions();
   std::vector<QueryId> qids = sim.installed_queries();
@@ -494,15 +503,12 @@ std::vector<StepRecord> RunRecorded(const sim::SimulationConfig& config,
       record.stats += ',' + std::to_string(stats.messages_by_type[k]);
       record.stats += '/' + std::to_string(stats.dropped_by_type[k]);
     }
-    const auto bytes_of = [](const auto& per_object, ObjectId oid) {
-      auto it = per_object.find(oid);
-      return it == per_object.end() ? uint64_t{0} : it->second;
-    };
+    record.stats += ',' + std::to_string(stats.reception_bytes);
     for (const MobiEyesClient& client : sim.fleet()->clients()) {
       const ObjectId oid = client.oid();
       record.lqt_sizes.push_back(sim.fleet()->lqt_size(oid));
-      record.object_bytes.push_back(bytes_of(stats.rx_bytes_per_object, oid));
-      record.object_bytes.push_back(bytes_of(stats.tx_bytes_per_object, oid));
+      record.object_bytes.push_back(rx_bytes[static_cast<size_t>(oid)]);
+      record.object_bytes.push_back(tx_bytes[static_cast<size_t>(oid)]);
     }
     for (QueryId qid : qids) {
       auto result = sim.server()->QueryResult(qid);
@@ -545,7 +551,6 @@ sim::SimulationConfig DifferentialConfig() {
   config.params.area_square_miles = 5000.0;
   config.params.seed = 2026;
   config.warmup_steps = 0;  // every step runs under the delivery under test
-  config.track_per_object_bytes = true;
   return config;
 }
 

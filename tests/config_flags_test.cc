@@ -20,12 +20,11 @@ namespace {
 
 using Config = SimulationConfig;
 
-// mobieyes_sim's starting point: error and byte tracking on, so the two
-// flags that turn them off have something to change.
+// mobieyes_sim's starting point: error measurement on, so the flag that
+// turns it off has something to change.
 Config Base() {
   Config config;
   config.measure_error = true;
-  config.track_per_object_bytes = true;
   return config;
 }
 
@@ -64,7 +63,6 @@ std::vector<FlagCase> ValidCases() {
       {"--no-grouping",
        [](Config* c) { c->mobieyes.enable_query_grouping = false; }},
       {"--no-error", [](Config* c) { c->measure_error = false; }},
-      {"--no-bytes", [](Config* c) { c->track_per_object_bytes = false; }},
       {"--drop-rate=0.1",
        [](Config* c) {
          c->faults.uplink_drop_rate = 0.1;

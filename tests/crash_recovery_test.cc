@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -154,7 +157,7 @@ core::MobiEyesOptions HardenedTestOptions() {
 
 // Restoring checkpoint + WAL on a fresh server must reproduce the crashed
 // server's protocol state: SQT rows, result sets, FOT kinematics and the
-// dedup rings (checked indirectly through QueryResult equality).
+// dedup windows (checked indirectly through QueryResult equality).
 TEST(ServerRestoreTest, RestoreReproducesServerState) {
   std::vector<test::ObjectSpec> specs;
   for (int k = 0; k < 12; ++k) {
@@ -228,6 +231,11 @@ TEST(ServerRestoreTest, RestoreRejectsTruncatedImages) {
   d.server().set_durable_store(&store);
   ASSERT_TRUE(d.server().InstallQuery(1, 14.0, 0.5).ok());
   d.TickN(2);
+  // A tracked uplink from object 5, the highest oid, makes the image close
+  // with six dedup windows: a u32 count, then 12 bytes per oid.
+  net::Message tracked = net::MakeMessage(net::ResultBitmapReport{5, {}, 0});
+  tracked.seq = 1;
+  d.server().OnUplink(5, tracked);
   d.server().Checkpoint();
   ASSERT_FALSE(store.checkpoint.empty());
 
@@ -255,6 +263,101 @@ TEST(ServerRestoreTest, RestoreRejectsTruncatedImages) {
   core::MobiEyesServer fresh(d.grid(), d.layout(), d.bmap(), d.network(),
                              options);
   EXPECT_FALSE(fresh.Restore(bad_magic).ok());
+
+  // A version-1 image (8-entry dedup rings) is refused by name.
+  core::Snapshot old_version;
+  old_version.checkpoint = image;
+  old_version.checkpoint[4] = 1;
+  old_version.checkpoint[5] = 0;
+  const Status refused = fresh.Restore(old_version);
+  EXPECT_NE(refused.message().find("version 1"), std::string::npos)
+      << refused.ToString();
+  EXPECT_NE(refused.message().find("version 2"), std::string::npos)
+      << refused.ToString();
+
+  // A dedup window count larger than the bytes left is refused before
+  // anything is allocated for it.
+  constexpr uint32_t kWindows = 6;
+  const size_t count_at = image.size() - sizeof(uint32_t) - kWindows * 12;
+  uint32_t stored = 0;
+  std::memcpy(&stored, image.data() + count_at, sizeof(stored));
+  ASSERT_EQ(stored, kWindows);
+  for (uint32_t count : {kWindows + 1, UINT32_MAX}) {
+    core::Snapshot oversized;
+    oversized.checkpoint = image;
+    std::memcpy(oversized.checkpoint.data() + count_at, &count, sizeof(count));
+    core::MobiEyesServer server(d.grid(), d.layout(), d.bmap(), d.network(),
+                                options);
+    EXPECT_FALSE(server.Restore(oversized).ok()) << count << " windows";
+  }
+}
+
+// A WAL record is checked before anything replays. A cell change or a
+// reconcile naming a cell outside the grid would index the RQI out of range,
+// and a sender with no client would index the dedup windows out of range,
+// so each refuses the whole store and leaves the fresh server empty.
+TEST(ServerRestoreTest, RestoreRejectsWalRecordsOutsideTheTables) {
+  std::vector<test::ObjectSpec> specs;
+  for (int k = 0; k < 6; ++k) {
+    specs.push_back(test::ObjectSpec({10.0 + 12.0 * k, 55.0}));
+  }
+  core::MobiEyesOptions options = HardenedTestOptions();
+  test::MiniDeployment d(specs, options);
+  core::Snapshot store;
+  store.wal_limit = 4096;
+  d.server().set_durable_store(&store);
+  ASSERT_TRUE(d.server().InstallQuery(1, 14.0, 0.5).ok());
+  d.TickN(2);
+  d.server().Checkpoint();
+  // One valid record of each checked kind, from object 2.
+  const size_t cell_change = store.wal.size();
+  store.Append(2, net::MakeMessage(net::CellChangeReport{2, {2, 5}, {3, 5}}));
+  const size_t reconcile = store.wal.size();
+  net::LqtReconcileRequest request;
+  request.oid = 2;
+  request.cell = {3, 5};
+  store.Append(2, net::MakeMessage(request));
+  {
+    core::MobiEyesServer fresh(d.grid(), d.layout(), d.bmap(), d.network(),
+                               options);
+    ASSERT_TRUE(fresh.Restore(store).ok());
+  }
+
+  const geo::CellCoord outside{3, -1000};
+  auto cell_change_of = [](core::WalRecord* record) -> net::CellChangeReport& {
+    return std::get<net::CellChangeReport>(record->message.payload);
+  };
+  const std::vector<
+      std::tuple<const char*, size_t, std::function<void(core::WalRecord*)>>>
+      cases = {
+          {"prev_cell", cell_change,
+           [&](core::WalRecord* r) { cell_change_of(r).prev_cell = outside; }},
+          {"new_cell", cell_change,
+           [&](core::WalRecord* r) { cell_change_of(r).new_cell = outside; }},
+          {"reconcile cell", reconcile,
+           [&](core::WalRecord* r) {
+             std::get<net::LqtReconcileRequest>(r->message.payload).cell =
+                 outside;
+           }},
+          {"sender", reconcile, [](core::WalRecord* r) { r->from = 99; }},
+      };
+  for (const auto& [name, index, patch] : cases) {
+    for (int shards : {1, 4}) {
+      core::Snapshot corrupt = store;
+      patch(&corrupt.wal[index]);
+      core::MobiEyesOptions restore_options = options;
+      restore_options.sharding.num_shards = shards;
+      core::MobiEyesServer fresh(d.grid(), d.layout(), d.bmap(), d.network(),
+                                 restore_options);
+      size_t replayed = 0;
+      const Status status = fresh.Restore(corrupt, &replayed);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << name << ", " << shards << " shards: " << status.ToString();
+      EXPECT_EQ(replayed, 0u) << name << ", " << shards << " shards";
+      EXPECT_EQ(fresh.query_count(), 0u) << name << ", " << shards
+                                         << " shards";
+    }
+  }
 }
 
 // A checkpoint naming a cell outside the grid, for a focal object or for a

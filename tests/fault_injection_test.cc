@@ -399,6 +399,55 @@ TEST(FaultInjectionTest, ServerDedupsRetransmittedUplinks) {
   EXPECT_EQ(deployment.server().FindFocal(0)->state.pos.x, 70.0);
 }
 
+// Hands the server object 1's tracked bitmap report for `qid` under `seq`,
+// and says whether object 1 is in the query's result afterwards.
+bool Report(MiniDeployment& deployment, QueryId qid, uint32_t seq, bool in) {
+  Message message = MakeMessage(ResultBitmapReport{1, {qid}, in ? 1u : 0u});
+  message.seq = seq;
+  deployment.server().OnUplink(1, message);
+  return deployment.server().QueryResult(qid)->contains(1);
+}
+
+// Object 1 reports itself into the query's result, then out of it eight
+// times over. A late copy of the first report must not put it back: the
+// router's window remembers seqs well past a client's 16 tracked uplinks.
+TEST(FaultInjectionTest, ServerRefusesADuplicateEightSeqsLate) {
+  MiniDeployment deployment({{Point{55, 55}}, {Point{57, 55}}});
+  auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);
+  ASSERT_TRUE(qid.ok());
+  ASSERT_TRUE(Report(deployment, *qid, 1, true));
+  for (uint32_t seq = 2; seq <= 9; ++seq) {
+    ASSERT_FALSE(Report(deployment, *qid, seq, false));
+  }
+  EXPECT_FALSE(Report(deployment, *qid, 1, true))
+      << "a duplicate of seq 1 was applied again";
+  EXPECT_EQ(deployment.server().router().stale_uplinks(), 0u);
+}
+
+// A seq further below its sender's highest than the window reaches cannot
+// be told from a duplicate: the router refuses and counts it, and still
+// acks it so the sender stops retransmitting.
+TEST(FaultInjectionTest, ServerRefusesAndAcksASeqBelowTheWindow) {
+  MiniDeployment deployment({{Point{55, 55}}, {Point{57, 55}}});
+  auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);
+  ASSERT_TRUE(qid.ok());
+  const auto acks = [&] {
+    return deployment.network().stats().messages_by_type[static_cast<size_t>(
+        MessageType::kUplinkAck)];
+  };
+  constexpr uint32_t kTop = 1000;
+  constexpr uint32_t kWindow = core::ShardRouter::kSeqWindow;
+  ASSERT_FALSE(Report(deployment, *qid, kTop, false));
+  const uint64_t acks_before = acks();
+  EXPECT_FALSE(Report(deployment, *qid, kTop - kWindow - 1, true));
+  EXPECT_EQ(deployment.server().router().stale_uplinks(), 1u);
+  EXPECT_EQ(acks(), acks_before + 1);
+  // The oldest seq the window still holds is a first arrival, and applies.
+  EXPECT_TRUE(Report(deployment, *qid, kTop - kWindow, true));
+  EXPECT_EQ(deployment.server().router().stale_uplinks(), 1u);
+  EXPECT_EQ(acks(), acks_before + 2);
+}
+
 TEST(FaultInjectionTest, LeaseRebroadcastRecoversLostInstall) {
   core::MobiEyesOptions options;
   options.lease_duration = 60.0;  // two 30s ticks

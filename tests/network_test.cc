@@ -31,8 +31,8 @@ TEST(NetworkTest, UplinkReachesServerAndCounts) {
   EXPECT_EQ(network.stats().uplink_messages, 1u);
   EXPECT_EQ(network.stats().downlink_messages, 0u);
   EXPECT_GT(network.stats().uplink_bytes, 0u);
-  EXPECT_EQ(network.stats().tx_bytes_per_object.at(5),
-            network.stats().uplink_bytes);
+  // Sending is not receiving.
+  EXPECT_EQ(network.stats().reception_bytes, 0u);
 }
 
 TEST(NetworkTest, DownlinkReachesOnlyTarget) {
@@ -70,9 +70,9 @@ TEST(NetworkTest, BroadcastReachesObjectsInCoverage) {
   EXPECT_EQ(network.stats().downlink_messages, 1u);
   EXPECT_EQ(network.stats().broadcast_messages, 1u);
   EXPECT_EQ(network.stats().broadcast_receptions, 2u);
-  EXPECT_TRUE(network.stats().rx_bytes_per_object.contains(0));
-  EXPECT_TRUE(network.stats().rx_bytes_per_object.contains(1));
-  EXPECT_FALSE(network.stats().rx_bytes_per_object.contains(2));
+  // Each covered object received the broadcast's bytes; object 2 did not.
+  EXPECT_EQ(network.stats().reception_bytes,
+            2 * network.stats().downlink_bytes);
 }
 
 TEST(NetworkTest, BroadcastsBypassOneToOneHandlers) {
@@ -162,15 +162,7 @@ TEST(NetworkTest, ResetStatsClearsEverything) {
   network.SendUplink(1, Ping());
   network.ResetStats();
   EXPECT_EQ(network.stats().total_messages(), 0u);
-  EXPECT_TRUE(network.stats().tx_bytes_per_object.empty());
-}
-
-TEST(NetworkTest, PerObjectTrackingCanBeDisabled) {
-  WirelessNetwork network;
-  network.set_track_per_object_bytes(false);
-  network.SendUplink(1, Ping());
-  EXPECT_EQ(network.stats().uplink_messages, 1u);
-  EXPECT_TRUE(network.stats().tx_bytes_per_object.empty());
+  EXPECT_EQ(network.stats().uplink_bytes, 0u);
 }
 
 TEST(NetworkTest, ObserverSeesEveryTransmission) {
@@ -274,11 +266,9 @@ TEST(NetworkStatsTest, MergeAccumulatesEveryField) {
       std::accumulate(merged.messages_by_type.begin(),
                       merged.messages_by_type.end(), uint64_t{0});
   EXPECT_EQ(by_type, merged.total_messages());
-  // Per-object byte maps merge additively too: object 1 transmitted in `a`
-  // and received in `b`.
-  EXPECT_EQ(merged.tx_bytes_per_object.at(1), a.stats().uplink_bytes);
-  EXPECT_TRUE(merged.rx_bytes_per_object.contains(1));
-  EXPECT_TRUE(merged.rx_bytes_per_object.contains(2));
+  // Reception bytes merge additively too: only `b` delivered anything.
+  EXPECT_GT(b.stats().reception_bytes, 0u);
+  EXPECT_EQ(merged.reception_bytes, b.stats().reception_bytes);
 }
 
 TEST(NetworkTest, AttachedRegistryCountersMatchStats) {

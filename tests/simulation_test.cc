@@ -147,9 +147,7 @@ TEST(SimulationTest, ErrorMeasurementProducesSamples) {
 }
 
 TEST(SimulationTest, PowerMetricRequiresByteTracking) {
-  SimulationConfig config = SmallConfig(SimMode::kMobiEyesEager);
-  config.track_per_object_bytes = true;
-  auto simulation = Simulation::Make(config);
+  auto simulation = Simulation::Make(SmallConfig(SimMode::kMobiEyesEager));
   ASSERT_TRUE(simulation.ok());
   (*simulation)->Run(3);
   net::RadioEnergyModel radio;

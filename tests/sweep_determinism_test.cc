@@ -192,7 +192,7 @@ TEST(SweepDeterminismTest, ObservabilityDoesNotPerturbResults) {
 
 // MobiEyes-only jobs (the sharded server exists only in MobiEyes modes)
 // with the hardened protocol and fault pressure, so the comparison covers
-// dedup rings, leases and reconciliation across shard layouts too.
+// dedup windows, leases and reconciliation across shard layouts too.
 std::vector<SweepJob> ShardedSweep(int num_shards) {
   std::vector<SweepJob> jobs;
   for (SweepJob& job : SmallSweep()) {

@@ -72,7 +72,6 @@ bool WriteFileOrComplain(const std::string& path, const std::string& data) {
 // flag table. Prints the problem and returns false on a bad argument.
 bool ParseArgs(int argc, char** argv, CliOptions* cli) {
   cli->config.measure_error = true;
-  cli->config.track_per_object_bytes = true;
   sim::ObservabilityOptions& obs = cli->config.obs;
   std::vector<std::string> config_flags;
   for (int k = 1; k < argc; ++k) {
@@ -180,11 +179,8 @@ int main(int argc, char** argv) {
   std::printf("broadcast receptions       %llu\n",
               static_cast<unsigned long long>(
                   metrics.network.broadcast_receptions));
-  if (cli.config.track_per_object_bytes) {
-    net::RadioEnergyModel radio;
-    std::printf("per-object comm power      %.4g mW\n",
-                metrics.AveragePowerMilliwatts(radio));
-  }
+  std::printf("per-object comm power      %.4g mW\n",
+              metrics.AveragePowerMilliwatts(net::RadioEnergyModel{}));
   if (cli.config.mode == sim::SimMode::kMobiEyesEager ||
       cli.config.mode == sim::SimMode::kMobiEyesLazy) {
     std::printf("\n-- moving objects --------------------------------------\n");
