@@ -2,11 +2,10 @@
 //
 //  1. What does a simulation step cost with observability fully off? This
 //     must match the pre-obs baseline (the BENCH_parallel_sweep.json
-//     numbers) — the disabled path is a null-pointer test per span and one
-//     bool test per network send.
+//     numbers) — the disabled path is a null-pointer test per span.
 //  2. What does turning metrics / tracing / sampling on cost end to end?
 //  3. What do the primitives cost in isolation (disabled span, enabled
-//     span, counter increment, histogram observe)?
+//     span, histogram observe)?
 //
 // Run with --benchmark_format=json to regenerate BENCH_observability.json.
 
@@ -22,7 +21,6 @@
 
 namespace {
 
-using mobieyes::obs::Counter;
 using mobieyes::obs::ExponentialBounds;
 using mobieyes::obs::Histogram;
 using mobieyes::obs::MetricsRegistry;
@@ -107,18 +105,6 @@ void BM_TraceSpanEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceSpanEnabled);
 
-// A counter bump through a pre-resolved handle (the network send path).
-void BM_CounterIncrement(benchmark::State& state) {
-  MetricsRegistry registry;
-  Counter* counter = registry.GetCounter("micro.counter");
-  for (auto _ : state) {
-    counter->Increment();
-    benchmark::DoNotOptimize(*counter);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CounterIncrement);
-
 // A histogram observation: linear bucket scan over 12 bounds.
 void BM_HistogramObserve(benchmark::State& state) {
   MetricsRegistry registry;
@@ -157,9 +143,8 @@ void BM_LifecycleStampResolve(benchmark::State& state) {
   mobieyes::obs::LifecycleTracker tracker;
   uint64_t key = 0;
   for (auto _ : state) {
-    tracker.Stamp(mobieyes::obs::LifecycleTracker::kUplinkRoundTrip, key);
-    tracker.ResolveIfPending(mobieyes::obs::LifecycleTracker::kUplinkRoundTrip,
-                             key);
+    tracker.Stamp(mobieyes::obs::LifecycleTracker::kUplinkAck, key);
+    tracker.ResolveIfPending(mobieyes::obs::LifecycleTracker::kUplinkAck, key);
     key = (key + 1) & 0xFFFF;
     benchmark::DoNotOptimize(tracker);
   }

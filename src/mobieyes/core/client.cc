@@ -119,8 +119,7 @@ void MobiEyesClient::DropAckRound(uint32_t seq) {
 void MobiEyesClient::TrackUplink(net::Message& message, PendingUplink entry) {
   entry.seq = ++next_seq_;
   entry.retries = 0;
-  entry.retry_at =
-      fleet_->tick(oid_) + fleet_->options().uplink_retry_backoff_ticks;
+  entry.retry_at = fleet_->tick(oid_) + kUplinkRetryBackoffTicks;
   message.seq = entry.seq;
   if (fleet_->lifecycle() != nullptr) {
     fleet_->lifecycle()->Stamp(obs::LifecycleTracker::kUplinkAck,
@@ -164,7 +163,6 @@ net::Message MobiEyesClient::RebuildPending(const PendingUplink& pending) {
 }
 
 void MobiEyesClient::RetryPendingUplinks() {
-  const MobiEyesOptions& options = fleet_->options();
   const int64_t tick = fleet_->tick(oid_);
   // The due entries are named by seq before anything is sent: a
   // retransmission can be acknowledged inside its own send, and that ack
@@ -180,7 +178,7 @@ void MobiEyesClient::RetryPendingUplinks() {
         pending_.begin(), pending_.end(),
         [seq = due[k]](const PendingUplink& p) { return p.seq == seq; });
     if (it == pending_.end()) continue;  // removed since the scan
-    if (it->retries >= options.uplink_max_retries) {
+    if (it->retries >= kUplinkMaxRetries) {
       // Retry budget spent: give up and leave repair to the lease
       // re-broadcast / reconciliation paths.
       DropAckRound(it->seq);
@@ -188,9 +186,7 @@ void MobiEyesClient::RetryPendingUplinks() {
       continue;
     }
     ++it->retries;
-    it->retry_at =
-        tick + (static_cast<int64_t>(options.uplink_retry_backoff_ticks)
-                << it->retries);
+    it->retry_at = tick + (kUplinkRetryBackoffTicks << it->retries);
     net::Message message = RebuildPending(*it);
     message.seq = it->seq;
     fleet_->network().SendUplink(oid_, std::move(message));

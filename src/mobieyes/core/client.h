@@ -67,6 +67,11 @@ class MobiEyesClient {
  private:
   // Tracked uplinks kept awaiting an ack; past this the oldest is dropped.
   static constexpr size_t kMaxPendingUplinks = 16;
+  // Retransmissions of a tracked uplink before it is abandoned, and the
+  // ticks before the first one, doubling after each. The server's
+  // anti-replay window is derived from these three (DESIGN.md §8).
+  static constexpr int kUplinkMaxRetries = 4;
+  static constexpr int64_t kUplinkRetryBackoffTicks = 1;
 
   // One unacknowledged tracked uplink. Retransmissions regenerate the
   // payload from current state (stored here is only what cannot be

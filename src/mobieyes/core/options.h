@@ -49,13 +49,11 @@ struct MobiEyesOptions {
 
   // Correctness-critical uplinks (velocity/cell-change/result reports) carry
   // a sequence number, are acknowledged by the server, and are retransmitted
-  // with exponential backoff until acked or the retry budget is spent.
+  // with exponential backoff until acked or the retry budget is spent (both
+  // fixed: MobiEyesClient::kUplinkMaxRetries, kUplinkRetryBackoffTicks).
   // Retransmissions regenerate their payload from current client state, so
   // a late retry never reintroduces stale data.
   bool enable_reliable_uplink = false;
-  int uplink_max_retries = 4;
-  // Ticks before the first retransmit; doubles after each retry.
-  int uplink_retry_backoff_ticks = 1;
 
   // Soft-state leases: the server periodically re-broadcasts each query's
   // monitoring-region state (QueryUpdateBroadcast + FocalNotification) every

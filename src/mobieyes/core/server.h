@@ -128,10 +128,11 @@ class MobiEyesServer {
   // --- Crash recovery (DESIGN.md §9) ---------------------------------------
 
   // Attaches the durable store. While attached, every uplink reaching
-  // OnUplink is logged write-ahead (before its handler mutates anything), so
-  // checkpoint + WAL always covers the accepted traffic. Pass nullptr to
-  // detach. The store must outlive the server — it is the part of the
-  // mediator that survives a crash.
+  // OnUplink is logged write-ahead (before its handler mutates anything),
+  // and a successful InstallQuery or RemoveQuery checkpoints before it
+  // returns, so checkpoint + WAL always covers the accepted traffic and the
+  // API calls. Pass nullptr to detach. The store must outlive the server —
+  // it is the part of the mediator that survives a crash.
   void set_durable_store(Snapshot* store) { router_.set_durable_store(store); }
   Snapshot* durable_store() const { return router_.durable_store(); }
 

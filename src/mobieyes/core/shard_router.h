@@ -80,6 +80,8 @@ class ShardRouter {
               const net::Bmap& bmap, net::WirelessNetwork& network,
               MobiEyesOptions options);
 
+  // The server API. With a durable store attached, a successful install or
+  // removal checkpoints before it returns (DESIGN.md §9).
   Result<QueryId> InstallQuery(ObjectId focal_oid,
                                const geo::QueryRegion& region,
                                double filter_threshold, Seconds duration);
@@ -154,6 +156,13 @@ class ShardRouter {
   Status Restore(const Snapshot& store, size_t* replayed);
 
  private:
+  // Install and removal without the API's checkpoint: an uplink-driven
+  // install is in the WAL already, and expiry replays from the image's
+  // expires_at.
+  Result<QueryId> AddQuery(ObjectId focal_oid, const geo::QueryRegion& region,
+                           double filter_threshold, Seconds duration);
+  Status EraseQuery(QueryId qid);
+
   void HandleQueryInstallRequest(const net::QueryInstallRequest& request);
   void HandlePositionVelocityReport(const net::PositionVelocityReport& report);
   void HandleVelocityChange(const net::VelocityChangeReport& report);
@@ -220,8 +229,7 @@ class ShardRouter {
   uint64_t stale_uplinks_ = 0;
 
   Snapshot* store_ = nullptr;
-  bool replaying_ = false;    // inside Restore's WAL replay: suppress sends
-  bool dispatching_ = false;  // inside OnUplink: the WAL already has this
+  bool replaying_ = false;  // inside Restore's WAL replay: suppress sends
 
   ShardTransport* transport_ = nullptr;
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "mobieyes/common/ids.h"
-#include "mobieyes/common/status.h"
 #include "mobieyes/net/message.h"
 
 namespace mobieyes::core {
@@ -32,9 +31,6 @@ struct WalRecord {
 // (leases + LQT reconciliation) closes the remaining gap.
 class Snapshot {
  public:
-  static constexpr uint32_t kMagic = 0x4d6f4353;  // "MoCS"
-  static constexpr uint16_t kVersion = 1;
-
   // Serialized server image (empty until the first Server::Checkpoint()).
   std::vector<uint8_t> checkpoint;
   // Uplinks accepted after the checkpoint, in arrival order.
@@ -54,15 +50,6 @@ class Snapshot {
   // Installs a fresh checkpoint image and truncates the WAL (the image
   // already reflects everything the log held).
   void Install(std::vector<uint8_t> image);
-
-  // Serializes the whole store (image + WAL) to one buffer; WAL messages go
-  // through the wire codec (net::MessageCodec), so the durable format and
-  // the wire format cannot drift apart.
-  std::vector<uint8_t> Serialize() const;
-
-  // Parses a buffer produced by Serialize. Returns InvalidArgument on a bad
-  // magic/version, truncation, or any malformed embedded message.
-  static Result<Snapshot> Parse(const std::vector<uint8_t>& buffer);
 };
 
 }  // namespace mobieyes::core

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "mobieyes/obs/metrics_registry.h"
-
 namespace mobieyes::net {
 
 namespace {
@@ -114,15 +112,11 @@ void FaultyNetwork::RecordDrop(Kind kind, const Message& message) {
       break;
   }
   ++stats_.dropped_by_type[static_cast<size_t>(message.type)];
-  if (fault_metrics_.dropped != nullptr) fault_metrics_.dropped->Increment();
 }
 
 void FaultyNetwork::RecordUndeliverable(
     NetworkStats::UndeliverableReason reason) {
   ++stats_.undeliverable_by_reason[static_cast<size_t>(reason)];
-  if (fault_metrics_.dead_endpoint != nullptr) {
-    fault_metrics_.dead_endpoint->Increment();
-  }
 }
 
 bool FaultyNetwork::MaybeDefer(Kind kind, ObjectId party,
@@ -133,9 +127,6 @@ bool FaultyNetwork::MaybeDefer(Kind kind, ObjectId party,
   int64_t delay = 1 + static_cast<int64_t>(rng_.NextUint64(
                           static_cast<uint64_t>(plan_.max_delay_steps)));
   stats_.delayed_messages += static_cast<uint64_t>(copies);
-  if (fault_metrics_.delayed != nullptr) {
-    fault_metrics_.delayed->Increment(static_cast<uint64_t>(copies));
-  }
   for (int k = 0; k < copies; ++k) {
     Deferred entry;
     entry.due_step = step_ + delay;
@@ -173,9 +164,6 @@ void FaultyNetwork::SendUplink(ObjectId from, Message message) {
       rng_.NextBernoulli(plan_.duplicate_rate)) {
     copies = 2;
     ++stats_.duplicated_messages;
-    if (fault_metrics_.duplicated != nullptr) {
-      fault_metrics_.duplicated->Increment();
-    }
   }
   if (MaybeDefer(Kind::kUplink, from, nullptr, message, copies)) return;
   for (int k = 1; k < copies; ++k) {
@@ -204,9 +192,6 @@ bool FaultyNetwork::SendDownlinkTo(ObjectId to, Message message) {
       rng_.NextBernoulli(plan_.duplicate_rate)) {
     copies = 2;
     ++stats_.duplicated_messages;
-    if (fault_metrics_.duplicated != nullptr) {
-      fault_metrics_.duplicated->Increment();
-    }
   }
   if (MaybeDefer(Kind::kDownlink, to, nullptr, message, copies)) {
     return true;  // transmitted; delivery is in flight
@@ -237,9 +222,6 @@ void FaultyNetwork::Broadcast(const BaseStation& station,
       rng_.NextBernoulli(plan_.duplicate_rate)) {
     copies = 2;
     ++stats_.duplicated_messages;
-    if (fault_metrics_.duplicated != nullptr) {
-      fault_metrics_.duplicated->Increment();
-    }
   }
   if (MaybeDefer(Kind::kBroadcast, kInvalidObjectId, &station, message,
                  copies)) {
@@ -288,9 +270,6 @@ void FaultyNetwork::AccountDisconnectTransitions(int64_t step) {
     const auto oid = static_cast<ObjectId>(k);
     if (IsDisconnected(oid, step) && !IsDisconnected(oid, step - 1)) {
       ++stats_.disconnect_events;
-      if (fault_metrics_.disconnects != nullptr) {
-        fault_metrics_.disconnects->Increment();
-      }
     }
   }
 }
@@ -316,20 +295,6 @@ void FaultyNetwork::AdvanceStep(int64_t step) {
       deferred_.push_back(std::move(entry));
     }
   }
-}
-
-void FaultyNetwork::AttachMetrics(obs::MetricsRegistry* registry) {
-  WirelessNetwork::AttachMetrics(registry);
-  if (registry == nullptr) {
-    fault_metrics_ = FaultMetrics{};
-    return;
-  }
-  fault_metrics_.dropped = registry->GetCounter("net.fault.dropped");
-  fault_metrics_.delayed = registry->GetCounter("net.fault.delayed");
-  fault_metrics_.duplicated = registry->GetCounter("net.fault.duplicated");
-  fault_metrics_.disconnects = registry->GetCounter("net.fault.disconnects");
-  fault_metrics_.dead_endpoint =
-      registry->GetCounter("net.fault.dead_endpoint");
 }
 
 }  // namespace mobieyes::net

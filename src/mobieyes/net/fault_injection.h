@@ -104,8 +104,8 @@ struct FaultPlan {
 // WirelessNetwork that injects the faults described by a FaultPlan between
 // senders and receivers: drops, bounded delays, duplicates, base-station
 // outages and object disconnects. Every fault outcome is recorded in
-// NetworkStats (and, when attached, the metrics registry), so accuracy
-// degradation can always be correlated with the loss that caused it.
+// NetworkStats, so accuracy degradation can always be correlated with the
+// loss that caused it.
 //
 // The simulation clock drives the wrapper through AdvanceStep: messages
 // sent before the first AdvanceStep call (query installation during setup)
@@ -151,9 +151,6 @@ class FaultyNetwork : public WirelessNetwork {
   bool SendDownlinkTo(ObjectId to, Message message) override;
   void Broadcast(const BaseStation& station, const Message& message) override;
 
-  // Registers the base instruments plus fault counters ("net.fault.*").
-  void AttachMetrics(obs::MetricsRegistry* registry) override;
-
  private:
   enum class Kind { kUplink, kDownlink, kBroadcast };
 
@@ -180,15 +177,6 @@ class FaultyNetwork : public WirelessNetwork {
   int64_t step_ = -1;  // faults apply once AdvanceStep has run
   bool server_down_ = false;
   std::deque<Deferred> deferred_;
-
-  struct FaultMetrics {
-    obs::Counter* dropped = nullptr;
-    obs::Counter* delayed = nullptr;
-    obs::Counter* duplicated = nullptr;
-    obs::Counter* disconnects = nullptr;
-    obs::Counter* dead_endpoint = nullptr;
-  };
-  FaultMetrics fault_metrics_;
 };
 
 }  // namespace mobieyes::net

@@ -1,8 +1,5 @@
 #include "mobieyes/net/network.h"
 
-#include "mobieyes/obs/lifecycle.h"
-#include "mobieyes/obs/metrics_registry.h"
-
 namespace mobieyes::net {
 
 NetworkStats& NetworkStats::operator+=(const NetworkStats& other) {
@@ -25,6 +22,7 @@ NetworkStats& NetworkStats::operator+=(const NetworkStats& other) {
   inter_shard_handoffs += other.inter_shard_handoffs;
   for (size_t k = 0; k < kNumMessageTypes; ++k) {
     messages_by_type[k] += other.messages_by_type[k];
+    bytes_by_type[k] += other.bytes_by_type[k];
     dropped_by_type[k] += other.dropped_by_type[k];
   }
   reception_bytes += other.reception_bytes;
@@ -36,29 +34,6 @@ void WirelessNetwork::RegisterClient(ObjectId oid, ClientHandler handler) {
   const auto k = static_cast<size_t>(oid);
   if (k >= clients_.size()) clients_.resize(k + 1);
   clients_[k] = std::move(handler);
-}
-
-void WirelessNetwork::AttachMetrics(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    metrics_ = WireMetrics{};
-    metrics_attached_ = false;
-    return;
-  }
-  static constexpr const char* kDirectionNames[3] = {"uplink", "downlink",
-                                                     "broadcast"};
-  for (size_t d = 0; d < 3; ++d) {
-    for (size_t t = 0; t < kNumMessageTypes; ++t) {
-      metrics_.msgs[d][t] = registry->GetCounter(
-          std::string("net.msgs.") + kDirectionNames[d] + "." +
-          MessageTypeName(static_cast<MessageType>(t)));
-    }
-  }
-  metrics_.bytes = registry->GetHistogram(
-      "net.message_bytes", obs::ExponentialBounds(32.0, 2.0, 12));
-  metrics_.broadcast_receptions =
-      registry->GetCounter("net.broadcast_receptions");
-  metrics_.undeliverable = registry->GetCounter("net.undeliverable_downlinks");
-  metrics_attached_ = true;
 }
 
 std::string NetworkStatsJson(const NetworkStats& stats) {
@@ -88,17 +63,21 @@ std::string NetworkStatsJson(const NetworkStats& stats) {
   json += field("no_handler", reason(Reason::kNoHandler)) + ", ";
   json += field("receiver_disconnected",
                 reason(Reason::kReceiverDisconnected)) + ", ";
-  json += field("server_down", reason(Reason::kServerDown));
-  json += "}}";
+  json += field("server_down", reason(Reason::kServerDown)) + "}";
+  auto by_type = [&](const char* name,
+                     const std::array<uint64_t, kNumMessageTypes>& counts) {
+    json += ", \"" + std::string(name) + "\": {";
+    for (size_t t = 0; t < kNumMessageTypes; ++t) {
+      if (t > 0) json += ", ";
+      json += field(MessageTypeName(static_cast<MessageType>(t)), counts[t]);
+    }
+    json += "}";
+  };
+  by_type("messages_by_type", stats.messages_by_type);
+  by_type("bytes_by_type", stats.bytes_by_type);
+  by_type("dropped_by_type", stats.dropped_by_type);
+  json += "}";
   return json;
-}
-
-void WirelessNetwork::RecordMetrics(Direction direction,
-                                    const Message& message, size_t bytes) {
-  metrics_.msgs[static_cast<size_t>(direction)]
-              [static_cast<size_t>(message.type)]
-                  ->Increment();
-  metrics_.bytes->Observe(static_cast<double>(bytes));
 }
 
 void WirelessNetwork::SendUplink(ObjectId from, Message message) {
@@ -107,13 +86,7 @@ void WirelessNetwork::SendUplink(ObjectId from, Message message) {
   ++stats_.uplink_messages;
   stats_.uplink_bytes += bytes;
   ++stats_.messages_by_type[static_cast<size_t>(message.type)];
-  if (metrics_attached_) RecordMetrics(Direction::kUplink, message, bytes);
-  if (lifecycle_ != nullptr) {
-    // A retry while the round is open keeps the original stamp (counted as
-    // a restamp), so the measured round trip starts at the first attempt
-    // that reached the medium.
-    lifecycle_->Stamp(obs::LifecycleTracker::kUplinkRoundTrip, from);
-  }
+  stats_.bytes_by_type[static_cast<size_t>(message.type)] += bytes;
   if (server_handler_) server_handler_(from, message);
 }
 
@@ -123,12 +96,7 @@ bool WirelessNetwork::SendDownlinkTo(ObjectId to, Message message) {
   ++stats_.downlink_messages;
   stats_.downlink_bytes += bytes;
   ++stats_.messages_by_type[static_cast<size_t>(message.type)];
-  if (metrics_attached_) RecordMetrics(Direction::kDownlink, message, bytes);
-  if (lifecycle_ != nullptr) {
-    // The server addressing the object closes its open uplink round; a
-    // downlink with no open round is a no-op here, not an error.
-    lifecycle_->ResolveIfPending(obs::LifecycleTracker::kUplinkRoundTrip, to);
-  }
+  stats_.bytes_by_type[static_cast<size_t>(message.type)] += bytes;
   stats_.reception_bytes += bytes;
   if (!HasClient(to)) {
     // The transmission happened (counted above) but nobody decodes it: an
@@ -136,7 +104,6 @@ bool WirelessNetwork::SendDownlinkTo(ObjectId to, Message message) {
     ++stats_.undeliverable_downlinks;
     ++stats_.undeliverable_by_reason[static_cast<size_t>(
         NetworkStats::UndeliverableReason::kNoHandler)];
-    if (metrics_attached_) metrics_.undeliverable->Increment();
     return false;
   }
   clients_[static_cast<size_t>(to)](message);
@@ -151,7 +118,7 @@ void WirelessNetwork::Broadcast(const BaseStation& station,
   ++stats_.broadcast_messages;
   stats_.downlink_bytes += bytes;
   ++stats_.messages_by_type[static_cast<size_t>(message.type)];
-  if (metrics_attached_) RecordMetrics(Direction::kBroadcast, message, bytes);
+  stats_.bytes_by_type[static_cast<size_t>(message.type)] += bytes;
   if (!coverage_query_) return;
   // Collect receivers first: handlers may re-enter the network (e.g. an
   // object replying with an uplink), and must not observe a partially
@@ -164,9 +131,6 @@ void WirelessNetwork::Broadcast(const BaseStation& station,
   coverage_query_(station.coverage,
                   [&receivers](ObjectId oid) { receivers.push_back(oid); });
   stats_.broadcast_receptions += receivers.size();
-  if (metrics_attached_) {
-    metrics_.broadcast_receptions->Increment(receivers.size());
-  }
   stats_.reception_bytes += bytes * receivers.size();
   if (broadcast_receiver_ != nullptr) {
     broadcast_receiver_->OnBroadcast(message, receivers);

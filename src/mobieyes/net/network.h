@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "mobieyes/common/ids.h"
@@ -13,18 +13,12 @@
 #include "mobieyes/net/base_station.h"
 #include "mobieyes/net/message.h"
 
-namespace mobieyes::obs {
-class MetricsRegistry;
-class Counter;
-class Histogram;
-class LifecycleTracker;
-}  // namespace mobieyes::obs
-
 namespace mobieyes::net {
 
-// Aggregate traffic statistics for one simulation run. "Messages sent on
-// the wireless medium" counts one per uplink transmission, one per
-// one-to-one downlink, and one per base-station broadcast (paper §5.3).
+// Aggregate traffic statistics for one simulation run: the one record of
+// what crossed the medium. "Messages sent on the wireless medium" counts one
+// per uplink transmission, one per one-to-one downlink, and one per
+// base-station broadcast (paper §5.3).
 struct NetworkStats {
   uint64_t uplink_messages = 0;
   uint64_t downlink_messages = 0;
@@ -73,6 +67,11 @@ struct NetworkStats {
   // this array always equals total_messages().
   std::array<uint64_t, kNumMessageTypes> messages_by_type{};
 
+  // Bytes of those transmissions by MessageType, charged once per
+  // transmission like uplink_bytes and downlink_bytes; summing this array
+  // always equals uplink_bytes + downlink_bytes.
+  std::array<uint64_t, kNumMessageTypes> bytes_by_type{};
+
   // Fault-dropped messages by MessageType (all directions).
   std::array<uint64_t, kNumMessageTypes> dropped_by_type{};
 
@@ -103,7 +102,8 @@ struct NetworkStats {
 };
 
 // Compact JSON object of the counting (wall-clock-free) NetworkStats fields,
-// embedded in Simulation::ObservabilityJson. Deterministic for a given seed.
+// embedded in Simulation::ObservabilityJson; the per-type arrays are objects
+// keyed by MessageTypeName. Deterministic for a given seed.
 std::string NetworkStatsJson(const NetworkStats& stats);
 
 // Direction of a transmission on the medium, as seen by the observer tap.
@@ -111,28 +111,6 @@ enum class Direction {
   kUplink,      // object -> server
   kDownlink,    // server -> one object
   kBroadcast,   // server -> base station coverage area
-};
-
-// Per-message-type traffic counters; fill via WirelessNetwork's observer to
-// analyze which protocol messages dominate a workload.
-struct MessageHistogram {
-  struct Row {
-    uint64_t messages = 0;
-    uint64_t bytes = 0;
-  };
-  std::unordered_map<MessageType, Row> rows;
-
-  void Record(const Message& message) {
-    Row& row = rows[message.type];
-    ++row.messages;
-    row.bytes += WireSizeBytes(message);
-  }
-
-  uint64_t TotalMessages() const {
-    uint64_t total = 0;
-    for (const auto& [type, row] : rows) total += row.messages;
-    return total;
-  }
 };
 
 // Receives every broadcast once, with the whole list of objects it reached
@@ -194,7 +172,7 @@ class WirelessNetwork {
   // Observer tap: invoked once per transmission on the medium (before
   // delivery), with the direction and the party addressed (the sender for
   // uplinks, the recipient for one-to-one downlinks, the base station id
-  // for broadcasts). Used for tracing and per-type histograms.
+  // for broadcasts). Used for tracing and per-object accounting.
   using Observer =
       std::function<void(Direction, int64_t party, const Message&)>;
   void set_observer(Observer observer) { observer_ = std::move(observer); }
@@ -216,34 +194,7 @@ class WirelessNetwork {
   const NetworkStats& stats() const { return stats_; }
   void ResetStats() { stats_ = NetworkStats{}; }
 
-  // Registers per-direction × per-MessageType counters and a message-bytes
-  // histogram in `registry` (names "net.msgs.<direction>.<Type>",
-  // "net.message_bytes") and records every delivery into them. Handles are
-  // resolved once here, so the per-send cost is two pointer increments.
-  // Pass nullptr to detach. The registry must outlive the network.
-  virtual void AttachMetrics(obs::MetricsRegistry* registry);
-
-  // Lifecycle round-trip tap: each uplink transmission stamps an
-  // uplink_round_trip round for the sender; the next one-to-one downlink
-  // addressed to that object resolves it. nullptr (the default) disables
-  // the tap at the cost of one pointer test per send. The tracker must
-  // outlive the network.
-  void set_lifecycle(obs::LifecycleTracker* lifecycle) {
-    lifecycle_ = lifecycle;
-  }
-
  protected:
-  // Pre-resolved registry handles, indexed [direction][type].
-  struct WireMetrics {
-    std::array<std::array<obs::Counter*, kNumMessageTypes>, 3> msgs{};
-    obs::Histogram* bytes = nullptr;
-    obs::Counter* broadcast_receptions = nullptr;
-    obs::Counter* undeliverable = nullptr;
-  };
-
-  void RecordMetrics(Direction direction, const Message& message,
-                     size_t bytes);
-
   ServerHandler server_handler_;
   // One-to-one downlink handlers indexed by oid; an empty slot is an
   // unregistered object.
@@ -252,9 +203,6 @@ class WirelessNetwork {
   CoverageQuery coverage_query_;
   Observer observer_;
   NetworkStats stats_;
-  WireMetrics metrics_;
-  bool metrics_attached_ = false;
-  obs::LifecycleTracker* lifecycle_ = nullptr;
 
   // Receiver scratch for Broadcast, pooled by nesting depth: a receiver's
   // handler may uplink a reply whose server-side processing triggers a

@@ -4,8 +4,6 @@ namespace mobieyes::obs {
 
 const char* LifecycleTracker::KindName(Kind kind) {
   switch (kind) {
-    case kUplinkRoundTrip:
-      return "uplink_round_trip";
     case kUplinkAck:
       return "uplink_ack";
     case kInstallFirstResult:

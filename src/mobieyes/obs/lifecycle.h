@@ -32,12 +32,11 @@ namespace mobieyes::obs {
 class LifecycleTracker {
  public:
   enum Kind {
-    kUplinkRoundTrip = 0,  // net uplink sent -> next downlink to the sender
-    kUplinkAck,            // hardened client uplink -> matching server ack
-    kInstallFirstResult,   // query installed -> first object enters result
-    kCrashRestore,         // server crash -> checkpoint+WAL restore done
-    kCrashReconverge,      // server crash -> accuracy back above threshold
-    kBackplaneRpc,         // backplane frame sent -> ack (drop on timeout)
+    kUplinkAck = 0,       // hardened client uplink -> matching server ack
+    kInstallFirstResult,  // query installed -> first object enters result
+    kCrashRestore,        // server crash -> checkpoint+WAL restore done
+    kCrashReconverge,     // server crash -> accuracy back above threshold
+    kBackplaneRpc,        // backplane frame sent -> ack (drop on timeout)
     kNumKinds,
   };
 

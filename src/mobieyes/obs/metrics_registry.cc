@@ -64,13 +64,6 @@ std::vector<double> ExponentialBounds(double base, double growth, int count) {
   return bounds;
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& entry = counters_[name];
-  if (!entry.instrument) entry.instrument = std::make_unique<Counter>();
-  return entry.instrument.get();
-}
-
 Gauge* MetricsRegistry::GetGauge(const std::string& name, bool timing) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& entry = gauges_[name];
@@ -95,23 +88,14 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
 
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, entry] : counters_) entry.instrument->Reset();
   for (auto& [name, entry] : gauges_) entry.instrument->Reset();
   for (auto& [name, entry] : histograms_) entry.instrument->Reset();
 }
 
 std::string MetricsRegistry::ToJson(bool include_timing) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string json = "{\"counters\": {";
+  std::string json = "{\"gauges\": {";
   bool first = true;
-  for (const auto& [name, entry] : counters_) {
-    if (!first) json += ", ";
-    first = false;
-    AppendKey(&json, name);
-    json += std::to_string(entry.instrument->value());
-  }
-  json += "}, \"gauges\": {";
-  first = true;
   for (const auto& [name, entry] : gauges_) {
     if (entry.timing && !include_timing) continue;
     if (!first) json += ", ";

@@ -13,10 +13,9 @@ namespace mobieyes::obs {
 // Named instruments for the simulation hot paths. The design splits the two
 // concerns that usually make metrics expensive:
 //
-//  * Updates are plain (non-atomic) integer/double writes through a handle
-//    resolved once at wiring time. A simulation cell is single-threaded, so
-//    the owning thread mutates its registry's instruments without any
-//    synchronization — an increment is one add on a cached pointer.
+//  * Updates are plain (non-atomic) writes through a handle resolved once at
+//    wiring time. A simulation cell is single-threaded, so the owning thread
+//    mutates its registry's instruments without any synchronization.
 //  * Registration and snapshotting are mutex-guarded, so a registry can be
 //    built from several components and read back after the owning thread
 //    quiesced (the parallel sweep reads each cell's registry only after the
@@ -26,17 +25,9 @@ namespace mobieyes::obs {
 // of per-step processing time). Deterministic exports (the sweep harness,
 // the determinism tests) exclude them so two runs of the same seed produce
 // byte-identical output regardless of host speed or thread count.
-
-// Monotonic event count.
-class Counter {
- public:
-  void Increment(uint64_t n = 1) { value_ += n; }
-  uint64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
-
- private:
-  uint64_t value_ = 0;
-};
+//
+// The registry holds no counters: what crossed the medium is counted once,
+// in net::NetworkStats, and the other run totals live in sim::RunMetrics.
 
 // Last-write-wins instantaneous value.
 class Gauge {
@@ -85,7 +76,6 @@ class MetricsRegistry {
   // lifetime. `timing` marks wall-clock-derived instruments, excluded from
   // deterministic exports. Re-registering an existing name returns the
   // existing instrument (the first registration's bounds/flag win).
-  Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name, bool timing = false);
   Histogram* GetHistogram(const std::string& name, std::vector<double> bounds,
                           bool timing = false);
@@ -95,7 +85,7 @@ class MetricsRegistry {
   void Reset();
 
   // Deterministically ordered (name-sorted) JSON object:
-  //   {"counters": {...}, "gauges": {...}, "histograms": {name:
+  //   {"gauges": {...}, "histograms": {name:
   //    {"bounds": [...], "counts": [...], "count": n, "sum": s}}}
   // With include_timing=false, timing-flagged instruments are omitted, so
   // the output depends only on the simulation seed.
@@ -109,7 +99,6 @@ class MetricsRegistry {
   };
 
   mutable std::mutex mu_;
-  std::map<std::string, Entry<Counter>> counters_;
   std::map<std::string, Entry<Gauge>> gauges_;
   std::map<std::string, Entry<Histogram>> histograms_;
 };

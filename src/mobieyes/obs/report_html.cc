@@ -234,19 +234,38 @@ std::string Sparkline(const std::vector<double>& values) {
   return svg;
 }
 
-void RenderCountersAndGauges(const JsonValue& metrics, std::string* html) {
-  for (const char* group : {"counters", "gauges"}) {
-    const JsonValue& table = metrics.At(group);
-    if (table.object.empty()) continue;
-    *html += "<details open><summary>" + std::string(group) + " (" +
-             std::to_string(table.object.size()) +
-             ")</summary><table><tr><th>name</th><th>value</th></tr>";
-    for (const auto& [name, value] : table.object) {
-      *html += "<tr><td>" + HtmlEscape(name) + "</td><td class=\"num\">" +
-               FormatNumber(value.number) + "</td></tr>";
-    }
-    *html += "</table></details>";
+// Messages, bytes and drops per message type, from the network section;
+// types with nothing sent or dropped are left out.
+void RenderTraffic(const JsonValue& network, std::string* html) {
+  const JsonValue& messages = network.At("messages_by_type");
+  if (messages.object.empty()) return;
+  const JsonValue& bytes = network.At("bytes_by_type");
+  const JsonValue& dropped = network.At("dropped_by_type");
+  *html += "<details open><summary>wireless traffic by message type"
+           "</summary><table><tr><th>type</th><th>messages</th>"
+           "<th>bytes</th><th>dropped</th></tr>";
+  for (const auto& [name, count] : messages.object) {
+    const double lost = dropped.At(name).number;
+    if (count.number == 0 && lost == 0) continue;
+    *html += "<tr><td>" + HtmlEscape(name) + "</td><td class=\"num\">" +
+             FormatNumber(count.number) + "</td><td class=\"num\">" +
+             FormatNumber(bytes.At(name).number) +
+             "</td><td class=\"num\">" + FormatNumber(lost) + "</td></tr>";
   }
+  *html += "</table></details>";
+}
+
+void RenderGauges(const JsonValue& metrics, std::string* html) {
+  const JsonValue& gauges = metrics.At("gauges");
+  if (gauges.object.empty()) return;
+  *html += "<details open><summary>gauges (" +
+           std::to_string(gauges.object.size()) +
+           ")</summary><table><tr><th>name</th><th>value</th></tr>";
+  for (const auto& [name, value] : gauges.object) {
+    *html += "<tr><td>" + HtmlEscape(name) + "</td><td class=\"num\">" +
+             FormatNumber(value.number) + "</td></tr>";
+  }
+  *html += "</table></details>";
 }
 
 void RenderHistograms(const JsonValue& metrics, std::string* html) {
@@ -377,7 +396,8 @@ void RenderReport(const JsonValue& report, const std::string& label,
              FormatNumber(report.At("steps").number) +
              " measured steps.</p>";
   }
-  RenderCountersAndGauges(report.At("metrics"), html);
+  RenderTraffic(report.At("network"), html);
+  RenderGauges(report.At("metrics"), html);
   RenderHistograms(report.At("metrics"), html);
   RenderSeries(report.At("series"), html);
   RenderHeatmap(report.At("heatmap"), html);

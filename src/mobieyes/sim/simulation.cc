@@ -29,6 +29,10 @@ bool IsMobiEyesMode(SimMode mode) {
   return mode == SimMode::kMobiEyesEager || mode == SimMode::kMobiEyesLazy;
 }
 
+// Rows the step sampler's ring keeps, and the heat map's per-window decay.
+constexpr size_t kSampleCapacity = 4096;
+constexpr double kHeatmapDecay = 0.5;
+
 }  // namespace
 
 Simulation::Simulation(SimulationConfig config)
@@ -70,8 +74,6 @@ Status Simulation::Setup() {
   } else {
     network_ = std::make_unique<net::WirelessNetwork>();
   }
-  if (registry_) network_->AttachMetrics(registry_.get());
-  if (lifecycle_) network_->set_lifecycle(lifecycle_.get());
   network_->set_coverage_query(
       [this](const geo::Circle& circle,
              const std::function<void(ObjectId)>& fn) {
@@ -246,7 +248,7 @@ void Simulation::SetupObservability() {
             {"server_us", true},
             {"client_us", true},
         },
-        obs.sample_stride, obs.sample_capacity);
+        obs.sample_stride, kSampleCapacity);
   }
 }
 
@@ -322,7 +324,7 @@ void Simulation::RollHeatmapWindow() {
                         count);
     }
   }
-  heatmap_->RollWindow(config_.obs.heatmap_decay);
+  heatmap_->RollWindow(kHeatmapDecay);
   heatmap_pending_steps_ = 0;
 }
 

@@ -49,27 +49,25 @@ const char* SimModeName(SimMode mode);
 // instruments; with every toggle off (the default), the only per-step cost
 // is a handful of null-pointer tests.
 struct ObservabilityOptions {
-  // Per-MessageType/per-direction counters, byte/LQT-size histograms, and
-  // per-step server/client processing-time histograms in a MetricsRegistry.
+  // The LQT-size histogram and per-step server/client processing-time
+  // histograms in a MetricsRegistry. Traffic by message type is always
+  // counted, in net::NetworkStats.
   bool enable_metrics = false;
   // Chrome-trace scoped spans (server handlers, client LQT evaluation,
   // world step, oracle evaluation). The trace covers setup and warmup too,
   // so installation storms stay visible.
   bool enable_trace = false;
   // Record a per-step sample every `sample_stride` measured steps into a
-  // ring buffer of `sample_capacity` rows; 0 disables the sampler.
+  // ring buffer of the most recent 4096 rows; 0 disables the sampler.
   int sample_stride = 0;
-  size_t sample_capacity = 4096;
   // Per-grid-cell heat map (uplinks, RQI scan work, installs, object
   // residency; MobiEyes modes only). Every heatmap_window steps the window
-  // is folded into an exponentially decayed view with factor heatmap_decay.
+  // is folded into an exponentially decayed view with factor 0.5.
   bool enable_heatmap = false;
   int heatmap_window = 16;
-  double heatmap_decay = 0.5;
-  // Virtual-step protocol-round latencies (uplink round trips, client ack
-  // rounds, install->first-result, crash recovery), measured on
-  // the simulation's step clock — no wall time, so exports stay
-  // deterministic.
+  // Virtual-step protocol-round latencies (client ack rounds,
+  // install->first-result, crash recovery), measured on the simulation's
+  // step clock — no wall time, so exports stay deterministic.
   bool enable_lifecycle = false;
 
   bool any_enabled() const {
@@ -192,8 +190,7 @@ class Simulation {
   obs::MetricsRegistry* metrics_registry() { return registry_.get(); }
   obs::TraceRecorder* trace_recorder() { return trace_.get(); }
   obs::StepSampler* step_sampler() { return sampler_.get(); }
-  // The heat map and the lifecycle tracker, shared by network, clients and
-  // server.
+  // The heat map and the lifecycle tracker, shared by clients and server.
   obs::HeatMap* heatmap() { return heatmap_.get(); }
   const obs::HeatMap* heatmap() const { return heatmap_.get(); }
   // Close a partially filled heat-map window: take the residency snapshot
@@ -293,8 +290,7 @@ class Simulation {
   std::unique_ptr<obs::TraceRecorder> trace_;
   std::unique_ptr<obs::StepSampler> sampler_;
   // Heat map (created once the grid exists; the server charges it through
-  // a pointer) and the lifecycle tracker shared by network, clients and
-  // server.
+  // a pointer) and the lifecycle tracker shared by clients and server.
   std::unique_ptr<obs::HeatMap> heatmap_;
   int64_t heatmap_pending_steps_ = 0;  // steps counted since the last roll
   std::unique_ptr<obs::LifecycleTracker> lifecycle_;

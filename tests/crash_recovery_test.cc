@@ -58,96 +58,6 @@ TEST(SnapshotTest, WalDropsNewestRecordsAtCapacity) {
   EXPECT_EQ(store.checkpoint.size(), 2u);
 }
 
-TEST(SnapshotTest, SerializeParseRoundTrip) {
-  core::Snapshot store;
-  store.wal_limit = 7;
-  store.checkpoint = {1, 2, 3, 4, 5};
-  store.Append(3, VelocityMessage(3, 0.25, 42));
-  net::CellChangeReport cell;
-  cell.oid = 9;
-  cell.prev_cell = {1, 2};
-  cell.new_cell = {2, 2};
-  store.Append(9, net::MakeMessage(cell));
-  store.wal_dropped = 11;
-
-  auto parsed = core::Snapshot::Parse(store.Serialize());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->checkpoint, store.checkpoint);
-  EXPECT_EQ(parsed->wal_limit, 7u);
-  EXPECT_EQ(parsed->wal_dropped, 11u);
-  ASSERT_EQ(parsed->wal.size(), 2u);
-  EXPECT_EQ(parsed->wal[0].from, 3);
-  // The envelope seq is not part of the wire body; the store must carry it
-  // explicitly or replay would bypass the server's dedup path.
-  EXPECT_EQ(parsed->wal[0].message.seq, 42u);
-  const auto& report =
-      std::get<net::VelocityChangeReport>(parsed->wal[0].message.payload);
-  EXPECT_EQ(report.oid, 3);
-  EXPECT_DOUBLE_EQ(report.state.vel.x, 0.25);
-  EXPECT_EQ(parsed->wal[1].from, 9);
-  EXPECT_EQ(parsed->wal[1].message.type, net::MessageType::kCellChangeReport);
-}
-
-TEST(SnapshotTest, ParseRejectsEveryTruncation) {
-  core::Snapshot store;
-  store.checkpoint = {9, 8, 7};
-  store.Append(2, VelocityMessage(2, 0.5, 7));
-  std::vector<uint8_t> buffer = store.Serialize();
-  for (size_t len = 0; len < buffer.size(); ++len) {
-    std::vector<uint8_t> truncated(buffer.begin(), buffer.begin() + len);
-    auto parsed = core::Snapshot::Parse(truncated);
-    EXPECT_FALSE(parsed.ok()) << "accepted truncation to " << len << " bytes";
-  }
-}
-
-TEST(SnapshotTest, ParseRejectsBadMagicVersionAndTrailingBytes) {
-  core::Snapshot store;
-  store.checkpoint = {1};
-  std::vector<uint8_t> buffer = store.Serialize();
-
-  std::vector<uint8_t> bad_magic = buffer;
-  bad_magic[0] ^= 0xFF;
-  EXPECT_FALSE(core::Snapshot::Parse(bad_magic).ok());
-
-  std::vector<uint8_t> bad_version = buffer;
-  bad_version[4] ^= 0xFF;
-  EXPECT_FALSE(core::Snapshot::Parse(bad_version).ok());
-
-  std::vector<uint8_t> trailing = buffer;
-  trailing.push_back(0);
-  EXPECT_FALSE(core::Snapshot::Parse(trailing).ok());
-}
-
-// A crash while the store file itself was being written leaves a
-// zero-length or header-truncated buffer. Each short-read mode must come
-// back as its own InvalidArgument — not a misleading "bad magic" from
-// zero-filled reads, and never a crash.
-TEST(SnapshotTest, ParseRejectsZeroLengthStore) {
-  auto parsed = core::Snapshot::Parse({});
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(parsed.status().message().find("empty store"),
-            std::string::npos)
-      << parsed.status().ToString();
-}
-
-TEST(SnapshotTest, ParseRejectsStoreTruncatedAtHeader) {
-  core::Snapshot store;
-  store.checkpoint = {1, 2, 3};
-  std::vector<uint8_t> buffer = store.Serialize();
-  // Every prefix strictly inside the fixed header (magic, version,
-  // reserved, image size = 16 bytes).
-  for (size_t len = 1; len < 16; ++len) {
-    std::vector<uint8_t> truncated(buffer.begin(), buffer.begin() + len);
-    auto parsed = core::Snapshot::Parse(truncated);
-    ASSERT_FALSE(parsed.ok()) << "accepted " << len << "-byte header";
-    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(parsed.status().message().find("truncated at header"),
-              std::string::npos)
-        << parsed.status().ToString();
-  }
-}
-
 // --- Server checkpoint / restore -------------------------------------------
 
 core::MobiEyesOptions HardenedTestOptions() {
@@ -414,6 +324,202 @@ TEST(ServerRestoreTest, RestoreRejectsCellsOutsideTheGrid) {
   }
 }
 
+// A checkpoint image holding exactly these FOT and SQT rows and no dedup
+// windows, laid out as ShardRouter::EncodeImage writes one.
+struct ImageRows {
+  Seconds now = 0.0;
+  QueryId next_qid = 0;
+  std::vector<std::pair<ObjectId, core::FotEntry>> fot;
+  std::vector<core::SqtEntry> sqt;
+};
+
+std::vector<uint8_t> EncodeRows(const ImageRows& rows) {
+  std::vector<uint8_t> image;
+  net::ByteWriter w(&image);
+  w.U32(0x4d6f4349);  // "MoCI"
+  w.U16(2);
+  w.U16(0);
+  w.F64(rows.now);
+  w.I64(rows.next_qid);
+  w.U32(static_cast<uint32_t>(rows.fot.size()));
+  for (const auto& [oid, focal] : rows.fot) {
+    w.I64(oid);
+    w.State(focal.state);
+    w.F64(focal.max_speed);
+    w.Cell(focal.cell);
+    w.U32(static_cast<uint32_t>(focal.queries.size()));
+    for (QueryId qid : focal.queries) w.I64(qid);
+  }
+  w.U32(static_cast<uint32_t>(rows.sqt.size()));
+  for (const core::SqtEntry& query : rows.sqt) {
+    w.I64(query.qid);
+    w.I64(query.focal_oid);
+    w.Region(query.region);
+    w.F64(query.filter_threshold);
+    w.Cell(query.curr_cell);
+    w.Range(query.mon_region);
+    w.F64(query.expires_at);
+    w.F64(query.lease_renew_at);
+    std::vector<ObjectId> result(query.result.begin(), query.result.end());
+    std::sort(result.begin(), result.end());
+    w.U32(static_cast<uint32_t>(result.size()));
+    for (ObjectId oid : result) w.I64(oid);
+  }
+  w.U32(0);  // dedup windows
+  return image;
+}
+
+// The FOT and the SQT name each other: a FOT row lists the queries bound to
+// its object, and a query names its focal object. An image where they
+// disagree would make a later handler look up a row that is not there, or
+// hand out a query id twice, so Restore refuses it before any RQI row is
+// added and leaves the server as it was.
+TEST(ServerRestoreTest, RestoreRejectsImagesWhoseFotAndSqtDisagree) {
+  std::vector<test::ObjectSpec> specs;
+  for (int k = 0; k < 6; ++k) {
+    specs.push_back(test::ObjectSpec({10.0 + 12.0 * k, 55.0}));
+  }
+  const core::MobiEyesOptions options;  // no tracked uplinks, no windows
+  test::MiniDeployment d(specs, options);
+  core::Snapshot store;
+  d.server().set_durable_store(&store);
+  ASSERT_TRUE(d.server().InstallQuery(1, 14.0, 0.5).ok());
+  ASSERT_TRUE(d.server().InstallQuery(1, 8.0, 0.5).ok());
+  ASSERT_TRUE(d.server().InstallQuery(3, 10.0, 0.5).ok());
+  d.TickN(2);
+  d.server().Checkpoint();
+
+  ImageRows live;
+  live.now = d.server().now();
+  live.next_qid = 3;
+  for (ObjectId oid : {1, 3}) {
+    ASSERT_NE(d.server().FindFocal(oid), nullptr);
+    live.fot.emplace_back(oid, *d.server().FindFocal(oid));
+  }
+  for (QueryId qid = 0; qid < 3; ++qid) {
+    ASSERT_NE(d.server().FindQuery(qid), nullptr);
+    live.sqt.push_back(*d.server().FindQuery(qid));
+  }
+  ASSERT_EQ(live.fot[0].second.queries, (std::vector<QueryId>{0, 1}));
+  ASSERT_EQ(EncodeRows(live), store.checkpoint);
+
+  using Patch = std::function<void(ImageRows*)>;
+  const std::vector<std::pair<const char*, Patch>> cases = {
+      {"query id at the counter", [](ImageRows* r) { r->next_qid = 2; }},
+      {"negative query id",
+       [](ImageRows* r) {
+         r->sqt[0].qid = -1;
+         r->fot[0].second.queries[0] = -1;
+       }},
+      {"query id repeats", [](ImageRows* r) { r->sqt[1].qid = 0; }},
+      {"focal object repeats", [](ImageRows* r) { r->fot[1].first = 1; }},
+      {"list names a query the SQT lacks",
+       [](ImageRows* r) { r->fot[0].second.queries[1] = 7; }},
+      {"list names another object's query",
+       [](ImageRows* r) { r->fot[0].second.queries.push_back(2); }},
+      {"list names a query twice",
+       [](ImageRows* r) { r->fot[0].second.queries.push_back(0); }},
+      {"query's focal object has no FOT row",
+       [](ImageRows* r) { r->sqt[2].focal_oid = 4; }},
+      {"query's focal object does not list it",
+       [](ImageRows* r) { r->fot[0].second.queries.pop_back(); }},
+  };
+  for (int shards : {1, 4}) {
+    core::MobiEyesOptions restore_options = options;
+    restore_options.sharding.num_shards = shards;
+    {
+      core::Snapshot valid;
+      valid.checkpoint = EncodeRows(live);
+      core::MobiEyesServer fresh(d.grid(), d.layout(), d.bmap(), d.network(),
+                                 restore_options);
+      ASSERT_TRUE(fresh.Restore(valid).ok()) << shards << " shards";
+      EXPECT_EQ(fresh.query_count(), 3u);
+    }
+    for (const auto& [name, patch] : cases) {
+      ImageRows rows = live;
+      patch(&rows);
+      core::Snapshot corrupt;
+      corrupt.checkpoint = EncodeRows(rows);
+      core::MobiEyesServer fresh(d.grid(), d.layout(), d.bmap(), d.network(),
+                                 restore_options);
+      const Status status = fresh.Restore(corrupt);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << name << ", " << shards << " shards: " << status.ToString();
+      EXPECT_EQ(fresh.query_count(), 0u) << name << ", " << shards;
+      EXPECT_EQ(fresh.FindFocal(1), nullptr) << name << ", " << shards;
+      EXPECT_TRUE(fresh.QueriesForCell(live.sqt[0].curr_cell).empty())
+          << name << ", " << shards << " shards";
+    }
+  }
+}
+
+// An install or removal through the server API has no uplink for the WAL
+// to log, so a server with a store checkpoints after each. A removal after
+// the last checkpoint stays removed on restore.
+TEST(ServerRestoreTest, ApiRemovalSurvivesRestore) {
+  std::vector<test::ObjectSpec> specs;
+  for (int k = 0; k < 6; ++k) {
+    specs.push_back(test::ObjectSpec({10.0 + 12.0 * k, 55.0}));
+  }
+  core::MobiEyesOptions options = HardenedTestOptions();
+  test::MiniDeployment d(specs, options);
+  core::Snapshot store;
+  store.wal_limit = 4096;
+  d.server().set_durable_store(&store);
+  auto kept = d.server().InstallQuery(1, 14.0, 0.5);
+  auto removed = d.server().InstallQuery(4, 10.0, 0.5);
+  ASSERT_TRUE(kept.ok());
+  ASSERT_TRUE(removed.ok());
+  d.TickN(3);
+  d.server().Checkpoint();
+  d.TickN(2);
+  ASSERT_TRUE(d.server().RemoveQuery(*removed).ok());
+  EXPECT_TRUE(store.wal.empty());
+  d.TickN(2);
+
+  core::MobiEyesServer restored(d.grid(), d.layout(), d.bmap(), d.network(),
+                                options);
+  ASSERT_TRUE(restored.Restore(store).ok());
+  EXPECT_EQ(restored.query_count(), d.server().query_count());
+  EXPECT_NE(restored.FindQuery(*kept), nullptr);
+  EXPECT_EQ(restored.FindQuery(*removed), nullptr);
+  EXPECT_EQ(restored.FindFocal(4), nullptr);
+  EXPECT_EQ(restored.QueryResult(*kept)->size(),
+            d.server().QueryResult(*kept)->size());
+}
+
+// A finite duration reaches the image, which the wire request could not
+// carry: the restored query expires when the live one does.
+TEST(ServerRestoreTest, ApiInstallKeepsItsExpiryAcrossRestore) {
+  std::vector<test::ObjectSpec> specs;
+  for (int k = 0; k < 6; ++k) {
+    specs.push_back(test::ObjectSpec({10.0 + 12.0 * k, 55.0}));
+  }
+  core::MobiEyesOptions options = HardenedTestOptions();
+  test::MiniDeployment d(specs, options);
+  core::Snapshot store;
+  store.wal_limit = 4096;
+  d.server().set_durable_store(&store);
+  d.TickN(2);  // the server clock reads 60 s
+  auto qid = d.server().InstallQuery(1, 14.0, 0.5, /*duration=*/60.0);
+  ASSERT_TRUE(qid.ok());
+  EXPECT_TRUE(store.wal.empty());
+  ASSERT_NE(d.server().FindQuery(*qid), nullptr);
+  const Seconds expires_at = d.server().FindQuery(*qid)->expires_at;
+  EXPECT_DOUBLE_EQ(expires_at, d.server().now() + 60.0);
+  d.Tick();
+
+  core::MobiEyesServer restored(d.grid(), d.layout(), d.bmap(), d.network(),
+                                options);
+  ASSERT_TRUE(restored.Restore(store).ok());
+  ASSERT_NE(restored.FindQuery(*qid), nullptr);
+  EXPECT_DOUBLE_EQ(restored.FindQuery(*qid)->expires_at, expires_at);
+  d.Tick();
+  restored.AdvanceTime(d.server().now());
+  EXPECT_EQ(d.server().FindQuery(*qid), nullptr);
+  EXPECT_EQ(restored.FindQuery(*qid), nullptr);
+}
+
 // --- Simulation-level recovery ---------------------------------------------
 
 sim::SimulationConfig SmallCrashConfig() {
@@ -460,14 +566,7 @@ std::string RunAndReport(const sim::SimulationConfig& config, int steps,
 // query results — from a run that never crashed.
 TEST(SimulationCrashTest, InstantRestoreIsByteIdenticalToUninterruptedRun) {
   sim::SimulationConfig plain = SmallCrashConfig();
-  // Activate the fault layer without any reachable fault so both runs route
-  // through FaultyNetwork and register the identical metrics counter set
-  // (net.fault.*); otherwise the JSON key sets differ trivially.
-  plain.faults.forced_restart_oid = 0;
-  plain.faults.forced_restart_step = 1 << 20;
   sim::SimulationConfig crashed = SmallCrashConfig();
-  crashed.faults.forced_restart_oid = 0;
-  crashed.faults.forced_restart_step = 1 << 20;
   crashed.faults.server_crash_step = 6;
   crashed.faults.server_recovery_steps = 0;
   crashed.checkpoint_stride = 1;
@@ -578,7 +677,6 @@ TEST(SimulationCrashTest, LifecycleAccountingSurvivesFaultsAndCrash) {
   }
   // The run exercised real rounds, and the crash kinds both fired and
   // closed: the server restored and the protocol reconverged.
-  EXPECT_GT(lifecycle->resolved(obs::LifecycleTracker::kUplinkRoundTrip), 0u);
   EXPECT_GT(lifecycle->resolved(obs::LifecycleTracker::kUplinkAck), 0u);
   EXPECT_EQ(lifecycle->resolved(obs::LifecycleTracker::kCrashRestore), 1u);
   // Reconvergence either completed (resolved) or is still honestly pending

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -262,8 +263,6 @@ TEST(FaultInjectionTest, ReliableUplinkAcksClearPendingInline) {
 TEST(FaultInjectionTest, RetryAttemptsAreBoundedByBudget) {
   core::MobiEyesOptions options;
   options.enable_reliable_uplink = true;
-  options.uplink_max_retries = 2;
-  options.uplink_retry_backoff_ticks = 1;
   FaultPlan plan;
   plan.uplink_drop_rate = 1.0;  // the server never hears anything
   MiniDeployment deployment({{Point{15, 55}, Vec2{0.1, 0}}}, options, 10.0,
@@ -274,13 +273,14 @@ TEST(FaultInjectionTest, RetryAttemptsAreBoundedByBudget) {
   ASSERT_EQ(DroppedOfType(deployment.network().stats(),
                           MessageType::kCellChangeReport),
             1u);
-  // Freeze the world (dt = 0) so only the retry clock advances: with
-  // exponential backoff the budget of 2 retries is spent, then the entry is
-  // abandoned — never more than 1 + uplink_max_retries transmissions.
-  for (int k = 0; k < 10; ++k) deployment.Tick(0.0);
+  // Freeze the world (dt = 0) so only the retry clock advances: with a
+  // backoff of 1 tick, doubling, the 4 retries leave 1, 3, 7 and 15 ticks
+  // after the first send and the entry is abandoned at 31 — never more than
+  // 1 + 4 transmissions.
+  for (int k = 0; k < 40; ++k) deployment.Tick(0.0);
   EXPECT_EQ(DroppedOfType(deployment.network().stats(),
                           MessageType::kCellChangeReport),
-            3u);
+            5u);
   EXPECT_EQ(deployment.client(0).pending_uplinks(), 0u);
 }
 
@@ -332,7 +332,6 @@ TEST(FaultInjectionTest, PartialFlipReportKeepsRetryOfTheOtherQueries) {
 TEST(FaultInjectionTest, RetryResendsEveryDueUplinkWhenAnAckLandsMidLoop) {
   core::MobiEyesOptions options;  // leases and reconciliation off
   options.enable_reliable_uplink = true;
-  options.uplink_retry_backoff_ticks = 1;
   MiniDeployment deployment({{Point{55, 55}}, {Point{48, 55}}}, options);
   auto qid = deployment.server().InstallQuery(0, 4.0, 1.0);  // cells 4-6
   ASSERT_TRUE(qid.ok());
@@ -556,6 +555,51 @@ TEST(FaultInjectionTest,
   EXPECT_GT(base.network.total_dropped(), 0u);
   EXPECT_GE(hardened.AverageAgreement(), 0.95);
   EXPECT_GE(hardened.AverageAgreement(), base.AverageAgreement());
+}
+
+// NetworkStats is the one ledger of the medium: under drops, delays and
+// duplicates the per-type arrays still sum, after every step, to the
+// direction totals, and the merged RunMetrics copy keeps that.
+TEST(FaultInjectionTest, PerTypeLedgerSumsToTotalsUnderFaults) {
+  sim::SimulationConfig config;
+  config.params.num_objects = 800;
+  config.params.num_queries = 80;
+  config.params.velocity_changes_per_step = 80;
+  config.params.seed = 11;
+  config.mode = sim::SimMode::kMobiEyesLazy;
+  config.mobieyes =
+      core::HardenedOptions(config.mobieyes, config.params.time_step);
+  config.faults.uplink_drop_rate = 0.1;
+  config.faults.downlink_drop_rate = 0.1;
+  config.faults.delay_rate = 0.2;
+  config.faults.max_delay_steps = 2;
+  config.faults.duplicate_rate = 0.05;
+  auto simulation = sim::Simulation::Make(config);
+  ASSERT_TRUE(simulation.ok()) << simulation.status().ToString();
+  auto sum = [](const std::array<uint64_t, kNumMessageTypes>& counts) {
+    uint64_t total = 0;
+    for (uint64_t count : counts) total += count;
+    return total;
+  };
+  for (int step = 0; step < 8; ++step) {
+    (*simulation)->Run(1);
+    const NetworkStats& stats = (*simulation)->network().stats();
+    EXPECT_EQ(sum(stats.messages_by_type), stats.total_messages())
+        << "step " << step;
+    EXPECT_EQ(sum(stats.bytes_by_type),
+              stats.uplink_bytes + stats.downlink_bytes)
+        << "step " << step;
+    EXPECT_EQ(sum(stats.dropped_by_type), stats.total_dropped())
+        << "step " << step;
+  }
+  const NetworkStats& stats = (*simulation)->metrics().network;
+  EXPECT_GT(stats.total_dropped(), 0u);
+  EXPECT_GT(stats.delayed_messages, 0u);
+  EXPECT_GT(stats.duplicated_messages, 0u);
+  EXPECT_GT(stats.bytes_by_type[static_cast<size_t>(MessageType::kUplinkAck)],
+            0u);
+  EXPECT_EQ(sum(stats.bytes_by_type),
+            stats.uplink_bytes + stats.downlink_bytes);
 }
 
 // --- Process-death events (crash recovery) ----------------------------------

@@ -1,13 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "mobieyes/net/base_station.h"
 #include "mobieyes/net/message.h"
 #include "mobieyes/net/network.h"
-#include "mobieyes/obs/metrics_registry.h"
+#include "mobieyes/obs/report_html.h"
 #include "test_harness.h"
 
 namespace mobieyes::net {
@@ -173,14 +175,14 @@ TEST(NetworkTest, ObserverSeesEveryTransmission) {
       });
   network.RegisterClient(7, [](const Message&) {});
 
-  MessageHistogram histogram;
   std::vector<Direction> directions;
   std::vector<int64_t> parties;
+  uint64_t observed_bytes = 0;
   network.set_observer(
       [&](Direction direction, int64_t party, const Message& message) {
         directions.push_back(direction);
         parties.push_back(party);
-        histogram.Record(message);
+        observed_bytes += WireSizeBytes(message);
       });
 
   network.SendUplink(3, MakeMessage(CellChangeReport{3, {0, 0}, {1, 0}}));
@@ -196,9 +198,9 @@ TEST(NetworkTest, ObserverSeesEveryTransmission) {
   EXPECT_EQ(directions[2], Direction::kBroadcast);
   EXPECT_EQ(parties[2], 42);
 
-  EXPECT_EQ(histogram.TotalMessages(), 3u);
-  EXPECT_EQ(histogram.rows.at(MessageType::kCellChangeReport).messages, 1u);
-  EXPECT_GT(histogram.rows.at(MessageType::kQueryRemoveBroadcast).bytes, 0u);
+  // The tap sees each transmission once, as the stats count it.
+  EXPECT_EQ(observed_bytes,
+            network.stats().uplink_bytes + network.stats().downlink_bytes);
 }
 
 TEST(NetworkTest, UnregisteredRecipientDropsSilently) {
@@ -225,6 +227,13 @@ TEST(NetworkTest, PerTypeCountersSumToTotalMessages) {
                                      stats.messages_by_type.end(), uint64_t{0});
   EXPECT_EQ(by_type, stats.total_messages());
   EXPECT_EQ(by_type, 4u);
+  // Bytes are charged once per transmission too, whatever the direction.
+  uint64_t bytes_by_type = std::accumulate(
+      stats.bytes_by_type.begin(), stats.bytes_by_type.end(), uint64_t{0});
+  EXPECT_EQ(bytes_by_type, stats.uplink_bytes + stats.downlink_bytes);
+  EXPECT_EQ(stats.bytes_by_type[static_cast<size_t>(
+                MessageType::kQueryRemoveBroadcast)],
+            WireSizeBytes(MakeMessage(QueryRemoveBroadcast{{1}})));
   EXPECT_EQ(stats.messages_by_type[static_cast<size_t>(
                 MessageType::kCellChangeReport)],
             1u);
@@ -266,47 +275,68 @@ TEST(NetworkStatsTest, MergeAccumulatesEveryField) {
       std::accumulate(merged.messages_by_type.begin(),
                       merged.messages_by_type.end(), uint64_t{0});
   EXPECT_EQ(by_type, merged.total_messages());
+  for (size_t t = 0; t < kNumMessageTypes; ++t) {
+    EXPECT_EQ(merged.bytes_by_type[t],
+              a.stats().bytes_by_type[t] + b.stats().bytes_by_type[t])
+        << MessageTypeName(static_cast<MessageType>(t));
+  }
+  EXPECT_EQ(merged.bytes_by_type[static_cast<size_t>(
+                MessageType::kCellChangeReport)],
+            a.stats().uplink_bytes);
   // Reception bytes merge additively too: only `b` delivered anything.
   EXPECT_GT(b.stats().reception_bytes, 0u);
   EXPECT_EQ(merged.reception_bytes, b.stats().reception_bytes);
 }
 
-TEST(NetworkTest, AttachedRegistryCountersMatchStats) {
-  obs::MetricsRegistry registry;
+// The JSON export keys every per-type array by type name, with every type
+// present, so a reader can tell which message types a run's bytes went to.
+TEST(NetworkStatsTest, JsonKeysPerTypeArraysByName) {
   WirelessNetwork network;
-  network.AttachMetrics(&registry);
-  network.set_coverage_query(
-      [](const geo::Circle&, const std::function<void(ObjectId)>& fn) {
-        fn(7);
-      });
-  network.RegisterClient(7, [](const Message&) {});
-  network.SendUplink(3, MakeMessage(CellChangeReport{3, {0, 0}, {1, 0}}));
-  network.SendDownlinkTo(7, Ping());
-  BaseStation station{42, geo::Circle{geo::Point{0, 0}, 5.0}};
-  network.Broadcast(station, MakeMessage(QueryRemoveBroadcast{{1}}));
-
-  EXPECT_EQ(registry.GetCounter("net.msgs.uplink.CellChangeReport")->value(),
-            1u);
-  EXPECT_EQ(
-      registry.GetCounter("net.msgs.downlink.PositionVelocityRequest")->value(),
-      1u);
-  EXPECT_EQ(
-      registry.GetCounter("net.msgs.broadcast.QueryRemoveBroadcast")->value(),
-      1u);
-  EXPECT_EQ(registry.GetCounter("net.broadcast_receptions")->value(), 1u);
-  // Every message on the medium lands in exactly one direction bucket, so
-  // the registry's per-type counters sum to the stats total.
-  uint64_t registry_total = 0;
-  for (const char* direction : {"uplink", "downlink", "broadcast"}) {
-    for (size_t t = 0; t < kNumMessageTypes; ++t) {
-      std::string name = std::string("net.msgs.") + direction + "." +
-                         MessageTypeName(static_cast<MessageType>(t));
-      registry_total += registry.GetCounter(name)->value();
+  const Message report = MakeMessage(CellChangeReport{3, {0, 0}, {1, 0}});
+  network.SendUplink(3, report);
+  network.SendUplink(3, report);
+  const std::string json = NetworkStatsJson(network.stats());
+  const std::string bytes = std::to_string(2 * WireSizeBytes(report));
+  EXPECT_NE(json.find("\"messages_by_type\": {\"QueryInstallRequest\": 0"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"CellChangeReport\": 2"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"bytes_by_type\": {"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"CellChangeReport\": " + bytes), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"dropped_by_type\": {"), std::string::npos) << json;
+  for (size_t t = 0; t < kNumMessageTypes; ++t) {
+    const std::string key =
+        std::string("\"") + MessageTypeName(static_cast<MessageType>(t)) +
+        "\": ";
+    size_t count = 0;
+    for (size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+      ++count;
     }
+    EXPECT_EQ(count, 3u) << key;
   }
-  EXPECT_EQ(registry_total, network.stats().total_messages());
-  // The byte histogram saw one observation per message.
-  EXPECT_EQ(registry.GetHistogram("net.message_bytes", {})->count(), 3u);
+}
+
+// The HTML report renders the network section's per-type arrays: a row per
+// type that sent or lost anything, with its messages, bytes and drops.
+TEST(NetworkStatsTest, HtmlReportShowsMessagesAndBytesPerType) {
+  WirelessNetwork network;
+  const Message report = MakeMessage(CellChangeReport{3, {0, 0}, {1, 0}});
+  network.SendUplink(3, report);
+  std::string error;
+  std::unique_ptr<obs::JsonValue> root = obs::ParseJson(
+      "{\"network\": " + NetworkStatsJson(network.stats()) + "}", &error);
+  ASSERT_NE(root, nullptr) << error;
+  const std::string html = obs::RenderHtmlReport(*root, "network");
+  const std::string row =
+      "<tr><td>CellChangeReport</td><td class=\"num\">1</td>"
+      "<td class=\"num\">" +
+      std::to_string(WireSizeBytes(report)) +
+      "</td><td class=\"num\">0</td></tr>";
+  EXPECT_NE(html.find(row), std::string::npos) << html;
+  EXPECT_EQ(html.find("<td>VelocityChangeReport</td>"), std::string::npos)
+      << html;
 }
 
 }  // namespace

@@ -206,23 +206,17 @@ std::unique_ptr<JsonValue> ParseJsonOrDie(const std::string& text) {
 // ---------------------------------------------------------------------------
 // MetricsRegistry
 
-TEST(MetricsRegistryTest, CounterAndGaugeSemantics) {
+TEST(MetricsRegistryTest, GaugeSemantics) {
   MetricsRegistry registry;
-  Counter* counter = registry.GetCounter("events");
-  counter->Increment();
-  counter->Increment(41);
-  EXPECT_EQ(counter->value(), 42u);
-  // Find-or-create returns the same instrument.
-  EXPECT_EQ(registry.GetCounter("events"), counter);
-
   Gauge* gauge = registry.GetGauge("load");
   gauge->Set(1.5);
   gauge->Set(2.5);
   EXPECT_EQ(gauge->value(), 2.5);
+  // Find-or-create returns the same instrument.
+  EXPECT_EQ(registry.GetGauge("load"), gauge);
 
   registry.Reset();
-  EXPECT_EQ(counter->value(), 0u);  // handle survives Reset
-  EXPECT_EQ(gauge->value(), 0.0);
+  EXPECT_EQ(gauge->value(), 0.0);  // handle survives Reset
 }
 
 TEST(MetricsRegistryTest, HistogramBucketsAndOverflow) {
@@ -247,7 +241,6 @@ TEST(MetricsRegistryTest, ExponentialBoundsGrow) {
 
 TEST(MetricsRegistryTest, JsonIsValidAndFiltersTimingInstruments) {
   MetricsRegistry registry;
-  registry.GetCounter("a.count")->Increment(3);
   registry.GetGauge("b.gauge")->Set(0.25);
   registry.GetHistogram("c.hist", {1.0, 2.0})->Observe(1.5);
   registry.GetHistogram("d.wall_micros", {10.0}, /*timing=*/true)
@@ -255,7 +248,6 @@ TEST(MetricsRegistryTest, JsonIsValidAndFiltersTimingInstruments) {
 
   auto full = ParseJsonOrDie(registry.ToJson(/*include_timing=*/true));
   ASSERT_NE(full, nullptr);
-  EXPECT_EQ(full->object.at("counters").object.at("a.count").number, 3.0);
   EXPECT_EQ(full->object.at("gauges").object.at("b.gauge").number, 0.25);
   EXPECT_TRUE(full->object.at("histograms").object.contains("d.wall_micros"));
   const JsonValue& hist = full->object.at("histograms").object.at("c.hist");
@@ -478,11 +470,11 @@ TEST(LifecycleTrackerTest, StampResolveRecordsStepLatency) {
 
 TEST(LifecycleTrackerTest, DuplicateResolveIsNoOp) {
   LifecycleTracker tracker;
-  tracker.Stamp(LifecycleTracker::kUplinkRoundTrip, 7);
-  EXPECT_TRUE(tracker.ResolveIfPending(LifecycleTracker::kUplinkRoundTrip, 7));
+  tracker.Stamp(LifecycleTracker::kUplinkAck, 7);
+  EXPECT_TRUE(tracker.ResolveIfPending(LifecycleTracker::kUplinkAck, 7));
   // A retransmitted terminal event finds no pending stamp.
-  EXPECT_FALSE(tracker.ResolveIfPending(LifecycleTracker::kUplinkRoundTrip, 7));
-  EXPECT_EQ(tracker.resolved(LifecycleTracker::kUplinkRoundTrip), 1u);
+  EXPECT_FALSE(tracker.ResolveIfPending(LifecycleTracker::kUplinkAck, 7));
+  EXPECT_EQ(tracker.resolved(LifecycleTracker::kUplinkAck), 1u);
 }
 
 TEST(LifecycleTrackerTest, RestampKeepsOriginalStamp) {
@@ -528,7 +520,7 @@ TEST(LifecycleTrackerTest, JsonCountsPendingAndFiltersLayoutDependent) {
   auto det = ParseJsonOrDie(tracker.ToJson(/*include_layout_dependent=*/false));
   ASSERT_NE(det, nullptr);
   EXPECT_FALSE(det->object.at("kinds").object.contains("backplane_rpc"));
-  EXPECT_TRUE(det->object.at("kinds").object.contains("uplink_round_trip"));
+  EXPECT_TRUE(det->object.at("kinds").object.contains("uplink_ack"));
 
   tracker.Reset();
   EXPECT_EQ(tracker.pending(LifecycleTracker::kUplinkAck), 0u);

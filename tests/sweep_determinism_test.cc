@@ -159,9 +159,10 @@ TEST(SweepDeterminismTest, MetricsReportsAreThreadCountInvariant) {
                                    context);
     EXPECT_FALSE(serial[k].metrics_json.empty()) << context;
     EXPECT_EQ(serial[k].metrics_json, parallel[k].metrics_json) << context;
-    // A real report, not a stub: it carries per-type message counters and a
+    // A real report, not a stub: it carries per-type message counts and a
     // per-step series.
-    EXPECT_NE(serial[k].metrics_json.find("net.msgs."), std::string::npos)
+    EXPECT_NE(serial[k].metrics_json.find("\"messages_by_type\""),
+              std::string::npos)
         << context;
     EXPECT_NE(serial[k].metrics_json.find("uplink_msgs"), std::string::npos)
         << context;
@@ -286,7 +287,7 @@ TEST(SweepDeterminismTest, HeatMapAndLifecycleAreLayoutInvariant) {
     EXPECT_EQ(mono[k].heatmap_json.find("\"handoffs\""), std::string::npos);
     // Lifecycle tables ride inside the observability report.
     EXPECT_NE(mono[k].metrics_json.find("\"lifecycle\""), std::string::npos);
-    EXPECT_NE(mono[k].metrics_json.find("uplink_round_trip"),
+    EXPECT_NE(mono[k].metrics_json.find("install_first_result"),
               std::string::npos);
     EXPECT_EQ(mono[k].metrics_json.find("\"handoff\""), std::string::npos);
   }

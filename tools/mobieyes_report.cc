@@ -1,7 +1,8 @@
 // mobieyes_report: renders an observability JSON export into a single
-// self-contained HTML report — metric tables, histogram and StepSampler
-// sparklines, heat-map grids and lifecycle latency tables, all inline CSS
-// and SVG with no external dependencies (DESIGN.md §12).
+// self-contained HTML report — per-type traffic and metric tables,
+// histogram and StepSampler sparklines, heat-map grids and lifecycle latency
+// tables, all inline CSS and SVG with no external dependencies (DESIGN.md
+// §12).
 //
 // Accepts either a Simulation::ObservabilityJson object (mobieyes_sim
 // --metrics-json / --report input) or a bench metrics file with per-cell

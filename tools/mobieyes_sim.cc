@@ -35,7 +35,6 @@ namespace {
 constexpr char kUsage[] =
     "usage: mobieyes_sim [flags]\n"
     "  --steps=N                   measured steps (default 20)\n"
-    "  --histogram                 print the per-message-type traffic mix\n"
     "  --trace=PATH                Chrome/Perfetto trace of the run\n"
     "  --metrics-json=PATH         metrics, series and lifecycle report\n"
     "  --sample-stride=N           per-step sampling stride (default 1 with\n"
@@ -48,7 +47,6 @@ struct CliOptions {
   sim::SimulationConfig config;
   int steps = 20;
   bool show_help = false;
-  bool show_histogram = false;
   std::string trace_path;
   std::string metrics_path;
   std::string heatmap_path;
@@ -82,8 +80,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* cli) {
       cli->show_help = true;
     } else if (sim::FlagValue(arg, "--steps=", &value)) {
       valid = sim::ParseIntFlag(value, 1, &cli->steps);
-    } else if (arg == "--histogram") {
-      cli->show_histogram = true;
     } else if (sim::FlagValue(arg, "--trace=", &value)) {
       cli->trace_path = value;
       obs.enable_trace = true;
@@ -137,13 +133,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "setup failed: %s\n",
                  simulation.status().ToString().c_str());
     return 1;
-  }
-  net::MessageHistogram histogram;
-  if (cli.show_histogram) {
-    (*simulation)->network().set_observer(
-        [&histogram](net::Direction, int64_t, const net::Message& message) {
-          histogram.Record(message);
-        });
   }
   std::printf("mode=%s objects=%d queries=%d nmo=%d alpha=%.3g alen=%.3g "
               "area=%.4g seed=%llu\n",
@@ -318,21 +307,14 @@ int main(int argc, char** argv) {
     uint64_t count = metrics.network.messages_by_type[t];
     uint64_t dropped = metrics.network.dropped_by_type[t];
     if (count == 0 && dropped == 0) continue;
-    std::printf("%-26s %8llu msgs  %6.2f%%  %8llu dropped\n",
+    std::printf("%-26s %8llu msgs  %6.2f%%  %10llu bytes  %8llu dropped\n",
                 net::MessageTypeName(static_cast<net::MessageType>(t)),
                 static_cast<unsigned long long>(count),
                 100.0 * static_cast<double>(count) /
                     static_cast<double>(metrics.network.total_messages()),
+                static_cast<unsigned long long>(
+                    metrics.network.bytes_by_type[t]),
                 static_cast<unsigned long long>(dropped));
-  }
-  if (cli.show_histogram) {
-    std::printf("\n-- message mix (measured window) -----------------------\n");
-    for (const auto& [type, row] : histogram.rows) {
-      std::printf("%-26s %8llu msgs  %10llu bytes\n",
-                  net::MessageTypeName(type),
-                  static_cast<unsigned long long>(row.messages),
-                  static_cast<unsigned long long>(row.bytes));
-    }
   }
   if (cli.config.mode == sim::SimMode::kMobiEyesEager ||
       cli.config.mode == sim::SimMode::kMobiEyesLazy) {
