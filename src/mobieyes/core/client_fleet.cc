@@ -281,6 +281,7 @@ void ClientFleet::SendReconcile(size_t k, bool cold_start) {
   request.oid = static_cast<ObjectId>(k);
   request.cell = world_->cell(request.oid);
   request.cold_start = cold_start;
+  request.attr_level = net::AttrLevel(attr_[k]);
   request.known_qids.reserve(slab_.size(k));
   for (const LqtRow& row : slab_.rows(k)) {
     request.known_qids.push_back(row.qid);

@@ -189,7 +189,8 @@ class ClientFleet final : public net::BroadcastReceiver {
   // flip to false for rows that were targets.
   template <typename Pred>
   void RemoveRows(size_t k, Pred&& stale);
-  // The LQT/result reconciliation uplink with object k's id lists.
+  // The LQT/result reconciliation uplink with object k's id lists and the
+  // level of its filter attribute.
   void SendReconcile(size_t k, bool cold_start);
 
   // Decodes `message` once and calls fn(relevant), where relevant(k) is

@@ -603,36 +603,48 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
                        request.oid, focal->queries.front()}));
     }
   }
-  // Queries that should cover the object's current cell per the RQI. The
-  // client re-checks filter and cell on install, so over-sending is safe.
+  // Queries the object could install in its current cell: the RQI row
+  // minus its own queries and those whose filter threshold lies below the
+  // request's attribute floor. The floor never exceeds the object's
+  // attribute, so each dropped query fails the client's attr <=
+  // filter_threshold test and would be discarded on arrival; both values
+  // are static, so the object can never hold one (DESIGN.md §8).
+  const double attr_floor = net::AttrFloor(request.attr_level);
   std::vector<QueryId>& expected = reconcile_expected_;
   expected.clear();
   const std::vector<QueryId>& cell_row = RqiRow(request.cell, &scan_row_a_);
   ChargeHeat(obs::HeatMap::kRqiScan, request.cell, cell_row.size());
   for (QueryId qid : cell_row) {
-    if (sqt_.at(qid).focal_oid != request.oid) expected.push_back(qid);
+    const SqtEntry& entry = sqt_.at(qid);
+    if (entry.focal_oid == request.oid) continue;
+    if (entry.filter_threshold < attr_floor) continue;
+    expected.push_back(qid);
   }
   std::sort(expected.begin(), expected.end());
   std::vector<QueryId>& known = reconcile_known_;
   known.assign(request.known_qids.begin(), request.known_qids.end());
   std::sort(known.begin(), known.end());
 
-  std::vector<QueryId> missing;
+  // Both in ascending qid order, the order the replies carry them.
+  std::vector<QueryId>& missing = reconcile_missing_;
+  missing.clear();
   std::set_difference(expected.begin(), expected.end(), known.begin(),
                       known.end(), std::back_inserter(missing));
-  std::vector<QueryId> stale;
+  std::vector<QueryId>& stale = reconcile_stale_;
+  stale.clear();
   std::set_difference(known.begin(), known.end(), expected.begin(),
                       expected.end(), std::back_inserter(stale));
 
   // Resynchronize result membership from the client's own view: what it
   // holds is the ground truth for its containment bits, and flips reported
   // while it was unreachable are lost for good.
-  std::unordered_set<QueryId> targets(request.target_qids.begin(),
-                                      request.target_qids.end());
+  std::vector<QueryId>& targets = reconcile_targets_;
+  targets.assign(request.target_qids.begin(), request.target_qids.end());
+  std::sort(targets.begin(), targets.end());
   for (QueryId qid : request.known_qids) {
     SqtEntry* entry = FindIn(sqt_, qid);
     if (entry == nullptr) continue;
-    if (targets.contains(qid)) {
+    if (std::binary_search(targets.begin(), targets.end(), qid)) {
       entry->result.insert(request.oid);
       if (lifecycle_ != nullptr && !replaying_) {
         lifecycle_->ResolveIfPending(
@@ -651,6 +663,7 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
   if (!missing.empty()) {
     net::NewQueriesNotification notification;
     notification.oid = request.oid;
+    notification.queries.reserve(missing.size());
     for (QueryId qid : missing) {
       notification.queries.push_back(BuildQueryInfo(sqt_.at(qid)));
     }
@@ -659,8 +672,7 @@ void ShardRouter::HandleLqtReconcile(const net::LqtReconcileRequest& request) {
   if (!stale.empty()) {
     // One-to-one removal: only this object holds the stale entries.
     SendDownlink(request.oid,
-                 net::MakeMessage(
-                     net::QueryRemoveBroadcast{std::move(stale)}));
+                 net::MakeMessage(net::QueryRemoveBroadcast{stale}));
   }
 }
 

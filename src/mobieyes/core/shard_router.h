@@ -235,15 +235,18 @@ class ShardRouter {
 
   // Per-step scratch, reused so the hot server phases allocate nothing at
   // steady state: the step-phase scan output (AdvanceTime / RenewLeases),
-  // the RQI row-diff buffers (HandleCellChange), and the reconcile
-  // expected/known sets (HandleLqtReconcile). Dispatch is serial and none
-  // of the users can re-enter itself through the synchronous network, so
-  // one copy suffices.
+  // the RQI row-diff buffers (HandleCellChange), and the reconcile sets,
+  // each sorted by qid (HandleLqtReconcile). Dispatch is serial and none
+  // of the users can re-enter itself through the synchronous network (a
+  // reconcile's replies send nothing back), so one copy suffices.
   std::vector<QueryId> scan_out_;
   std::vector<QueryId> diff_scratch_;
   std::vector<QueryId> diff_out_;
   std::vector<QueryId> reconcile_expected_;
   std::vector<QueryId> reconcile_known_;
+  std::vector<QueryId> reconcile_targets_;
+  std::vector<QueryId> reconcile_missing_;
+  std::vector<QueryId> reconcile_stale_;
   // Authority-scan result rows. Two slots: HandleCellChange holds the
   // previous cell's row across the new cell's read.
   std::vector<QueryId> scan_row_a_;

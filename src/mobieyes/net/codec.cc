@@ -83,7 +83,7 @@ struct EncodeBody {
     // Header count carries the known list; the target subset's length rides
     // in the body as a u16 (it never exceeds the known list).
     count = static_cast<uint16_t>(p.known_qids.size());
-    flags = p.cold_start ? 1 : 0;
+    flags = static_cast<uint8_t>((p.attr_level << 1) | (p.cold_start ? 1 : 0));
     w.I64(p.oid);
     w.Cell(p.cell);
     w.U16(static_cast<uint16_t>(p.target_qids.size()));
@@ -273,6 +273,7 @@ Result<Message> MessageCodec::Decode(const std::vector<uint8_t>& buffer) {
     case MessageType::kLqtReconcileRequest: {
       LqtReconcileRequest p;
       p.cold_start = (flags & 1) != 0;
+      p.attr_level = static_cast<uint8_t>(flags >> 1);
       p.oid = r.I64();
       p.cell = r.Cell();
       uint16_t targets = r.U16();

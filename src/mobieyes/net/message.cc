@@ -1,5 +1,7 @@
 #include "mobieyes/net/message.h"
 
+#include <limits>
+
 namespace mobieyes::net {
 
 namespace {
@@ -113,6 +115,25 @@ Message MakeMessage(MessagePayload payload) {
 
 size_t WireSizeBytes(const Message& message) {
   return kHeaderBytes + std::visit(BodySize{}, message.payload);
+}
+
+uint8_t AttrLevel(double attr) {
+  if (!(attr >= 0.0)) return 0;  // negative or NaN
+  if (attr >= 1.0) return kMaxAttrLevel;
+  // The scaled guess can round either way; the two walks make the result
+  // exact against AttrFloor itself.
+  int level = static_cast<int>(attr * (kMaxAttrLevel - 1)) + 1;
+  while (level < kMaxAttrLevel &&
+         AttrFloor(static_cast<uint8_t>(level + 1)) <= attr) {
+    ++level;
+  }
+  while (level > 1 && AttrFloor(static_cast<uint8_t>(level)) > attr) --level;
+  return static_cast<uint8_t>(level);
+}
+
+double AttrFloor(uint8_t level) {
+  if (level == 0) return -std::numeric_limits<double>::infinity();
+  return (level - 1) / static_cast<double>(kMaxAttrLevel - 1);
 }
 
 const char* MessageTypeName(MessageType type) {

@@ -157,9 +157,11 @@ struct UplinkAck {
 // --- Reconciliation (protocol hardening) ------------------------------------
 
 // Periodic uplink letting the server diff an object's LQT against the RQI:
-// the object reports its current cell, every query id it holds, and the
-// subset it currently considers itself a target of. The server answers with
-// a one-to-one NewQueriesNotification for missing queries and a one-to-one
+// the object reports its current cell, every query id it holds, the subset
+// it currently considers itself a target of, and a lower bound on its filter
+// attribute. The server answers with a one-to-one NewQueriesNotification for
+// the missing queries the object can install (a query whose filter threshold
+// lies below the bound would fail the object's filter test) and a one-to-one
 // QueryRemoveBroadcast payload for stale ones, and resynchronizes its result
 // membership for the reported queries — this is what lets an object that was
 // disconnected (and missed installs, updates and removals) rebuild its LQT.
@@ -171,10 +173,24 @@ struct LqtReconcileRequest {
   // Set by a client that just cold-restarted (Client::Reset): its previous
   // containment state is gone, so the server must clear the object from all
   // result sets (stale memberships cannot be trusted) and re-assert hasMQ
-  // if the object is focal. Carried in the header flags byte — no body
-  // bytes, so WireSizeBytes is unchanged.
+  // if the object is focal. Carried in bit 0 of the header flags byte.
   bool cold_start = false;
+  // AttrLevel of the sender's filter attribute, in [0, kMaxAttrLevel];
+  // carried in the flags byte's seven other bits. Neither flag adds body
+  // bytes, so WireSizeBytes does not depend on them.
+  uint8_t attr_level = 0;
 };
+
+// The filter-attribute bound of an LqtReconcileRequest, on a grid of 126
+// steps over [0, 1]: level 0 bounds nothing, and level L in
+// [1, kMaxAttrLevel] says attr >= (L - 1) / 126. These two functions are
+// the whole encoding; the client and the server share nothing else.
+inline constexpr uint8_t kMaxAttrLevel = 127;
+// The largest level whose AttrFloor does not exceed `attr`; 0 for a
+// negative or NaN attr.
+uint8_t AttrLevel(double attr);
+// The bound `level` guarantees: (level - 1) / 126, or -infinity for 0.
+double AttrFloor(uint8_t level);
 
 // ---------------------------------------------------------------------------
 // Message envelope

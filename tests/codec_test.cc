@@ -303,24 +303,31 @@ TEST(CodecTest, DecodeRejectsCountBodyMismatch) {
   EXPECT_FALSE(MessageCodec::Decode(wire).ok());
 }
 
+// Every (cold_start, attr_level) pair round-trips through the header flags
+// byte, and neither flag changes the encoded size.
 TEST(CodecTest, LqtReconcileRequestRoundTripsColdStartFlag) {
   LqtReconcileRequest p;
   p.oid = 13;
   p.cell = geo::CellCoord{4, 6};
   p.known_qids = {2, 5, 9};
   p.target_qids = {5};
+  const size_t size = WireSizeBytes(MakeMessage(p));
   for (bool cold : {false, true}) {
-    p.cold_start = cold;
-    Message message = MakeMessage(p);
-    std::vector<uint8_t> wire = MessageCodec::Encode(message);
-    // The flag rides in the header flags byte: no body-size change.
-    EXPECT_EQ(wire.size(), WireSizeBytes(message));
-    auto decoded = MessageCodec::Decode(wire);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    const auto& q = std::get<LqtReconcileRequest>(decoded->payload);
-    EXPECT_EQ(q.cold_start, cold);
-    EXPECT_EQ(q.known_qids, p.known_qids);
-    EXPECT_EQ(q.target_qids, p.target_qids);
+    for (int level = 0; level <= kMaxAttrLevel; ++level) {
+      p.cold_start = cold;
+      p.attr_level = static_cast<uint8_t>(level);
+      Message message = MakeMessage(p);
+      std::vector<uint8_t> wire = MessageCodec::Encode(message);
+      EXPECT_EQ(wire.size(), size);
+      EXPECT_EQ(wire.size(), WireSizeBytes(message));
+      auto decoded = MessageCodec::Decode(wire);
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      const auto& q = std::get<LqtReconcileRequest>(decoded->payload);
+      EXPECT_EQ(q.cold_start, cold);
+      EXPECT_EQ(q.attr_level, level);
+      EXPECT_EQ(q.known_qids, p.known_qids);
+      EXPECT_EQ(q.target_qids, p.target_qids);
+    }
   }
 }
 
@@ -402,6 +409,7 @@ std::vector<Message> FullCorpus() {
   reconcile.known_qids = {1, 2};
   reconcile.target_qids = {2};
   reconcile.cold_start = true;
+  reconcile.attr_level = 64;
   corpus.push_back(MakeMessage(reconcile));
   return corpus;
 }

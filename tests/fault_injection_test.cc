@@ -7,6 +7,8 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "mobieyes/net/fault_injection.h"
@@ -525,6 +527,51 @@ TEST(FaultInjectionTest, ReconciliationRebuildsLqtAfterReconnect) {
   EXPECT_GT(deployment.network().stats().messages_by_type[static_cast<size_t>(
                 MessageType::kLqtReconcileRequest)],
             0u);
+}
+
+// A reconcile reply carries only queries the object can install. Objects
+// 1-3 share the focal's cell under a query whose filter admits attr <= 0.5:
+// object 1 (attr 0.9) is declined, object 2 (attr 0.2) misses the install
+// while disconnected, and object 3 (attr 0.3) installs it at once.
+TEST(FaultInjectionTest, ReconcileRepliesOnlyWithQueriesTheObjectCanInstall) {
+  core::MobiEyesOptions options;
+  options.reconcile_period_ticks = 2;
+  FaultPlan plan;
+  plan.forced_disconnect_oid = 2;
+  plan.forced_disconnect_from = 0;
+  plan.forced_disconnect_until = 3;
+  std::vector<ObjectSpec> specs = {{Point{55, 55}},
+                                   {Point{57, 55}, Vec2{}, 1.0, 0.9},
+                                   {Point{56, 55}, Vec2{}, 1.0, 0.2},
+                                   {Point{54, 55}, Vec2{}, 1.0, 0.3}};
+  MiniDeployment deployment(specs, options, 10.0, 20.0, plan);
+  // Sends per (object, type): uplinks by sender, downlinks by recipient.
+  std::map<std::pair<int64_t, MessageType>, int> sent;
+  deployment.network().set_observer(
+      [&sent](Direction direction, int64_t party, const Message& message) {
+        if (direction != Direction::kBroadcast) ++sent[{party, message.type}];
+      });
+
+  deployment.Tick();
+  ASSERT_TRUE(deployment.server().InstallQuery(0, 4.0, 0.5).ok());
+  ASSERT_EQ(deployment.fleet().lqt_size(1), 0u);
+  ASSERT_EQ(deployment.fleet().lqt_size(2), 0u);
+  ASSERT_EQ(deployment.fleet().lqt_size(3), 1u);
+
+  deployment.TickN(6);
+  for (ObjectId oid : {1, 2, 3}) {
+    EXPECT_GE((sent[{oid, MessageType::kLqtReconcileRequest}]), 2) << oid;
+    // No held query is reported stale.
+    EXPECT_EQ((sent[{oid, MessageType::kQueryRemoveBroadcast}]), 0) << oid;
+  }
+  // The declined object gets no reply, and a held query is not re-sent.
+  EXPECT_EQ((sent[{1, MessageType::kNewQueriesNotification}]), 0);
+  EXPECT_EQ((sent[{3, MessageType::kNewQueriesNotification}]), 0);
+  EXPECT_EQ(deployment.fleet().lqt_size(1), 0u);
+  EXPECT_EQ(deployment.fleet().lqt_size(3), 1u);
+  // The object that missed the install gets the query once, and keeps it.
+  EXPECT_EQ((sent[{2, MessageType::kNewQueriesNotification}]), 1);
+  EXPECT_EQ(deployment.fleet().lqt_size(2), 1u);
 }
 
 // --- Accuracy under loss (acceptance) ---------------------------------------

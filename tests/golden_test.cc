@@ -1,4 +1,4 @@
-// The behaviour contract, checked in: five small in-process, single-shard
+// The behaviour contract, checked in: six small in-process, single-shard
 // simulations whose per-step message counts by type, LQT size sums and
 // per-query result-set digests, plus each run's heat-map JSON, must match
 // the files under tests/golden/ byte for byte. Everything recorded is an
@@ -91,6 +91,13 @@ std::vector<GoldenCase> Cases() {
   lossy.faults.disconnect_period_steps = 4;
   lossy.faults.disconnect_duration_steps = 2;
   cases.push_back({"hardened_lqp_faults", lossy});
+
+  // The same protocol with no fault draws: its result sets and LQTs pin
+  // what hardening repairs without a fault stream to re-roll.
+  SimulationConfig hardened = BaseConfig(SimMode::kMobiEyesLazy, 106);
+  hardened.mobieyes = Hardened(hardened);
+  hardened.mobieyes.enable_safe_period = true;
+  cases.push_back({"hardened_lqp", hardened});
 
   SimulationConfig crash = BaseConfig(SimMode::kMobiEyesEager, 104);
   crash.mobieyes = Hardened(crash);

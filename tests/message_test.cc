@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "mobieyes/common/random.h"
 #include "mobieyes/net/message.h"
 
 namespace mobieyes::net {
@@ -92,6 +97,49 @@ TEST(MessageTest, PredictPositionExtrapolatesLinearly) {
   geo::Point same = state.PredictPosition(100.0);
   EXPECT_DOUBLE_EQ(same.x, 10.0);
   EXPECT_DOUBLE_EQ(same.y, 20.0);
+}
+
+// The level a reconciling object reports is the largest whose floor does
+// not exceed its attribute, so the server's floor test can only drop a
+// query the object's own filter declines.
+void ExpectLargestLevelAtOrBelow(double attr) {
+  const uint8_t level = AttrLevel(attr);
+  ASSERT_LE(level, kMaxAttrLevel) << attr;
+  EXPECT_LE(AttrFloor(level), attr) << attr;
+  if (level < kMaxAttrLevel) {
+    EXPECT_GT(AttrFloor(static_cast<uint8_t>(level + 1)), attr) << attr;
+  }
+}
+
+TEST(MessageTest, AttrLevelIsTheLargestWhoseFloorDoesNotExceedAttr) {
+  using Limits = std::numeric_limits<double>;
+  constexpr double kInf = Limits::infinity();
+  EXPECT_EQ(AttrLevel(-0.5), 0);
+  EXPECT_EQ(AttrLevel(-kInf), 0);
+  EXPECT_EQ(AttrLevel(-Limits::denorm_min()), 0);
+  EXPECT_EQ(AttrLevel(Limits::quiet_NaN()), 0);
+  EXPECT_EQ(AttrFloor(0), -kInf);
+  EXPECT_EQ(AttrFloor(1), 0.0);
+  EXPECT_EQ(AttrFloor(kMaxAttrLevel), 1.0);
+  EXPECT_EQ(AttrLevel(0.0), 1);
+  EXPECT_EQ(AttrLevel(-0.0), 1);
+  EXPECT_EQ(AttrLevel(0.75), 95);
+  EXPECT_EQ(AttrLevel(1.0), kMaxAttrLevel);
+  EXPECT_EQ(AttrLevel(kInf), kMaxAttrLevel);
+
+  std::vector<double> attrs = {0.0, -0.0, 0.75, 1.0, 2.0, kInf};
+  attrs.push_back(Limits::denorm_min());
+  attrs.push_back(Limits::min() / 2);  // a denormal
+  attrs.push_back(Limits::min());
+  for (int k = 0; k < kMaxAttrLevel; ++k) {
+    const double step = k / static_cast<double>(kMaxAttrLevel - 1);
+    attrs.push_back(step);
+    attrs.push_back(std::nextafter(step, -kInf));
+    attrs.push_back(std::nextafter(step, kInf));
+  }
+  Rng rng(29);
+  for (int k = 0; k < 100000; ++k) attrs.push_back(rng.NextDouble());
+  for (double attr : attrs) ExpectLargestLevelAtOrBelow(attr);
 }
 
 TEST(MessageTest, TypeNamesAreDistinct) {
